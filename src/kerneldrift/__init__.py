@@ -13,7 +13,6 @@ from . import condexp
 from .condexp import CondExpModel, CondExpParams, fit_targets
 from .drift import (
     DriftModel,
-    SharedDriftModel,
     SnapshotSet,
     Stencil,
     estimate_drift,
@@ -22,8 +21,6 @@ from .drift import (
     increment_targets,
     predict_drift,
     predict_drift_many,
-    predict_drift_sparse,
-    predict_drift_sparse_many,
 )
 from .errors import (
     BlowUpError,
@@ -36,7 +33,6 @@ from .evaluation import (
     ErrorReport,
     OrbitComparison,
     compare_orbits,
-    drift_field,
     pointwise_errors,
     relative_l2_error,
     system_field,

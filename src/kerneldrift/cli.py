@@ -32,6 +32,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        self.options = {}  # dest -> Action, the keys a config file may set
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = action
+        return action
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -119,16 +128,13 @@ def _parse_args(argv):
         target = subparsers.get(command)
         if target is None:
             raise _UsageError("--config requires a known subcommand")
-        known = set()
-        for action in target._actions:
-            known.add(action.dest)
-            if action.dest in values:
-                action.default = values[action.dest] if action.type is None \
-                    else action.type(values[action.dest])
-                action.required = False
-        unknown = set(values) - known
+        unknown = set(values) - set(target.options)
         if unknown:
             raise _UsageError(f"unknown config keys {sorted(unknown)}")
+        for dest in values:
+            target.options[dest].required = False
+        # string defaults are converted by the option's type at parse time
+        target.set_defaults(**values)
     return parser.parse_args(argv)
 
 

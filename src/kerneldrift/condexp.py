@@ -14,9 +14,7 @@ three bandwidths are tuned by sparsity targets unless given explicitly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -29,8 +27,6 @@ from .kernels import (
     KernelModel,
     diffusion_model,
     evaluate_expansion,
-    kernel_model_from_dict,
-    kernel_model_to_dict,
     markov_apply,
     section_matrix,
     select_bandwidth,
@@ -218,27 +214,6 @@ def predict(model: CondExpModel, x) -> tuple[float, bool]:
     fallback for queries far from every center.
     """
     return evaluate_expansion(model.kernel, model.coefficients, x)
-
-
-# --- persistence ------------------------------------------------------------
-
-
-def save_condexp_model(model: CondExpModel, path) -> None:
-    payload = {
-        "kernel": kernel_model_to_dict(model.kernel),
-        "coefficients": np.asarray(model.coefficients).tolist(),
-        "diagnostics": model.diagnostics,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def load_condexp_model(path) -> CondExpModel:
-    data = json.loads(Path(path).read_text())
-    return CondExpModel(
-        kernel=kernel_model_from_dict(data["kernel"]),
-        coefficients=np.asarray(data["coefficients"], dtype=float),
-        diagnostics=data.get("diagnostics", {}),
-    )
 
 
 def with_delta(params: CondExpParams, delta: float) -> CondExpParams:

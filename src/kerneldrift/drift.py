@@ -8,10 +8,12 @@ forward increments.  A four-point combination of consecutive samples,
 reads that rate off with an O(dt^3) bias on smooth paths (the weights kill
 the quadratic and cubic terms of the transition expansion; the 1/6 makes a
 linear path give its slope exactly).  Regressing z on x with the
-conditional-expectation machinery yields the field estimate, either one
-coefficient vector per coordinate (dense estimator) or a single shared
-low-dimensional unit applied through a coordinate stencil (sparse
-estimator for systems whose components repeat one functional form).
+conditional-expectation machinery yields the field estimate: a kernel
+expansion with a (k, M) coefficient matrix.  The dense estimator fits one
+row per coordinate (k = d).  The sparse estimator, for systems whose
+components repeat one functional form, fits a single shared
+low-dimensional unit (k = 1) and applies it to every coordinate through a
+stencil.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,15 +39,11 @@ from .systems import Trajectory
 STENCIL_WEIGHTS = np.array([-11.0, 18.0, -9.0, 2.0])
 
 
-def increment_targets(traj: Trajectory, normalized: bool = True
-                      ) -> tuple[np.ndarray, np.ndarray]:
+def increment_targets(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Regression pairs (state, increment rate) from a trajectory.
 
     Returns ``(inputs, targets)`` of shapes (N-3, d): inputs are the base
-    samples ``x_n`` and targets the stencil combination above.  With
-    ``normalized=False`` the combination is divided by ``dt`` only (the
-    uncorrected variant, 6x too large on smooth paths; kept for
-    comparison).
+    samples ``x_n`` and targets the stencil combination above.
     """
     x = traj.points
     n = len(x)
@@ -55,28 +53,36 @@ def increment_targets(traj: Trajectory, normalized: bool = True
         + STENCIL_WEIGHTS[2] * x[2 : n - 1]
         + STENCIL_WEIGHTS[3] * x[3:]
     )
-    scale = 6.0 * traj.dt if normalized else traj.dt
-    return x[: n - 3], combo / scale
+    return x[: n - 3], combo / (6.0 * traj.dt)
 
 
 @dataclass
 class DriftModel:
-    """Dense vector-field estimate: one coefficient row per coordinate."""
+    """Vector-field estimate: a kernel expansion with (k, M) coefficients.
+
+    Without a stencil each of the k = d rows gives one coordinate of the
+    field (dense estimator).  With a stencil the single row (k = 1) is a
+    shared unit, applied to the stencil projection of the state for every
+    coordinate (sparse estimator).
+    """
 
     kernel: KernelModel
-    coefficients: np.ndarray  # shape (d, M)
+    coefficients: np.ndarray  # shape (k, M)
     dt: float
+    stencil: Optional[Stencil] = None
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if self.coefficients.ndim != 2:
-            raise ValueError("coefficients must be a (d, M) matrix")
+            raise ValueError("coefficients must be a (k, M) matrix")
         if self.coefficients.shape[1] != self.kernel.n_centers:
             raise ValueError("coefficient columns must match the kernel centers")
+        if self.stencil is not None and self.coefficients.shape[0] != 1:
+            raise ValueError("a stencil model has exactly one coefficient row")
 
     @property
     def d(self) -> int:
-        return self.coefficients.shape[0]
+        return self.coefficients.shape[0] if self.stencil is None else self.stencil.d
 
 
 def estimate_drift(traj: Trajectory, params: CondExpParams) -> DriftModel:
@@ -101,10 +107,26 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
     """Evaluate the estimated field at an (n, d) batch of points.
 
     Returns ``(values, extrapolated)`` where the flag marks points that fell
-    back to their nearest center.
+    back to their nearest center (in any component, for a stencil model).
     """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != model.d:
+        raise ValueError(f"points have shape {points.shape}, model expects (n, {model.d})")
+    n, d = points.shape
+    if model.stencil is not None:
+        points = points[:, np.array(model.stencil.left)].reshape(n * d, model.stencil.m)
     sections, flags = section_matrix(model.kernel, points)
-    return sections @ model.coefficients.T, flags
+    # row-wise reduction (not a BLAS product) so identical section rows give
+    # bitwise-identical values regardless of row position: a batch matches
+    # single-point calls, and cyclic shifts of the state permute a stencil
+    # prediction exactly
+    values = np.stack([(sections * c).sum(axis=1) for c in model.coefficients], axis=1)
+    return values.reshape(n, d), flags.reshape(n, -1).any(axis=1)
+
+
+# The benchmark harness (perfbench/bench.py) times predictions by wrapping
+# this name as well; it stays as an alias so that instrumentation binds.
+predict_drift_sparse_many = predict_drift_many
 
 
 def predict_drift(model: DriftModel, x) -> tuple[np.ndarray, bool]:
@@ -194,108 +216,47 @@ def extract_snapshots(traj: Trajectory, stencil: Stencil) -> SnapshotSet:
     )
 
 
-@dataclass
-class SharedDriftModel:
-    """Sparse vector-field estimate: one shared unit plus a stencil."""
-
-    kernel: KernelModel
-    coefficients: np.ndarray  # shape (M,)
-    stencil: Stencil
-    dt: float
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.kernel.n_centers,):
-            raise ValueError("coefficients must match the kernel centers")
-
-    @property
-    def d(self) -> int:
-        return self.stencil.d
-
-
 def estimate_drift_sparse(snapshots: SnapshotSet, params: CondExpParams
-                          ) -> SharedDriftModel:
+                          ) -> DriftModel:
     """Fit the shared low-dimensional unit on pooled snapshot records."""
     kernel, coef, _ = condexp.fit_targets(snapshots.inputs, snapshots.targets, params)
-    return SharedDriftModel(kernel=kernel, coefficients=coef[0],
-                            stencil=snapshots.stencil, dt=snapshots.dt)
-
-
-def predict_drift_sparse_many(model: SharedDriftModel, points
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the sparse field estimate at an (n, d) batch of points.
-
-    Component i is the shared expansion applied to the stencil projection
-    of the state; a point is flagged extrapolated if any component fell
-    back to a nearest center.
-    """
-    points = np.asarray(points, dtype=float)
-    squeeze = points.ndim == 1
-    if squeeze:
-        points = points[None, :]
-    d = model.d
-    if points.shape[1] != d:
-        raise ValueError(f"points have dimension {points.shape[1]}, model expects {d}")
-    left = np.array(model.stencil.left)  # (d, m)
-    projected = points[:, left]  # (n, d, m)
-    sections, flags = section_matrix(model.kernel, projected.reshape(-1, model.stencil.m))
-    # row-wise reduction (not a BLAS matvec) so identical section rows give
-    # bitwise-identical values regardless of row position; cyclic shifts of
-    # the state then permute the prediction exactly
-    values = (sections * model.coefficients).sum(axis=1).reshape(len(points), d)
-    point_flags = flags.reshape(len(points), d).any(axis=1)
-    if squeeze:
-        return values[0], point_flags[0]
-    return values, point_flags
-
-
-def predict_drift_sparse(model: SharedDriftModel, x) -> tuple[np.ndarray, bool]:
-    """Evaluate the sparse estimate at one point: ``(vector, extrapolated)``."""
-    values, flag = predict_drift_sparse_many(model, np.asarray(x, dtype=float))
-    return values, bool(flag)
+    return DriftModel(kernel=kernel, coefficients=coef, dt=snapshots.dt,
+                      stencil=snapshots.stencil)
 
 
 # --- persistence ------------------------------------------------------------
 
 
-def save_drift_model(model, path) -> None:
-    """Write a dense or sparse drift model as JSON."""
-    if isinstance(model, DriftModel):
-        payload = {
-            "type": "dense",
-            "kernel": kernel_model_to_dict(model.kernel),
-            "coefficients": model.coefficients.tolist(),
-            "dt": model.dt,
-        }
-    elif isinstance(model, SharedDriftModel):
-        payload = {
-            "type": "sparse",
-            "kernel": kernel_model_to_dict(model.kernel),
-            "coefficients": model.coefficients.tolist(),
-            "stencil": {"m": model.stencil.m, "left": [list(r) for r in model.stencil.left]},
-            "dt": model.dt,
-        }
-    else:
-        raise ValueError(f"cannot serialize {type(model).__name__}")
+def save_drift_model(model: DriftModel, path) -> None:
+    """Write a drift model as JSON: kernel, (k, M) coefficients, dt, stencil."""
+    stencil = model.stencil
+    payload = {
+        "kernel": kernel_model_to_dict(model.kernel),
+        "coefficients": model.coefficients.tolist(),
+        "dt": model.dt,
+        "stencil": None if stencil is None
+        else {"m": stencil.m, "left": [list(r) for r in stencil.left]},
+    }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def load_drift_model(path):
+def load_drift_model(path) -> DriftModel:
+    """Read a drift model written by :func:`save_drift_model`.
+
+    Older files load too: their ``type`` key and kernel ``w`` entry are
+    ignored, and a shared unit's 1-D coefficient vector becomes one row.
+    """
     data = json.loads(Path(path).read_text())
-    kernel = kernel_model_from_dict(data["kernel"])
-    if data["type"] == "dense":
-        return DriftModel(kernel=kernel,
-                          coefficients=np.asarray(data["coefficients"], dtype=float),
-                          dt=float(data["dt"]))
-    if data["type"] == "sparse":
-        st = data["stencil"]
-        return SharedDriftModel(
-            kernel=kernel,
-            coefficients=np.asarray(data["coefficients"], dtype=float),
-            stencil=Stencil(m=int(st["m"]), left=tuple(tuple(r) for r in st["left"])),
+    st = data.get("stencil")
+    try:
+        return DriftModel(
+            kernel=kernel_model_from_dict(data["kernel"]),
+            coefficients=np.atleast_2d(np.asarray(data["coefficients"], dtype=float)),
             dt=float(data["dt"]),
+            stencil=None if st is None else Stencil(m=int(st["m"]), left=st["left"]),
         )
-    raise ValueError(f"unknown drift model type {data['type']!r}")
+    except KeyError as err:
+        raise ValueError(f"{path}: drift model file lacks the {err.args[0]!r} entry") from err
 
 
 def save_snapshots(snapshots: SnapshotSet, path) -> None:

@@ -1,9 +1,9 @@
 """Reconstruction quality: relative L2 error, error fields, orbit comparison.
 
-Field evaluators are callables mapping an (n, d) array of points to an
-(n, d) array of field values; an estimator may instead return a pair
-``(values, extrapolated_flags)``.  :func:`drift_field` and
-:func:`system_field` adapt fitted models and system specs to this shape.
+A field is either a fitted :class:`~kerneldrift.drift.DriftModel`, whose
+predictions carry extrapolation flags, or a callable mapping an (n, d)
+array of points to an (n, d) array of values; :func:`system_field` adapts
+a system spec to the latter.
 """
 
 from __future__ import annotations
@@ -39,31 +39,11 @@ def system_field(spec: SystemSpec):
     return evaluate
 
 
-def drift_field(model):
-    """Batch evaluator (with extrapolation flags) for a fitted drift model."""
-    if isinstance(model, drift_mod.DriftModel):
-        return lambda points: drift_mod.predict_drift_many(model, points)
-    if isinstance(model, drift_mod.SharedDriftModel):
-        return lambda points: drift_mod.predict_drift_sparse_many(model, points)
-    raise ValueError(f"not a drift model: {type(model).__name__}")
-
-
-def _as_field(evaluator):
-    """Accept a model object or a batch callable."""
-    if isinstance(evaluator, (drift_mod.DriftModel, drift_mod.SharedDriftModel)):
-        return drift_field(evaluator)
-    if callable(evaluator):
-        return evaluator
-    raise ValueError(f"cannot evaluate a field from {type(evaluator).__name__}")
-
-
-def _call_field(evaluator, points):
-    """Normalize evaluator output to (values, flags-or-None)."""
-    result = evaluator(points)
-    if isinstance(result, tuple):
-        values, flags = result
-        return np.asarray(values, dtype=float), np.asarray(flags, dtype=bool)
-    return np.asarray(result, dtype=float), None
+def _evaluate(field, points) -> tuple[np.ndarray, np.ndarray | None]:
+    """Field values at (n, d) points plus extrapolation flags (None for a callable)."""
+    if isinstance(field, drift_mod.DriftModel):
+        return drift_mod.predict_drift_many(field, points)
+    return np.asarray(field(points), dtype=float), None
 
 
 def relative_l2_error(predict, truth, test_points) -> ErrorReport:
@@ -75,8 +55,8 @@ def relative_l2_error(predict, truth, test_points) -> ErrorReport:
     test_points = np.asarray(test_points, dtype=float)
     if test_points.ndim != 2 or len(test_points) == 0:
         raise ValueError("test_points must be a nonempty (n, d) array")
-    predicted, flags = _call_field(_as_field(predict), test_points)
-    actual, _ = _call_field(_as_field(truth), test_points)
+    predicted, flags = _evaluate(predict, test_points)
+    actual, _ = _evaluate(truth, test_points)
     if predicted.shape != actual.shape:
         raise ValueError(f"field shapes differ: {predicted.shape} vs {actual.shape}")
     truth_norm = np.sqrt(np.sum(actual**2))
@@ -94,8 +74,8 @@ def relative_l2_error(predict, truth, test_points) -> ErrorReport:
 def pointwise_errors(predict, truth, test_points) -> np.ndarray:
     """Absolute per-point, per-coordinate errors, shape (n, d)."""
     test_points = np.asarray(test_points, dtype=float)
-    predicted, _ = _call_field(_as_field(predict), test_points)
-    actual, _ = _call_field(_as_field(truth), test_points)
+    predicted, _ = _evaluate(predict, test_points)
+    actual, _ = _evaluate(truth, test_points)
     return np.abs(predicted - actual)
 
 
@@ -122,7 +102,6 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     n_steps = int(round(horizon / dt))
     if n_steps < 3:
         raise ValueError("horizon must cover at least 3 steps")
-    estimated = _as_field(model)
 
     true_points = np.empty((n_steps + 1, spec.dimension))
     est_points = np.empty((n_steps + 1, spec.dimension))
@@ -133,7 +112,7 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     xe = x0.copy()
     for k in range(1, n_steps + 1):
         xt = xt + systems_mod.eval_drift(spec, xt) * dt
-        value, flag = _call_field(estimated, xe[None, :])
+        value, flag = _evaluate(model, xe[None, :])
         xe = xe + value[0] * dt
         if not (np.isfinite(xt).all() and np.isfinite(xe).all()):
             raise BlowUpError(index=k)

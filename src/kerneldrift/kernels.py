@@ -22,9 +22,7 @@ target fraction of pairwise kernel values survives the threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -70,8 +68,7 @@ class BandwidthPolicy:
 class KernelModel:
     """A fitted kernel over a set of center points.
 
-    ``deg_r``, ``deg_l`` and ``weights`` (``1 / sqrt(deg_r * deg_l)``) are
-    populated for the diffusion kind only.
+    ``deg_r`` and ``deg_l`` are populated for the diffusion kind only.
     """
 
     kind: str
@@ -80,7 +77,6 @@ class KernelModel:
     centers: np.ndarray
     deg_r: Optional[np.ndarray] = None
     deg_l: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -267,9 +263,8 @@ def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
     if dead.size:
         raise IsolatedPointError(row=int(dead[0]))
     deg_l = (raw @ (1.0 / deg_r)) / m
-    weights = 1.0 / np.sqrt(deg_r * deg_l)
     model = KernelModel(kind="diffusion", epsilon=epsilon, theta_zero=theta_zero,
-                        centers=data, deg_r=deg_r, deg_l=deg_l, weights=weights)
+                        centers=data, deg_r=deg_r, deg_l=deg_l)
     kdiff = (sp.diags(1.0 / deg_l) @ raw @ sp.diags(1.0 / deg_r)).tocsr()
     return model, SparseKernelMatrix(matrix=kdiff, model=model)
 
@@ -377,8 +372,8 @@ def kernel_model_to_dict(model: KernelModel) -> dict:
         "theta_zero": model.theta_zero,
         "centers": model.centers.tolist(),
     }
-    for name, key in (("deg_r", "deg_r"), ("deg_l", "deg_l"), ("weights", "w")):
-        value = getattr(model, name)
+    for key in ("deg_r", "deg_l"):
+        value = getattr(model, key)
         out[key] = None if value is None else np.asarray(value).tolist()
     return out
 
@@ -395,13 +390,5 @@ def kernel_model_from_dict(data: dict) -> KernelModel:
         centers=np.asarray(data["centers"], dtype=float),
         deg_r=arr("deg_r"),
         deg_l=arr("deg_l"),
-        weights=arr("w"),
     )
 
-
-def save_kernel_model(model: KernelModel, path) -> None:
-    Path(path).write_text(json.dumps(kernel_model_to_dict(model), sort_keys=True) + "\n")
-
-
-def load_kernel_model(path) -> KernelModel:
-    return kernel_model_from_dict(json.loads(Path(path).read_text()))

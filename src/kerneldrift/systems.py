@@ -298,8 +298,12 @@ def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
 
 def spec_from_meta(meta: dict) -> SystemSpec:
     """Rebuild the generating SystemSpec from a metadata sidecar."""
+    try:
+        name, params = meta["system"], meta["params"]
+    except KeyError as err:
+        raise ValueError(f"metadata sidecar lacks the {err.args[0]!r} entry") from err
     return SystemSpec(
-        name=meta["system"],
-        params={k: (int(v) if k == "N" else float(v)) for k, v in meta["params"].items()},
+        name=name,
+        params={k: (int(v) if k == "N" else float(v)) for k, v in params.items()},
         sigma_noise=float(meta.get("sigma_noise", 0.0)),
     )

@@ -96,6 +96,32 @@ def test_estimate_missing_file_is_usage_error(tmp_path):
                "--out", str(tmp_path)) == 1
 
 
+def test_compare_empty_model_file_is_usage_error(tmp_path):
+    model = tmp_path / "empty.json"
+    model.write_text("{}")
+    assert run("compare", "--model", str(model), "--system", "hopf",
+               "--out", str(tmp_path)) == 1
+
+
+def test_compare_model_without_coefficients_is_usage_error(hopf_run, tmp_path):
+    data = json.loads((hopf_run / "model.json").read_text())
+    del data["coefficients"]
+    model = tmp_path / "nocoef.json"
+    model.write_text(json.dumps(data))
+    assert run("compare", "--model", str(model), "--system", "hopf",
+               "--out", str(tmp_path)) == 1
+
+
+def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path):
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text((hopf_run / "trajectory.csv").read_text())
+    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
+    del meta["params"]
+    (tmp_path / "trajectory.meta.json").write_text(json.dumps(meta))
+    assert run("estimate", "--traj", str(traj), "--centers", "150",
+               "--out", str(tmp_path)) == 1
+
+
 def test_compare_outputs(hopf_run, tmp_path):
     out = tmp_path / "cmp"
     code = run("compare", "--model", str(hopf_run / "model.json"),

@@ -5,9 +5,7 @@ from kerneldrift import CondExpParams, SolverError, diffusion_model, section_mat
 from kerneldrift.condexp import (
     fit,
     fit_targets,
-    load_condexp_model,
     predict,
-    save_condexp_model,
     select_centers,
     solve_regularized,
     with_delta,
@@ -170,20 +168,6 @@ def test_solver_failure_raises():
     b[0, 0] = np.nan
     with pytest.raises(SolverError):
         solve_regularized(b, np.ones(4), delta=0.1)
-
-
-def test_model_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    x = rng.uniform(-1, 1, size=200)
-    y = np.sin(3 * x)
-    model = fit(zip(x, y), CondExpParams(n_centers=60))
-    path = tmp_path / "condexp.json"
-    save_condexp_model(model, path)
-    loaded = load_condexp_model(path)
-    np.testing.assert_array_equal(loaded.coefficients, model.coefficients)
-    probes = rng.uniform(-0.9, 0.9, size=5)
-    for p in probes:
-        assert predict(loaded, np.array([p])) == predict(model, np.array([p]))
 
 
 def test_fit_targets_shares_kernel_across_columns():

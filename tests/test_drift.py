@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import json
+
 from kerneldrift import (
     CondExpParams,
-    SharedDriftModel,
     Stencil,
     estimate_drift,
     estimate_drift_sparse,
@@ -14,8 +15,6 @@ from kerneldrift import (
     make_spec,
     predict_drift,
     predict_drift_many,
-    predict_drift_sparse,
-    predict_drift_sparse_many,
     simulate,
 )
 from kerneldrift.drift import (
@@ -46,14 +45,6 @@ def test_linear_trajectory_exact_slope():
     inputs, targets = increment_targets(traj)
     np.testing.assert_allclose(targets, np.tile(v, (27, 1)), atol=1e-12)
     np.testing.assert_array_equal(inputs, traj.points[:27])
-
-
-def test_uncorrected_variant_is_six_times_larger():
-    v = np.array([2.0])
-    traj = Trajectory(dt=0.1, points=np.arange(10)[:, None] * 0.1 * v)
-    _, corrected = increment_targets(traj)
-    _, literal = increment_targets(traj, normalized=False)
-    np.testing.assert_allclose(literal, 6.0 * corrected, atol=1e-12)
 
 
 def _hopf_path(dt, n):
@@ -174,11 +165,12 @@ class TestDenseEstimator:
 
     def test_batch_matches_single(self, hopf_fit):
         _, traj, model = hopf_fit
-        pts = traj.points[:7]
+        pts = np.vstack([traj.points[:7], [[500.0, 500.0]]])
         batch, flags = predict_drift_many(model, pts)
+        assert flags[-1]
         for i, x in enumerate(pts):
             v, f = predict_drift(model, x)
-            np.testing.assert_allclose(batch[i], v, rtol=1e-12)
+            np.testing.assert_array_equal(batch[i], v)
             assert flags[i] == f
 
     def test_dimension_mismatch(self, hopf_fit):
@@ -245,8 +237,8 @@ class TestSparseEstimator:
         _, traj, _, model = l96_sparse_fit
         x = traj.points[100]
         shifted = np.roll(x, 1)
-        v_x, _ = predict_drift_sparse(model, x)
-        v_s, _ = predict_drift_sparse(model, shifted)
+        v_x, _ = predict_drift(model, x)
+        v_s, _ = predict_drift(model, shifted)
         np.testing.assert_array_equal(v_s, np.roll(v_x, 1))
 
     def test_matches_componentwise_expansion(self, l96_sparse_fit):
@@ -254,9 +246,9 @@ class TestSparseEstimator:
         from kerneldrift.kernels import evaluate_expansion
 
         x = traj.points[50]
-        values, _ = predict_drift_sparse(model, x)
+        values, _ = predict_drift(model, x)
         for i, left in enumerate(model.stencil.left):
-            scalar, _ = evaluate_expansion(model.kernel, model.coefficients,
+            scalar, _ = evaluate_expansion(model.kernel, model.coefficients[0],
                                            x[list(left)])
             assert values[i] == scalar
 
@@ -266,7 +258,7 @@ class TestSparseEstimator:
         probes = traj.points[::40][:50]
         truth = eval_drift(spec, probes)
         dense_pred, _ = predict_drift_many(dense_model, probes)
-        sparse_pred, _ = predict_drift_sparse_many(sparse_model, probes)
+        sparse_pred, _ = predict_drift_many(sparse_model, probes)
         dense_err = np.sqrt(((dense_pred - truth) ** 2).sum())
         sparse_err = np.sqrt(((sparse_pred - truth) ** 2).sum())
         assert sparse_err <= 2.0 * dense_err
@@ -293,8 +285,8 @@ class TestSparseEstimator:
 
         s1, _ = section_matrix(base.kernel, probes)
         s2, _ = section_matrix(again.kernel, probes)
-        np.testing.assert_allclose(s1 @ base.coefficients, s2 @ again.coefficients,
-                                   atol=1e-10)
+        np.testing.assert_allclose(s1 @ base.coefficients[0],
+                                   s2 @ again.coefficients[0], atol=1e-10)
 
     def test_roundtrip(self, l96_sparse_fit, tmp_path):
         _, traj, _, model = l96_sparse_fit
@@ -302,15 +294,52 @@ class TestSparseEstimator:
         save_drift_model(model, path)
         loaded = load_drift_model(path)
         assert loaded.stencil == model.stencil
-        v1, f1 = predict_drift_sparse_many(model, traj.points[:4])
-        v2, f2 = predict_drift_sparse_many(loaded, traj.points[:4])
+        v1, f1 = predict_drift_many(model, traj.points[:4])
+        v2, f2 = predict_drift_many(loaded, traj.points[:4])
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(f1, f2)
 
     def test_dimension_mismatch(self, l96_sparse_fit):
         _, _, _, model = l96_sparse_fit
         with pytest.raises(ValueError):
-            predict_drift_sparse(model, np.zeros(4))
+            predict_drift(model, np.zeros(4))
+
+
+def _parent_format_payload(model):
+    """Older two-type model file: a ``type`` key, kernel ``w`` weights and
+    a 1-D shared-unit coefficient vector."""
+    kernel = {
+        "kind": model.kernel.kind,
+        "epsilon": model.kernel.epsilon,
+        "theta_zero": model.kernel.theta_zero,
+        "centers": model.kernel.centers.tolist(),
+        "deg_r": model.kernel.deg_r.tolist(),
+        "deg_l": model.kernel.deg_l.tolist(),
+        "w": (1.0 / np.sqrt(model.kernel.deg_r * model.kernel.deg_l)).tolist(),
+    }
+    payload = {"kernel": kernel, "dt": model.dt}
+    if model.stencil is None:
+        payload.update(type="dense", coefficients=model.coefficients.tolist())
+    else:
+        payload.update(type="sparse", coefficients=model.coefficients[0].tolist(),
+                       stencil={"m": model.stencil.m,
+                                "left": [list(r) for r in model.stencil.left]})
+    return payload
+
+
+def test_parent_format_files_load(hopf_fit, l96_sparse_fit, tmp_path):
+    for name, (model, pts) in {
+        "dense": (hopf_fit[2], hopf_fit[1].points[:6]),
+        "sparse": (l96_sparse_fit[3], l96_sparse_fit[1].points[:6]),
+    }.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_parent_format_payload(model)))
+        loaded = load_drift_model(path)
+        assert loaded.stencil == model.stencil
+        v1, f1 = predict_drift_many(model, pts)
+        v2, f2 = predict_drift_many(loaded, pts)
+        np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(f1, f2)
 
 
 def test_l96_orbit_divergence_is_reported_not_failed(l96_sparse_fit):

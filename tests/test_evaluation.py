@@ -5,7 +5,6 @@ from kerneldrift import (
     BlowUpError,
     CondExpParams,
     compare_orbits,
-    drift_field,
     estimate_drift,
     eval_drift,
     make_spec,
@@ -94,7 +93,7 @@ def test_hopf_error_concentrates_off_cycle(hopf_setup):
     angles = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     ring = lambda r: np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1)
     pts = np.vstack([ring(1.0), ring(1.6)])
-    table = pointwise_errors(drift_field(model), system_field(spec), pts)
+    table = pointwise_errors(model, system_field(spec), pts)
     worst = np.argmax(table.sum(axis=1))
     radius = np.linalg.norm(pts[worst])
     assert abs(radius - 1.0) > 0.3
