@@ -40,14 +40,11 @@ from .evaluation import (
 from .kernels import (
     BandwidthPolicy,
     KernelModel,
-    SparseKernelMatrix,
     diffusion_model,
     evaluate_expansion,
     gaussian,
-    markov_matrix,
     section_matrix,
     select_bandwidth,
-    symmetrized_matrix,
 )
 from .systems import (
     SystemSpec,

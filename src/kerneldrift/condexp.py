@@ -169,10 +169,10 @@ def fit_targets(inputs, targets, params: CondExpParams
     eps2 = 2.0 * eps1 if params.eps2_twice_eps1 else bandwidth(params.eps2, params.eta2)
 
     centers = select_centers(len(inputs), params)
-    kernel, _ = diffusion_model(inputs[centers], eps2, params.theta_zero)
+    kernel = diffusion_model(inputs[centers], eps2, params.theta_zero)
     sections, _ = section_matrix(kernel, inputs)
 
-    # one streamed pass applies the Markov matrix to the kernel sections and
+    # one eps3 pass applies the Markov matrix to the kernel sections and
     # the smoothed targets together
     smoothed_y = markov_apply(inputs, inputs, eps1, y, params.theta_zero)
     stacked = markov_apply(inputs, inputs, eps3,

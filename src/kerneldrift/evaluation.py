@@ -99,6 +99,8 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({spec.dimension},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     n_steps = int(round(horizon / dt))
     if n_steps < 3:
         raise ValueError("horizon must cover at least 3 steps")

@@ -12,11 +12,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 import kerneldrift as kd
 from kerneldrift import cli
 from kerneldrift.condexp import fit, predict, with_delta
+from kerneldrift.kernels import markov_apply
 from kerneldrift.systems import Trajectory
 
 DT = 0.01
@@ -113,16 +114,21 @@ def test_criterion_5_kernel_property_suite():
     policy = kd.BandwidthPolicy(eta=0.3, subsample_fraction=1.0)
     eps = kd.select_bandwidth(data, policy)
 
-    markov = kd.markov_matrix(data, data, eps)
-    row_gap = np.abs(np.asarray(markov.matrix.sum(axis=1)).ravel() - 1.0).max()
+    markov = markov_apply(data, data, eps, np.eye(len(data)))
+    row_gap = np.abs(markov.sum(axis=1) - 1.0).max()
 
-    model, kdiff = kd.diffusion_model(data, eps)
-    ktilde = kd.symmetrized_matrix(kdiff).toarray()
+    model = kd.diffusion_model(data, eps)
+    kdiff, _ = kd.section_matrix(model, data)
+    # the symmetric form, recomputed from the raw kernel and the degrees
+    raw = np.exp(-cdist(data, data, "sqeuclidean") / eps)
+    raw[raw < policy.theta_zero] = 0.0
+    degrees = model.deg_r * model.deg_l
+    ktilde = raw / np.sqrt(np.outer(degrees, degrees))
     sym_gap = np.abs(ktilde - ktilde.T).max()
 
     rho = np.sqrt(model.deg_l / model.deg_r)
     identity_gap = np.abs(
-        rho[:, None] * kdiff.toarray() / rho[None, :] - ktilde
+        rho[:, None] * kdiff / rho[None, :] - ktilde
     ).max()
 
     values = np.exp(-pdist(data, "sqeuclidean") / eps)
@@ -183,7 +189,7 @@ def test_criterion_8_out_of_sample_fallback():
     rng = np.random.default_rng(13)
     data = rng.normal(size=(50, 2))
     eps = 0.4
-    model, _ = kd.diffusion_model(data, eps)
+    model = kd.diffusion_model(data, eps)
     coeffs = rng.normal(size=50)
     query = data[9] + np.array([math.sqrt(1e4 * eps), 0.0])
     value, flagged = kd.evaluate_expansion(model, coeffs, query)

@@ -135,6 +135,12 @@ def test_compare_outputs(hopf_run, tmp_path):
     assert flags.count("0") > 150  # mostly in-distribution
 
 
+def test_compare_non_finite_start_is_usage_error(hopf_run, tmp_path):
+    code = run("compare", "--model", str(hopf_run / "model.json"),
+               "--system", "hopf", "--x0", "nan,0", "--out", str(tmp_path))
+    assert code == 1
+
+
 def test_compare_dimension_mismatch(hopf_run, tmp_path):
     code = run("compare", "--model", str(hopf_run / "model.json"),
                "--system", "lorenz63", "--out", str(tmp_path))

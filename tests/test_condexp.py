@@ -53,7 +53,7 @@ def test_identity_smoothing_limit_interpolates():
     # with P = G = I and no ridge the solve reduces to K a = y
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, size=(60, 1))
-    kernel, _ = diffusion_model(pts, epsilon=0.05)
+    kernel = diffusion_model(pts, epsilon=0.05)
     sections, _ = section_matrix(kernel, pts)
     y = np.sin(pts[:, 0])
     a, residuals, _ = solve_regularized(sections, y, delta=0.0)

@@ -178,6 +178,14 @@ class TestDenseEstimator:
         with pytest.raises(ValueError):
             predict_drift(model, np.array([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_query_rejected(self, hopf_fit, bad):
+        # neither a NaN row nor the value of an arbitrary nearest center
+        _, traj, model = hopf_fit
+        pts = np.vstack([traj.points[:3], [[bad, 0.0]]])
+        with pytest.raises(ValueError, match="query point 3 is not finite"):
+            predict_drift_many(model, pts)
+
     def test_roundtrip(self, hopf_fit, tmp_path):
         _, traj, model = hopf_fit
         path = tmp_path / "model.json"
@@ -309,7 +317,7 @@ def _parent_format_payload(model):
     """Older two-type model file: a ``type`` key, kernel ``w`` weights and
     a 1-D shared-unit coefficient vector."""
     kernel = {
-        "kind": model.kernel.kind,
+        "kind": "diffusion",
         "epsilon": model.kernel.epsilon,
         "theta_zero": model.kernel.theta_zero,
         "centers": model.kernel.centers.tolist(),

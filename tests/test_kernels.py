@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from kerneldrift import (
     BandwidthPolicy,
@@ -10,10 +11,8 @@ from kerneldrift import (
     diffusion_model,
     evaluate_expansion,
     gaussian,
-    markov_matrix,
     section_matrix,
     select_bandwidth,
-    symmetrized_matrix,
 )
 from kerneldrift.kernels import (
     kernel_model_from_dict,
@@ -32,6 +31,25 @@ def dense_gaussian(xs, ys, eps):
         for j, y in enumerate(ys):
             out[i, j] = math.exp(-np.sum((x - y) ** 2) / eps)
     return out
+
+
+def markov_dense(rows, cols, eps):
+    """The Markov matrix itself: its action on the identity."""
+    return markov_apply(rows, cols, eps, np.eye(len(cols)))
+
+
+def thresholded_oracle(rows, cols, eps, theta_zero=1e-14):
+    """Dense evaluation of the raw kernel with sub-threshold values zeroed."""
+    raw = np.exp(-cdist(rows, cols, "sqeuclidean") / eps)
+    raw[raw < theta_zero] = 0.0
+    return raw
+
+
+def symmetrized_oracle(model, data):
+    """g(x, y) / sqrt(deg_r(x) deg_l(x) deg_r(y) deg_l(y)) at the centers."""
+    raw = thresholded_oracle(data, data, model.epsilon, model.theta_zero)
+    degrees = model.deg_r * model.deg_l
+    return raw / np.sqrt(np.outer(degrees, degrees))
 
 
 class TestGaussian:
@@ -101,16 +119,16 @@ class TestSelectBandwidth:
 class TestMarkovMatrix:
     def test_single_column(self):
         rows = cloud(n=10, seed=0)
-        mm = markov_matrix(rows, rows[:1], epsilon=0.5)
-        np.testing.assert_allclose(mm.toarray(), np.ones((10, 1)), rtol=1e-12)
+        mm = markov_dense(rows, rows[:1], eps=0.5)
+        np.testing.assert_allclose(mm, np.ones((10, 1)), rtol=1e-12)
 
     def test_equidistant_rows_uniform(self):
         # rows equidistant from every column get the uniform distribution
         cols = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
         centroid = cols.mean(axis=0)
         rows = np.vstack([centroid, centroid])
-        mm = markov_matrix(rows, cols, epsilon=1.0)
-        np.testing.assert_allclose(mm.toarray(), np.full((2, 3), 1 / 3), atol=1e-15)
+        mm = markov_dense(rows, cols, eps=1.0)
+        np.testing.assert_allclose(mm, np.full((2, 3), 1 / 3), atol=1e-15)
 
     def test_matches_dense_oracle(self):
         rows = cloud(n=10, seed=3)
@@ -119,30 +137,74 @@ class TestMarkovMatrix:
         dense = dense_gaussian(rows, cols, eps)
         dense[dense < 1e-14] = 0.0
         expected = dense / dense.sum(axis=1, keepdims=True)
-        got = markov_matrix(rows, cols, eps).toarray()
+        got = markov_dense(rows, cols, eps)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["d1", "d3_rows_ne_cols", "duplicates"])
+    def test_radius_assembly_matches_dense_oracle(self, case):
+        if case == "d1":
+            rows = cols = cloud(n=120, d=1, seed=30, scale=3.0)
+            eps = 0.01
+        elif case == "d3_rows_ne_cols":
+            rows = cloud(n=90, d=3, seed=31)
+            cols = cloud(n=70, d=3, seed=32)
+            eps = 0.1
+        else:
+            base = cloud(n=50, seed=33, scale=2.0)
+            rows = cols = np.vstack([base, base[:20], base[:5]])
+            eps = 0.05
+        raw = thresholded_oracle(rows, cols, eps)
+        assert (raw == 0.0).any()  # the threshold drops some entries
+        expected = raw / raw.sum(axis=1, keepdims=True)
+        got = markov_dense(rows, cols, eps)
+        np.testing.assert_array_equal(got != 0.0, raw != 0.0)
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("far, theta_zero", [
+        ((3.0, 4.0), 1e-14),
+        # a kept pair that an unpadded radius query would miss
+        ((1.0, 0.0), 0.22),
+    ])
+    def test_threshold_boundary_matches_oracle(self, far, theta_zero):
+        # the squared distance to `far` is exact, so only the threshold
+        # test decides; bandwidths a few ulps either side of the boundary
+        rows = np.zeros((1, 2))
+        cols = np.array([[0.0, 0.0], far])
+        sq = far[0] ** 2 + far[1] ** 2
+        base = sq / math.log(1.0 / theta_zero)
+        decisions = set()
+        for ulps in range(-4, 5):
+            eps = base * (1.0 + ulps * 2.0**-52)
+            kept = bool(thresholded_oracle(rows, cols, eps, theta_zero)[0, 1] > 0.0)
+            got = markov_apply(rows, cols, eps, np.eye(2), theta_zero)
+            assert (got[0, 1] != 0.0) == kept, ulps
+            decisions.add(kept)
+        assert decisions == {False, True}
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            markov_apply(cloud(n=5, d=2), cloud(n=5, d=3), 1.0, np.ones(5))
 
     def test_rows_sum_to_one(self):
         data = cloud(n=150, seed=5)
         eps = select_bandwidth(data, BandwidthPolicy(eta=0.3, subsample_fraction=1.0))
-        mm = markov_matrix(data, data, eps)
-        sums = np.asarray(mm.matrix.sum(axis=1)).ravel()
+        sums = markov_dense(data, data, eps).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_entries_positive_and_thresholded(self):
         data = cloud(n=80, seed=6, scale=4.0)
         eps = 0.05
-        mm = markov_matrix(data, data, eps)
-        assert (mm.matrix.data > 0).all()
+        mm = markov_dense(data, data, eps)
+        assert (mm >= 0).all()
         # stored pattern = entries of the raw kernel at or above the threshold
         raw = dense_gaussian(data, data, eps)
-        np.testing.assert_array_equal(mm.toarray() != 0, raw >= 1e-14)
+        np.testing.assert_array_equal(mm != 0, raw >= 1e-14)
 
     def test_isolated_row(self):
         rows = np.array([[0.0, 0.0], [100.0, 100.0]])
         cols = np.array([[0.0, 0.0], [0.1, 0.0]])
         with pytest.raises(IsolatedPointError) as info:
-            markov_matrix(rows, cols, epsilon=1e-3)
+            markov_dense(rows, cols, eps=1e-3)
         assert info.value.row == 1
 
     def test_sparsification_consistency(self):
@@ -150,7 +212,7 @@ class TestMarkovMatrix:
         # most n * theta_zero per row (dropped mass is below the threshold)
         data = cloud(n=120, seed=8, scale=3.0)
         eps = 0.1
-        sparse = markov_matrix(data, data, eps).toarray()
+        sparse = markov_dense(data, data, eps)
         dense = dense_gaussian(data, data, eps)
         dense = dense / dense.sum(axis=1, keepdims=True)
         row_gap = np.abs(sparse - dense).sum(axis=1)
@@ -161,7 +223,8 @@ class TestMarkovMatrix:
         eps = 0.4
         rng = np.random.default_rng(0)
         values = rng.normal(size=(90, 3))
-        expected = markov_matrix(data, data, eps).matrix @ values
+        raw = thresholded_oracle(data, data, eps)
+        expected = (raw / raw.sum(axis=1, keepdims=True)) @ values
         np.testing.assert_allclose(markov_apply(data, data, eps, values), expected,
                                    rtol=1e-12, atol=1e-14)
         vec = values[:, 0]
@@ -172,27 +235,27 @@ class TestMarkovMatrix:
 class TestDiffusionModel:
     def test_two_point_symmetry(self):
         pts = np.array([[0.0], [1.0]])
-        model, kdiff = diffusion_model(pts, epsilon=0.5)
+        model = diffusion_model(pts, epsilon=0.5)
+        kdiff, _ = section_matrix(model, pts)
         # same geometry at both points
         assert abs(model.deg_r[0] - model.deg_r[1]) < 1e-15
-        ktilde = symmetrized_matrix(kdiff).toarray()
+        rho = np.sqrt(model.deg_l / model.deg_r)
+        ktilde = rho[:, None] * kdiff / rho[None, :]
         np.testing.assert_allclose(ktilde, ktilde.T, atol=1e-15)
         # scaling check at the diagonal: k(x,x) deg_r(x) deg_l(x) = 1
-        dense = kdiff.toarray()
         for i in range(2):
-            assert abs(dense[i, i] * model.deg_r[i] * model.deg_l[i] - 1.0) < 1e-14
+            assert abs(kdiff[i, i] * model.deg_r[i] * model.deg_l[i] - 1.0) < 1e-14
 
     def test_equilateral_constant_offdiagonal(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-        _, kdiff = diffusion_model(pts, epsilon=1.0)
-        dense = kdiff.toarray()
+        dense, _ = section_matrix(diffusion_model(pts, epsilon=1.0), pts)
         off = dense[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, off[0], rtol=1e-12)
 
     def test_degrees_against_oracle(self):
         data = cloud(n=40, seed=11)
         eps = 0.6
-        model, kdiff = diffusion_model(data, eps)
+        model = diffusion_model(data, eps)
         raw = dense_gaussian(data, data, eps)
         raw[raw < 1e-14] = 0.0
         deg_r = raw.mean(axis=1)
@@ -200,47 +263,33 @@ class TestDiffusionModel:
         np.testing.assert_allclose(model.deg_r, deg_r, rtol=1e-12)
         np.testing.assert_allclose(model.deg_l, deg_l, rtol=1e-12)
         np.testing.assert_allclose(
-            kdiff.toarray(), raw / np.outer(deg_l, deg_r), rtol=1e-10, atol=1e-12
+            section_matrix(model, data)[0], raw / np.outer(deg_l, deg_r),
+            rtol=1e-10, atol=1e-12
         )
 
     def test_symmetrization_identity(self):
         # conjugating by rho = sqrt(deg_l/deg_r) reproduces the symmetric form
         data = cloud(n=200, seed=12)
         eps = select_bandwidth(data, BandwidthPolicy(eta=0.5, subsample_fraction=1.0))
-        model, kdiff = diffusion_model(data, eps)
+        model = diffusion_model(data, eps)
+        kdiff, _ = section_matrix(model, data)
         rho = np.sqrt(model.deg_l / model.deg_r)
-        lhs = rho[:, None] * kdiff.toarray() / rho[None, :]
-        ktilde = symmetrized_matrix(kdiff).toarray()
-        np.testing.assert_allclose(lhs, ktilde, atol=1e-12)
-        np.testing.assert_allclose(ktilde, ktilde.T, atol=1e-12)
-        # oracle recomputation from raw entries and degrees
-        raw = dense_gaussian(data, data, eps)
-        raw[raw < 1e-14] = 0.0
-        denom = np.sqrt(
-            np.outer(model.deg_r * model.deg_l, model.deg_r * model.deg_l)
-        )
-        np.testing.assert_allclose(ktilde, raw / denom, rtol=1e-10, atol=1e-12)
+        lhs = rho[:, None] * kdiff / rho[None, :]
+        ktilde = symmetrized_oracle(model, data)
+        np.testing.assert_allclose(lhs, ktilde, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(lhs, lhs.T, atol=1e-12)
 
 
 class TestEvaluateExpansion:
-    def test_one_hot_gaussian_returns_row_value(self):
-        data = cloud(n=12, seed=14)
-        from kerneldrift.kernels import KernelModel
-
-        model = KernelModel(kind="gaussian", epsilon=0.5, theta_zero=1e-14, centers=data)
-        one_hot = np.zeros(12)
-        one_hot[4] = 1.0
-        value, flag = evaluate_expansion(model, one_hot, data[7])
-        assert not flag
-        assert abs(value - gaussian(data[7], data[4], 0.5)) < 1e-15
-
     def test_diffusion_in_sample_matches_dense_oracle(self):
         data = cloud(n=50, seed=15)
         eps = 0.8
-        model, kdiff = diffusion_model(data, eps)
+        model = diffusion_model(data, eps)
         rng = np.random.default_rng(2)
         coeffs = rng.normal(size=50)
-        dense = kdiff.toarray()
+        raw = dense_gaussian(data, data, eps)
+        raw[raw < 1e-14] = 0.0
+        dense = raw / np.outer(model.deg_l, model.deg_r)
         for i in (0, 17, 33):
             value, flag = evaluate_expansion(model, coeffs, data[i])
             assert not flag
@@ -249,7 +298,7 @@ class TestEvaluateExpansion:
     def test_out_of_sample_against_direct_formula(self):
         data = cloud(n=40, seed=16)
         eps = 0.7
-        model, _ = diffusion_model(data, eps)
+        model = diffusion_model(data, eps)
         rng = np.random.default_rng(3)
         coeffs = rng.normal(size=40)
         x = rng.normal(size=2)
@@ -264,7 +313,7 @@ class TestEvaluateExpansion:
     def test_far_field_fallback(self):
         data = cloud(n=20, seed=17)
         eps = 0.5
-        model, _ = diffusion_model(data, eps)
+        model = diffusion_model(data, eps)
         coeffs = np.random.default_rng(4).normal(size=20)
         far = data[3] + np.array([1.0, 0.0]) * np.sqrt(1e4 * eps)
         value, flag = evaluate_expansion(model, coeffs, far)
@@ -274,33 +323,23 @@ class TestEvaluateExpansion:
         assert not nf
         assert value == expected
 
-    def test_markov_rows_at_columns(self):
-        data = cloud(n=25, seed=18)
-        eps = 0.9
-        mm = markov_matrix(data, data, eps)
-        sections, flags = section_matrix(mm.model, data)
-        assert not flags.any()
-        np.testing.assert_allclose(sections, mm.toarray(), atol=1e-13)
-
     def test_coefficient_length_checked(self):
         data = cloud(n=10, seed=19)
-        model, _ = diffusion_model(data, 0.5)
+        model = diffusion_model(data, 0.5)
         with pytest.raises(ValueError):
             evaluate_expansion(model, np.ones(9), data[0])
 
 
 def test_kernel_model_roundtrip():
     data = cloud(n=15, seed=20)
-    model, _ = diffusion_model(data, 0.4)
-    loaded = kernel_model_from_dict(kernel_model_to_dict(model))
-    assert loaded.kind == model.kind
+    model = diffusion_model(data, 0.4)
+    payload = kernel_model_to_dict(model)
+    assert payload["kind"] == "diffusion"
+    loaded = kernel_model_from_dict(payload)
     assert loaded.epsilon == model.epsilon
     np.testing.assert_array_equal(loaded.centers, model.centers)
     np.testing.assert_array_equal(loaded.deg_r, model.deg_r)
     np.testing.assert_array_equal(loaded.deg_l, model.deg_l)
-    # dict round trip preserves None degree vectors for plain kinds
-    from kerneldrift.kernels import KernelModel
-
-    plain = KernelModel(kind="gaussian", epsilon=1.0, theta_zero=1e-14, centers=data)
-    again = kernel_model_from_dict(kernel_model_to_dict(plain))
-    assert again.deg_r is None and again.deg_l is None
+    # only the diffusion kernel is a model kind
+    with pytest.raises(ValueError, match="kernel kind"):
+        kernel_model_from_dict(dict(payload, kind="gaussian"))
