@@ -42,7 +42,6 @@ from .kernels import (
     KernelModel,
     diffusion_model,
     evaluate_expansion,
-    gaussian,
     section_matrix,
     select_bandwidth,
 )
@@ -50,7 +49,6 @@ from .systems import (
     SystemSpec,
     Trajectory,
     default_initial_state,
-    eval_diffusion,
     eval_drift,
     load_trajectory,
     make_spec,

@@ -88,18 +88,6 @@ class KernelModel:
         return self.centers.shape[1]
 
 
-def gaussian(x, y, epsilon: float) -> float:
-    """Squared-exponential kernel exp(-|x - y|^2 / epsilon) for two points."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-np.dot(diff, diff) / epsilon))
-
-
 def strided_subsample(data: np.ndarray, fraction: float) -> np.ndarray:
     """A subsample spread evenly through the data (at least 2 points)."""
     n = len(data)

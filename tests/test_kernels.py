@@ -10,7 +10,6 @@ from kerneldrift import (
     IsolatedPointError,
     diffusion_model,
     evaluate_expansion,
-    gaussian,
     section_matrix,
     select_bandwidth,
 )
@@ -50,25 +49,6 @@ def symmetrized_oracle(model, data):
     raw = thresholded_oracle(data, data, model.epsilon, model.theta_zero)
     degrees = model.deg_r * model.deg_l
     return raw / np.sqrt(np.outer(degrees, degrees))
-
-
-class TestGaussian:
-    def test_same_point(self):
-        assert gaussian([1.0, 2.0], [1.0, 2.0], 0.5) == 1.0
-
-    def test_unit_exponent(self):
-        # squared distance equal to the bandwidth gives exp(-1)
-        assert abs(gaussian([0.0], [1.0], 1.0) - math.exp(-1)) < 1e-15
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            x, y = rng.normal(size=(2, 3))
-            assert gaussian(x, y, 0.7) == gaussian(y, x, 0.7)
-
-    def test_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            gaussian([0.0], [1.0], 0.0)
 
 
 class TestSelectBandwidth:

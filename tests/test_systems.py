@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ from kerneldrift import (
     BlowUpError,
     SystemSpec,
     default_initial_state,
-    eval_diffusion,
     eval_drift,
     load_trajectory,
     make_spec,
@@ -15,6 +15,33 @@ from kerneldrift import (
     simulate,
 )
 from kerneldrift.systems import Trajectory, spec_from_meta
+
+
+def reference_path(spec, x0, n_samples, dt, seed, burn_in, substeps):
+    """The simulator as a per-substep numpy loop: one normal draw of size d
+    per substep, the drift evaluated for V and again for G = sigma_noise V."""
+    rng = np.random.default_rng(seed)
+    h = dt / substeps
+    x = np.asarray(x0, dtype=float)
+    out = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, burn_in + n_samples):
+            for _ in range(substeps):
+                noise = rng.standard_normal(spec.dimension)
+                x = x + eval_drift(spec, x) * h + (
+                    spec.sigma_noise * eval_drift(spec, x)) * (h * noise)
+            if not np.isfinite(x).all():
+                raise BlowUpError(index=k)
+            out.append(x)
+    return np.array(out[burn_in:])
+
+
+def lorenz96_roll(x, forcing):
+    """Lorenz 96 in its whole-array np.roll form."""
+    xp1 = np.roll(x, -1, axis=-1)
+    xm2 = np.roll(x, 2, axis=-1)
+    xm1 = np.roll(x, 1, axis=-1)
+    return (xp1 - xm2) * xm1 - x + forcing
 
 
 def test_lorenz63_drift_at_ones():
@@ -31,17 +58,6 @@ def test_hopf_origin_is_fixed_point():
 def test_lorenz96_equilibrium():
     spec = make_spec("lorenz96", N=5)
     np.testing.assert_array_equal(eval_drift(spec, np.full(5, 8.0)), np.zeros(5))
-
-
-def test_diffusion_is_scaled_drift():
-    spec = make_spec("lorenz63", sigma_noise=0.5)
-    np.testing.assert_allclose(
-        eval_diffusion(spec, [1.0, 1.0, 1.0]), [0.0, 13.0, -5.0 / 6.0], atol=1e-15
-    )
-    zero_noise = make_spec("hopf", sigma_noise=0.0)
-    np.testing.assert_array_equal(eval_diffusion(zero_noise, [0.3, -2.0]), [0.0, 0.0])
-    hopf = make_spec("hopf", sigma_noise=0.1)
-    np.testing.assert_array_equal(eval_diffusion(hopf, [0.0, 0.0]), [0.0, 0.0])
 
 
 def test_lorenz96_cyclic_equivariance():
@@ -62,11 +78,22 @@ def test_hopf_radial_component():
 
 
 def test_eval_drift_batched_matches_single():
-    spec = make_spec("lorenz63")
-    pts = np.random.default_rng(0).normal(size=(10, 3))
-    batch = eval_drift(spec, pts)
-    for i, x in enumerate(pts):
-        np.testing.assert_array_equal(batch[i], eval_drift(spec, x))
+    specs = [make_spec("lorenz63"), make_spec("hopf"),
+             make_spec("lorenz96", N=5), make_spec("lorenz96", N=10)]
+    for spec in specs:
+        pts = 3.0 * np.random.default_rng(0).normal(size=(10, spec.dimension))
+        batch = eval_drift(spec, pts)
+        assert batch.shape == pts.shape
+        for i, x in enumerate(pts):
+            np.testing.assert_array_equal(batch[i], eval_drift(spec, x), err_msg=spec.name)
+
+
+@pytest.mark.parametrize("n", [4, 5, 10])
+def test_lorenz96_matches_roll_form(n):
+    spec = make_spec("lorenz96", N=n)
+    pts = 4.0 * np.random.default_rng(n).normal(size=(20, n))
+    np.testing.assert_array_equal(eval_drift(spec, pts), lorenz96_roll(pts, 8.0))
+    np.testing.assert_array_equal(eval_drift(spec, pts[3]), lorenz96_roll(pts[3], 8.0))
 
 
 def test_dimension_mismatch_raises():
@@ -126,12 +153,28 @@ def test_simulate_burn_in_drops_prefix():
     np.testing.assert_array_equal(trimmed.points, full.points[10:])
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("lorenz63", {}), ("hopf", {}), ("lorenz96", {"N": 4}), ("lorenz96", {"N": 7}),
+])
+def test_simulate_matches_reference_loop(name, overrides):
+    for substeps, sigma, burn_in in itertools.product((1, 3), (0.0, 0.2), (0, 5)):
+        spec = make_spec(name, sigma_noise=sigma, **overrides)
+        x0 = default_initial_state(spec) + np.random.default_rng(1).normal(size=spec.dimension)
+        args = (spec, x0, 40, 0.01, 7, burn_in, substeps)
+        np.testing.assert_array_equal(simulate(*args).points, reference_path(*args),
+                                      err_msg=f"substeps={substeps} sigma={sigma} "
+                                              f"burn_in={burn_in}")
+
+
 def test_simulate_blowup_reports_index():
     # huge dt makes the deterministic Euler step diverge immediately
     spec = make_spec("lorenz63", sigma_noise=0.0)
+    args = (spec, [1.0, 1.0, 1.0], 100, 50.0, 0, 0, 1)
+    with pytest.raises(BlowUpError) as expected:
+        reference_path(*args)
     with pytest.raises(BlowUpError) as info:
-        simulate(spec, [1.0, 1.0, 1.0], n_samples=100, dt=50.0, seed=0, burn_in=0)
-    assert info.value.index >= 1
+        simulate(*args)
+    assert info.value.index == expected.value.index
 
 
 def test_trajectory_validation():
