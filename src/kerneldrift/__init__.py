@@ -10,7 +10,7 @@ high-dimensional systems, and quantitative evaluation tools are included.
 """
 
 from . import condexp
-from .condexp import CondExpModel, CondExpParams, fit_targets
+from .condexp import CondExpParams, fit_targets
 from .drift import (
     DriftModel,
     SnapshotSet,
@@ -38,10 +38,8 @@ from .evaluation import (
     system_field,
 )
 from .kernels import (
-    BandwidthPolicy,
     KernelModel,
     diffusion_model,
-    evaluate_expansion,
     section_matrix,
     select_bandwidth,
 )

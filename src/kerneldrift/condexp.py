@@ -1,20 +1,23 @@
-"""Scalar conditional expectation as a kernel expansion.
+"""Conditional expectations as kernel expansions.
 
-Given paired samples ``(x_n, y_n)`` the regression function ``E[Y | X = x]``
-is represented as ``sum_m a_m k(x, c_m)`` over a subsampled set of centers
-``c_m``, with ``k`` a diffusion kernel.  The coefficients solve a
-ridge-regularized least-squares problem
+Given paired samples ``(x_n, y_n)`` with one or more target columns, the
+regression function ``E[Y | X = x]`` of each column is represented as
+``sum_m a_m k(x, c_m)`` over a strided subsample of centers ``c_m``, with
+``k`` a diffusion kernel.  The coefficients solve a ridge-regularized
+least-squares problem
 
     min_a || P K a - P G y ||^2 + delta ||a||^2,
 
 where ``G`` and ``P`` are row-stochastic Gaussian smoothing matrices over
 the inputs and ``K`` is the matrix of kernel sections at the inputs.  All
 three bandwidths are tuned by sparsity targets unless given explicitly.
+:func:`fit_targets` is the one fit; the expansion is evaluated through
+the rows of :func:`~kerneldrift.kernels.section_matrix`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,11 +25,9 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SolverError
 from .kernels import (
-    BandwidthPolicy,
     DEFAULT_THETA_ZERO,
     KernelModel,
     diffusion_model,
-    evaluate_expansion,
     markov_apply,
     section_matrix,
     select_bandwidth,
@@ -40,11 +41,10 @@ class CondExpParams:
     ``eta1``/``eta2``/``eta3`` are the sparsity targets used to auto-select
     the bandwidths of the smoothing matrix, the expansion kernel and the
     Markov matrix respectively (defaults follow the benchmark tuning:
-    0.3% / 1% / 1%).  Explicit ``eps*`` values bypass auto-selection;
-    ``eps2_twice_eps1`` instead ties the expansion bandwidth to twice the
-    smoothing bandwidth.  ``n_centers`` is the number of subsampled kernel
-    centers, chosen ``strided`` (every (N // M)-th input, deterministic) or
-    ``random`` (seeded by ``center_seed``).
+    0.3% / 1% / 1%), with squared distances measured on a strided
+    subsample of relative size ``subsample_fraction``.  Explicit ``eps*``
+    values bypass auto-selection.  ``n_centers`` is the number of kernel
+    centers, every (N // M)-th input.
     """
 
     eta1: float = 0.003
@@ -52,52 +52,37 @@ class CondExpParams:
     eta3: float = 0.01
     delta: float = 0.1
     n_centers: int = 500
-    center_selection: str = "strided"
-    center_seed: Optional[int] = None
     theta_zero: float = DEFAULT_THETA_ZERO
     subsample_fraction: float = 0.1
     eps1: Optional[float] = None
     eps2: Optional[float] = None
     eps3: Optional[float] = None
-    eps2_twice_eps1: bool = False
 
     def __post_init__(self):
-        for name in ("eta1", "eta2", "eta3"):
+        for name in ("eta1", "eta2", "eta3", "theta_zero"):
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        if not 0 < self.subsample_fraction <= 1:
+            raise ValueError(
+                f"subsample_fraction must lie in (0, 1], got {self.subsample_fraction}"
+            )
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if self.n_centers < 1:
             raise ValueError(f"n_centers must be positive, got {self.n_centers}")
-        if self.center_selection not in ("strided", "random"):
-            raise ValueError(
-                f"center_selection must be 'strided' or 'random', got {self.center_selection!r}"
-            )
         for name in ("eps1", "eps2", "eps3"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive when given, got {value}")
 
 
-@dataclass
-class CondExpModel:
-    """Fitted conditional expectation: a kernel plus coefficient vector."""
-
-    kernel: KernelModel
-    coefficients: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
 def select_centers(n: int, params: CondExpParams) -> np.ndarray:
-    """Indices of the subsampled kernel centers among n inputs."""
+    """Indices of the kernel centers among n inputs: every (n // M)-th."""
     m = params.n_centers
     if m > n:
         raise ValueError(f"n_centers={m} exceeds the number of inputs {n}")
-    if params.center_selection == "strided":
-        return np.arange(m) * (n // m)
-    rng = np.random.default_rng(params.center_seed)
-    return np.sort(rng.choice(n, size=m, replace=False))
+    return np.arange(m) * (n // m)
 
 
 def solve_regularized(smoothed_sections: np.ndarray, smoothed_targets: np.ndarray,
@@ -160,13 +145,11 @@ def fit_targets(inputs, targets, params: CondExpParams
     def bandwidth(explicit, eta):
         if explicit is not None:
             return explicit
-        policy = BandwidthPolicy(eta=eta, theta_zero=params.theta_zero,
-                                 subsample_fraction=params.subsample_fraction)
-        return select_bandwidth(inputs, policy)
+        return select_bandwidth(inputs, eta, params.theta_zero, params.subsample_fraction)
 
     eps1 = bandwidth(params.eps1, params.eta1)
     eps3 = bandwidth(params.eps3, params.eta3)
-    eps2 = 2.0 * eps1 if params.eps2_twice_eps1 else bandwidth(params.eps2, params.eta2)
+    eps2 = bandwidth(params.eps2, params.eta2)
 
     centers = select_centers(len(inputs), params)
     kernel = diffusion_model(inputs[centers], eps2, params.theta_zero)
@@ -193,29 +176,3 @@ def fit_targets(inputs, targets, params: CondExpParams
         "normal_condition": condition,
     }
     return kernel, coef.T, diagnostics
-
-
-def fit(pairs, params: CondExpParams) -> CondExpModel:
-    """Fit a scalar conditional expectation from (x, y) sample pairs."""
-    xs, ys = zip(*pairs)
-    inputs = np.asarray(xs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    targets = np.asarray(ys, dtype=float)
-    kernel, coef, diagnostics = fit_targets(inputs, targets, params)
-    diagnostics["residual_norm"] = diagnostics["residual_norms"][0]
-    return CondExpModel(kernel=kernel, coefficients=coef[0], diagnostics=diagnostics)
-
-
-def predict(model: CondExpModel, x) -> tuple[float, bool]:
-    """Evaluate the fitted expansion at a point.
-
-    Returns ``(value, extrapolated)``; the flag marks the nearest-center
-    fallback for queries far from every center.
-    """
-    return evaluate_expansion(model.kernel, model.coefficients, x)
-
-
-def with_delta(params: CondExpParams, delta: float) -> CondExpParams:
-    """Copy of the parameters with a different ridge strength."""
-    return replace(params, delta=delta)

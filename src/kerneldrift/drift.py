@@ -243,8 +243,9 @@ def save_drift_model(model: DriftModel, path) -> None:
 def load_drift_model(path) -> DriftModel:
     """Read a drift model written by :func:`save_drift_model`.
 
-    Older files load too: their ``type`` key and kernel ``w`` entry are
-    ignored, and a shared unit's 1-D coefficient vector becomes one row.
+    Older files load too: their ``type`` key and kernel ``deg_l`` and ``w``
+    entries are ignored, and a shared unit's 1-D coefficient vector becomes
+    one row.
     """
     data = json.loads(Path(path).read_text())
     st = data.get("stencil")

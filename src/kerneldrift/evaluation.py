@@ -113,9 +113,11 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     xt = x0.copy()
     xe = x0.copy()
     for k in range(1, n_steps + 1):
-        xt = xt + systems_mod.eval_drift(spec, xt) * dt
+        # the model first: it rejects a start too far out to extrapolate
+        # from before the true field overflows there
         value, flag = _evaluate(model, xe[None, :])
         xe = xe + value[0] * dt
+        xt = xt + systems_mod.eval_drift(spec, xt) * dt
         if not (np.isfinite(xt).all() and np.isfinite(xe).all()):
             raise BlowUpError(index=k)
         true_points[k] = xt

@@ -13,10 +13,12 @@ threshold ``theta_zero`` dropped before any normalization:
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
   ``deg_r(x) = mean_j g(x, c_j)`` and left degree
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
-  empirical measure of the centers.  Its sections (:func:`section_matrix`)
-  are dense rows over the centers.  The diffusion kernel is
-  symmetrizable: ``rho(x) k(x, y) / rho(y)`` with
-  ``rho = sqrt(deg_l / deg_r)`` equals
+  empirical measure of the centers.  Only ``deg_r`` is stored; the left
+  degree is computed for each query.  Its sections (:func:`section_matrix`)
+  are dense rows over the centers, and they are the one evaluator of a
+  kernel expansion: ``sum_j a_j k(x_i, c_j)`` is the row-wise
+  ``(S * a).sum(axis=1)``.  The diffusion kernel is symmetrizable:
+  ``rho(x) k(x, y) / rho(y)`` with ``rho = sqrt(deg_l / deg_r)`` equals
   ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
 
 Bandwidths are picked so a target fraction of pairwise kernel values
@@ -37,42 +39,18 @@ from .errors import DegenerateBandwidthError, IsolatedPointError
 DEFAULT_THETA_ZERO = 1e-14
 
 
-@dataclass(frozen=True)
-class BandwidthPolicy:
-    """How to pick a Gaussian bandwidth from data.
-
-    ``eta`` is the target fraction of pairwise kernel values that should
-    exceed ``theta_zero``; squared distances are measured on a strided
-    subsample of the data of relative size ``subsample_fraction``.
-    """
-
-    eta: float
-    theta_zero: float = DEFAULT_THETA_ZERO
-    subsample_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not 0 < self.eta < 1:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not 0 < self.theta_zero < 1:
-            raise ValueError(f"theta_zero must lie in (0, 1), got {self.theta_zero}")
-        if not 0 < self.subsample_fraction <= 1:
-            raise ValueError(
-                f"subsample_fraction must lie in (0, 1], got {self.subsample_fraction}"
-            )
-
-
 @dataclass
 class KernelModel:
     """The diffusion kernel fitted over a set of center points.
 
-    ``deg_r`` and ``deg_l`` hold the right and left degrees at the centers.
+    ``deg_r`` holds the right degrees at the centers; the left degree is
+    recomputed for every query by :func:`section_matrix`.
     """
 
     epsilon: float
     theta_zero: float
     centers: np.ndarray
     deg_r: np.ndarray
-    deg_l: np.ndarray
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -96,24 +74,33 @@ def strided_subsample(data: np.ndarray, fraction: float) -> np.ndarray:
     return data[::step]
 
 
-def select_bandwidth(data, policy: BandwidthPolicy) -> float:
+def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
+                     subsample_fraction: float = 0.1) -> float:
     """Pick epsilon so that a fraction ``eta`` of pairwise kernel values
-    on a subsample exceeds the zero threshold.
+    on a subsample exceeds the zero threshold ``theta_zero``.
 
-    With ``theta = 1 / ln(1 / theta_zero)`` the returned bandwidth is
+    Squared distances are measured on a strided subsample of the data of
+    relative size ``subsample_fraction``.  With
+    ``theta = 1 / ln(1 / theta_zero)`` the returned bandwidth is
     ``theta * q``, where ``q`` is the eta-quantile of the subsample's
     pairwise squared distances: ``exp(-s / epsilon) >= theta_zero`` exactly
     when ``s <= q``.
     """
+    if not 0 < eta < 1:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if not 0 < theta_zero < 1:
+        raise ValueError(f"theta_zero must lie in (0, 1), got {theta_zero}")
+    if not 0 < subsample_fraction <= 1:
+        raise ValueError(f"subsample_fraction must lie in (0, 1], got {subsample_fraction}")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
-    sq = pdist(strided_subsample(data, policy.subsample_fraction), "sqeuclidean")
-    theta = 1.0 / np.log(1.0 / policy.theta_zero)
-    quantile = float(np.quantile(sq, policy.eta))
+    sq = pdist(strided_subsample(data, subsample_fraction), "sqeuclidean")
+    theta = 1.0 / np.log(1.0 / theta_zero)
+    quantile = float(np.quantile(sq, eta))
     if quantile <= 0.0:
         raise DegenerateBandwidthError(
-            f"the {policy.eta}-quantile of pairwise squared distances is zero "
+            f"the {eta}-quantile of pairwise squared distances is zero "
             "(coincident subsample points)"
         )
     return theta * quantile
@@ -195,13 +182,9 @@ def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
-    m = len(data)
     _, raw = _thresholded_gaussian(data, data, epsilon, theta_zero)
-    deg_r = raw.sum(axis=1) / m
-    # the same operations as section_matrix's out-of-sample left degree
-    deg_l = (raw * (1.0 / deg_r)).sum(axis=1) / m
-    return KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data,
-                       deg_r=deg_r, deg_l=deg_l)
+    deg_r = raw.sum(axis=1) / len(data)
+    return KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data, deg_r=deg_r)
 
 
 def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +201,8 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ValueError
-        If a query point has the wrong dimension or is not finite.
+        If a query point has the wrong dimension, is not finite, or lies so
+        far out that every squared distance to the centers overflows.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 0:
@@ -237,7 +221,15 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
                                          model.theta_zero)
     extrapolated = ~sections.any(axis=1)
     if extrapolated.any():
-        nearest = np.argmin(sq[extrapolated], axis=1)
+        far = sq[extrapolated]
+        overflowed = np.isinf(far).all(axis=1)
+        if overflowed.any():
+            bad = np.flatnonzero(extrapolated)[np.argmax(overflowed)]
+            raise ValueError(
+                f"query point {bad} is too far from every center to find the "
+                f"nearest one (squared distances overflow): {points[bad].tolist()}"
+            )
+        nearest = np.argmin(far, axis=1)
         sections[extrapolated] = _thresholded_gaussian(
             model.centers[nearest], model.centers, model.epsilon, model.theta_zero)[1]
     sections *= 1.0 / model.deg_r
@@ -246,24 +238,6 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     rho_l = sections.sum(axis=1) / model.n_centers
     sections /= rho_l[:, None]
     return sections, extrapolated
-
-
-def evaluate_expansion(model: KernelModel, coefficients, x) -> tuple[float, bool]:
-    """Evaluate ``sum_j a_j k(x, c_j)`` at a single query point.
-
-    Returns ``(value, extrapolated)``; when every raw Gaussian value against
-    the centers underflows the zero threshold, the value is the expansion at
-    the nearest center and the flag is set.
-    """
-    coefficients = np.asarray(coefficients, dtype=float)
-    if coefficients.shape != (model.n_centers,):
-        raise ValueError(
-            f"coefficients have shape {coefficients.shape}, expected ({model.n_centers},)"
-        )
-    rows, flags = section_matrix(model, x)
-    # same row-wise reduction as the batch predictors, so single-point and
-    # batched evaluations of identical rows agree bitwise
-    return float((rows[0] * coefficients).sum()), bool(flags[0])
 
 
 # --- persistence ------------------------------------------------------------
@@ -276,11 +250,12 @@ def kernel_model_to_dict(model: KernelModel) -> dict:
         "theta_zero": model.theta_zero,
         "centers": model.centers.tolist(),
         "deg_r": np.asarray(model.deg_r).tolist(),
-        "deg_l": np.asarray(model.deg_l).tolist(),
     }
 
 
 def kernel_model_from_dict(data: dict) -> KernelModel:
+    """Rebuild a kernel from :func:`kernel_model_to_dict` output; the
+    ``deg_l`` entry of older files is ignored."""
     if data["kind"] != "diffusion":
         raise ValueError(f"unknown kernel kind {data['kind']!r}; expected 'diffusion'")
     return KernelModel(
@@ -288,5 +263,4 @@ def kernel_model_from_dict(data: dict) -> KernelModel:
         theta_zero=float(data["theta_zero"]),
         centers=np.asarray(data["centers"], dtype=float),
         deg_r=np.asarray(data["deg_r"], dtype=float),
-        deg_l=np.asarray(data["deg_l"], dtype=float),
     )

@@ -137,10 +137,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.points)) * self.dt
-
 
 def _drift_terms(spec: SystemSpec, xs: list) -> list:
     """The drift components V_i for state components ``xs``.
@@ -215,6 +211,8 @@ def simulate(
 
     Raises
     ------
+    ValueError
+        If an argument is out of range or ``x0`` is not finite.
     BlowUpError
         If a recorded state is non-finite; carries the index reached.
     """
@@ -230,6 +228,8 @@ def simulate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({spec.dimension},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
 
     rng = np.random.default_rng(seed)
     h = float(dt / substeps)

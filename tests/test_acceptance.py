@@ -16,8 +16,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import kerneldrift as kd
 from kerneldrift import cli
-from kerneldrift.condexp import fit, predict, with_delta
-from kerneldrift.kernels import markov_apply
+from kerneldrift.kernels import DEFAULT_THETA_ZERO, markov_apply
 from kerneldrift.systems import Trajectory
 
 DT = 0.01
@@ -29,6 +28,19 @@ def _verdict(number, name, ok, detail):
     line = f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line, flush=True)
     assert ok, line
+
+
+def _fit_1d(x, y, params):
+    """Scalar conditional expectation on 1-d inputs: kernel, (M,) coefficients,
+    diagnostics."""
+    kernel, coef, diagnostics = kd.fit_targets(x[:, None], y, params)
+    return kernel, coef[0], diagnostics
+
+
+def _expand(kernel, coef, points):
+    """The expansion at query points, one section row each, and the flags."""
+    sections, flags = kd.section_matrix(kernel, points)
+    return (sections * coef).sum(axis=1), flags
 
 
 def _run_cell(system, sigma, n_samples, estimator="dense"):
@@ -111,8 +123,8 @@ def test_criterion_4_stencil_exactness():
 def test_criterion_5_kernel_property_suite():
     rng = np.random.default_rng(42)
     data = rng.normal(size=(200, 3))
-    policy = kd.BandwidthPolicy(eta=0.3, subsample_fraction=1.0)
-    eps = kd.select_bandwidth(data, policy)
+    eta, theta_zero = 0.3, DEFAULT_THETA_ZERO
+    eps = kd.select_bandwidth(data, eta, theta_zero, subsample_fraction=1.0)
 
     markov = markov_apply(data, data, eps, np.eye(len(data)))
     row_gap = np.abs(markov.sum(axis=1) - 1.0).max()
@@ -121,19 +133,20 @@ def test_criterion_5_kernel_property_suite():
     kdiff, _ = kd.section_matrix(model, data)
     # the symmetric form, recomputed from the raw kernel and the degrees
     raw = np.exp(-cdist(data, data, "sqeuclidean") / eps)
-    raw[raw < policy.theta_zero] = 0.0
-    degrees = model.deg_r * model.deg_l
+    raw[raw < theta_zero] = 0.0
+    deg_l = (raw * (1.0 / model.deg_r)).sum(axis=1) / len(data)
+    degrees = model.deg_r * deg_l
     ktilde = raw / np.sqrt(np.outer(degrees, degrees))
     sym_gap = np.abs(ktilde - ktilde.T).max()
 
-    rho = np.sqrt(model.deg_l / model.deg_r)
+    rho = np.sqrt(deg_l / model.deg_r)
     identity_gap = np.abs(
         rho[:, None] * kdiff / rho[None, :] - ktilde
     ).max()
 
     values = np.exp(-pdist(data, "sqeuclidean") / eps)
-    fraction = np.mean(values >= policy.theta_zero)
-    frac_gap = abs(fraction - policy.eta)
+    fraction = np.mean(values >= theta_zero)
+    frac_gap = abs(fraction - eta)
     frac_tol = 2.0 / len(values)
 
     ok = (row_gap < 1e-12 and sym_gap < 1e-12 and identity_gap < 1e-12
@@ -147,23 +160,23 @@ def test_criterion_5_kernel_property_suite():
 def test_criterion_6_conditional_expectation_oracle():
     x = np.linspace(-1.0, 1.0, 500)
     y = x**2
-    model = fit(zip(x, y), kd.CondExpParams(n_centers=100))
-    eps1 = model.diagnostics["eps1"]
+    kernel, coef, diagnostics = _fit_1d(x, y, kd.CondExpParams(n_centers=100))
+    eps1 = diagnostics["eps1"]
     probes = np.linspace(-0.9, 0.9, 20)
+    values, _ = _expand(kernel, coef, probes[:, None])
     gaps = []
-    for p in probes:
+    for p, value in zip(probes, values):
         weights = np.exp(-((x - p) ** 2) / eps1)
         oracle = (weights * y).sum() / weights.sum()
-        gaps.append(abs(predict(model, np.array([p]))[0] - oracle))
+        gaps.append(abs(value - oracle))
     nw_gap = max(gaps)
 
     rng = np.random.default_rng(7)
     xc = rng.uniform(-1, 1, size=500)
-    const_model = fit(zip(xc, np.full(500, 2.5)),
-                      kd.CondExpParams(n_centers=100, delta=0.0))
-    const_gap = max(
-        abs(predict(const_model, np.array([xi]))[0] - 2.5) for xi in xc[:50]
-    )
+    const_kernel, const_coef, _ = _fit_1d(xc, np.full(500, 2.5),
+                                          kd.CondExpParams(n_centers=100, delta=0.0))
+    const_values, _ = _expand(const_kernel, const_coef, xc[:50, None])
+    const_gap = np.abs(const_values - 2.5).max()
 
     ok = nw_gap < 0.05 and const_gap < 1e-8
     _verdict(6, "conditional expectation oracle", ok,
@@ -175,9 +188,8 @@ def test_criterion_7_ridge_monotonicity():
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 2, size=400)
     y = np.sin(2 * x) + 0.3 * rng.standard_normal(400)
-    base = kd.CondExpParams(n_centers=80)
     residuals = [
-        fit(zip(x, y), with_delta(base, delta)).diagnostics["residual_norm"]
+        _fit_1d(x, y, kd.CondExpParams(n_centers=80, delta=delta))[2]["residual_norms"][0]
         for delta in (0.0, 0.01, 0.1, 1.0)
     ]
     ok = all(a <= b for a, b in zip(residuals, residuals[1:]))
@@ -192,9 +204,9 @@ def test_criterion_8_out_of_sample_fallback():
     model = kd.diffusion_model(data, eps)
     coeffs = rng.normal(size=50)
     query = data[9] + np.array([math.sqrt(1e4 * eps), 0.0])
-    value, flagged = kd.evaluate_expansion(model, coeffs, query)
     nearest = data[np.argmin(((data - query) ** 2).sum(axis=1))]
-    expected, near_flag = kd.evaluate_expansion(model, coeffs, nearest)
+    (value, expected), (flagged, near_flag) = _expand(model, coeffs,
+                                                      np.stack([query, nearest]))
     ok = flagged and not near_flag and value == expected
     _verdict(8, "out-of-sample fallback", ok,
              f"flag={flagged}, value equals nearest-center value exactly="

@@ -141,6 +141,13 @@ def test_compare_non_finite_start_is_usage_error(hopf_run, tmp_path):
     assert code == 1
 
 
+def test_compare_overflowing_start_is_usage_error(hopf_run, tmp_path):
+    # every squared distance to the centers overflows: no nearest center
+    code = run("compare", "--model", str(hopf_run / "model.json"),
+               "--system", "hopf", "--x0", "1e160,0", "--out", str(tmp_path))
+    assert code == 1
+
+
 def test_compare_dimension_mismatch(hopf_run, tmp_path):
     code = run("compare", "--model", str(hopf_run / "model.json"),
                "--system", "lorenz63", "--out", str(tmp_path))

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from kerneldrift import CondExpParams, SolverError, diffusion_model, section_matrix
-from kerneldrift.condexp import (
-    fit,
-    fit_targets,
-    predict,
-    select_centers,
-    solve_regularized,
-    with_delta,
-)
+from kerneldrift.condexp import fit_targets, select_centers, solve_regularized
+
+
+def fit_1d(x, y, params):
+    """Fit a scalar target on 1-d inputs: ``(kernel, coefficients (M,), diagnostics)``."""
+    kernel, coef, diagnostics = fit_targets(np.asarray(x, dtype=float)[:, None], y, params)
+    return kernel, coef[0], diagnostics
+
+
+def expand(kernel, coef, points):
+    """The fitted expansion at 1-d query points: ``(values, extrapolated)``."""
+    sections, flags = section_matrix(kernel, np.asarray(points, dtype=float)[:, None])
+    return (sections * coef).sum(axis=1), flags
 
 
 def test_params_validation():
@@ -20,18 +25,25 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CondExpParams(n_centers=0)
     with pytest.raises(ValueError):
-        CondExpParams(center_selection="best")
-    with pytest.raises(ValueError):
         CondExpParams(eps2=-0.5)
 
 
-def test_select_centers_strided_and_random():
+@pytest.mark.parametrize("field, value", [
+    ("theta_zero", 0.0),
+    ("theta_zero", 1.0),
+    ("theta_zero", 2.0),
+    ("subsample_fraction", 0.0),
+    ("subsample_fraction", 1.5),
+])
+def test_params_reject_threshold_and_subsample_out_of_range(field, value):
+    # checked when the parameters are built, also with explicit bandwidths
+    with pytest.raises(ValueError, match=field):
+        CondExpParams(n_centers=5, eps1=0.1, eps2=0.1, eps3=0.1, **{field: value})
+
+
+def test_select_centers_strided():
     params = CondExpParams(n_centers=5)
     np.testing.assert_array_equal(select_centers(20, params), [0, 4, 8, 12, 16])
-    r1 = select_centers(20, CondExpParams(n_centers=5, center_selection="random", center_seed=3))
-    r2 = select_centers(20, CondExpParams(n_centers=5, center_selection="random", center_seed=3))
-    np.testing.assert_array_equal(r1, r2)
-    assert len(set(r1)) == 5
     with pytest.raises(ValueError):
         select_centers(4, params)
 
@@ -40,12 +52,11 @@ def test_constant_target_recovery_zero_ridge():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, size=300)
     y = np.full(300, 3.7)
-    model = fit(zip(x, y), CondExpParams(n_centers=80, delta=0.0))
-    for xi in np.linspace(-0.8, 0.8, 7):
-        value, _ = predict(model, np.array([xi]))
-        assert abs(value - 3.7) < 1e-8
+    kernel, coef, _ = fit_1d(x, y, CondExpParams(n_centers=80, delta=0.0))
+    values, _ = expand(kernel, coef, np.linspace(-0.8, 0.8, 7))
+    assert np.abs(values - 3.7).max() < 1e-8
     # training points too
-    preds = np.array([predict(model, xi)[0] for xi in x[:40]])
+    preds, _ = expand(kernel, coef, x[:40])
     assert np.abs(preds - 3.7).max() < 1e-8
 
 
@@ -64,13 +75,13 @@ def test_identity_smoothing_limit_interpolates():
 def test_matches_nadaraya_watson_oracle():
     x = np.linspace(-1, 1, 500)
     y = x**2
-    model = fit(zip(x, y), CondExpParams(n_centers=100))
-    eps1 = model.diagnostics["eps1"]
+    kernel, coef, diagnostics = fit_1d(x, y, CondExpParams(n_centers=100))
+    eps1 = diagnostics["eps1"]
     probes = np.linspace(-0.9, 0.9, 20)
-    for p in probes:
+    values, _ = expand(kernel, coef, probes)
+    for p, value in zip(probes, values):
         weights = np.exp(-((x - p) ** 2) / eps1)
         oracle = (weights * y).sum() / weights.sum()
-        value, _ = predict(model, np.array([p]))
         assert abs(value - oracle) < 0.05
 
 
@@ -80,8 +91,8 @@ def test_residual_monotone_in_ridge():
     y = np.sin(2 * x) + 0.3 * rng.standard_normal(400)
     residuals = []
     for delta in (0.0, 0.01, 0.1, 1.0):
-        model = fit(zip(x, y), with_delta(CondExpParams(n_centers=80), delta))
-        residuals.append(model.diagnostics["residual_norm"])
+        _, _, diagnostics = fit_1d(x, y, CondExpParams(n_centers=80, delta=delta))
+        residuals.append(diagnostics["residual_norms"][0])
     assert all(a <= b for a, b in zip(residuals, residuals[1:]))
 
 
@@ -91,14 +102,13 @@ def test_permutation_equivariance():
     y = np.cos(3 * x[:, 0])
     # fixed bandwidths and all points as centers keep the model intrinsic
     params = CondExpParams(n_centers=120, delta=0.1, eps1=0.05, eps2=0.1, eps3=0.1)
-    base = fit(zip(x, y), params)
+    base = fit_targets(x, y, params)
     perm = rng.permutation(120)
-    shuffled = fit(zip(x[perm], y[perm]), params)
+    shuffled = fit_targets(x[perm], y[perm], params)
     probes = rng.uniform(-0.9, 0.9, size=(10, 1))
-    for p in probes:
-        v1, _ = predict(base, p)
-        v2, _ = predict(shuffled, p)
-        assert abs(v1 - v2) < 1e-10
+    v1, v2 = [(section_matrix(kernel, probes)[0] * coef[0]).sum(axis=1)
+              for kernel, coef, _ in (base, shuffled)]
+    assert np.abs(v1 - v2).max() < 1e-10
 
 
 def test_denoising_improves_with_sample_size():
@@ -111,8 +121,8 @@ def test_denoising_improves_with_sample_size():
             rng = np.random.default_rng(seed)
             x = rng.uniform(-3, 3, size=n)
             y = np.sin(x) + 0.3 * rng.standard_normal(n)
-            model = fit(zip(x, y), CondExpParams(n_centers=100))
-            pred = np.array([predict(model, np.array([p]))[0] for p in probes])
+            kernel, coef, _ = fit_1d(x, y, CondExpParams(n_centers=100))
+            pred, _ = expand(kernel, coef, probes)
             errs.append(np.sqrt(np.mean((pred - np.sin(probes)) ** 2)))
         mean_errors.append(np.mean(errs))
     assert mean_errors[0] > mean_errors[1] > mean_errors[2]
@@ -127,8 +137,8 @@ def test_smoothing_shrink_keeps_training_error():
     probes = x[::100]
     errors = []
     for eta1 in (0.01, 0.003, 0.001):
-        model = fit(zip(x, y), CondExpParams(eta1=eta1, n_centers=100))
-        pred = np.array([predict(model, np.array([p]))[0] for p in probes])
+        kernel, coef, _ = fit_1d(x, y, CondExpParams(eta1=eta1, n_centers=100))
+        pred, _ = expand(kernel, coef, probes)
         errors.append(np.sqrt(np.mean((pred - np.sin(probes)) ** 2)))
     assert errors[1] <= 2.0 * errors[0]
     assert errors[2] <= 2.0 * errors[0]
@@ -138,20 +148,11 @@ def test_far_query_flagged():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1, 1, size=200)
     y = x.copy()
-    model = fit(zip(x, y), CondExpParams(n_centers=50))
-    value, flag = predict(model, np.array([1e5]))
-    assert flag
-    nearest = model.kernel.centers[np.argmax(model.kernel.centers[:, 0])]
-    expected, _ = predict(model, nearest)
+    kernel, coef, _ = fit_1d(x, y, CondExpParams(n_centers=50))
+    nearest = kernel.centers[np.argmax(kernel.centers[:, 0]), 0]
+    (value, expected), flags = expand(kernel, coef, [1e5, nearest])
+    np.testing.assert_array_equal(flags, [True, False])
     assert value == expected
-
-
-def test_eps2_tied_to_eps1():
-    rng = np.random.default_rng(8)
-    x = rng.uniform(-1, 1, size=150)
-    y = x**3
-    model = fit(zip(x, y), CondExpParams(n_centers=50, eps2_twice_eps1=True))
-    assert model.diagnostics["eps2"] == 2.0 * model.diagnostics["eps1"]
 
 
 def test_fit_rejects_bad_inputs():

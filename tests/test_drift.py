@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.spatial.distance import cdist
 
 import json
 
@@ -251,14 +252,13 @@ class TestSparseEstimator:
 
     def test_matches_componentwise_expansion(self, l96_sparse_fit):
         _, traj, _, model = l96_sparse_fit
-        from kerneldrift.kernels import evaluate_expansion
+        from kerneldrift.kernels import section_matrix
 
         x = traj.points[50]
         values, _ = predict_drift(model, x)
         for i, left in enumerate(model.stencil.left):
-            scalar, _ = evaluate_expansion(model.kernel, model.coefficients[0],
-                                           x[list(left)])
-            assert values[i] == scalar
+            row, _ = section_matrix(model.kernel, x[list(left)])
+            assert values[i] == (row[0] * model.coefficients[0]).sum()
 
     def test_agrees_with_dense_fit_on_shared_system(self, l96_sparse_fit):
         spec, traj, _, sparse_model = l96_sparse_fit
@@ -314,16 +314,20 @@ class TestSparseEstimator:
 
 
 def _parent_format_payload(model):
-    """Older two-type model file: a ``type`` key, kernel ``w`` weights and
-    a 1-D shared-unit coefficient vector."""
+    """Older two-type model file: a ``type`` key, kernel ``deg_l`` and ``w``
+    entries and a 1-D shared-unit coefficient vector."""
+    k = model.kernel
+    raw = np.exp(-cdist(k.centers, k.centers, "sqeuclidean") / k.epsilon)
+    raw[raw < k.theta_zero] = 0.0
+    deg_l = (raw * (1.0 / k.deg_r)).sum(axis=1) / k.n_centers
     kernel = {
         "kind": "diffusion",
-        "epsilon": model.kernel.epsilon,
-        "theta_zero": model.kernel.theta_zero,
-        "centers": model.kernel.centers.tolist(),
-        "deg_r": model.kernel.deg_r.tolist(),
-        "deg_l": model.kernel.deg_l.tolist(),
-        "w": (1.0 / np.sqrt(model.kernel.deg_r * model.kernel.deg_l)).tolist(),
+        "epsilon": k.epsilon,
+        "theta_zero": k.theta_zero,
+        "centers": k.centers.tolist(),
+        "deg_r": k.deg_r.tolist(),
+        "deg_l": deg_l.tolist(),
+        "w": (1.0 / np.sqrt(k.deg_r * deg_l)).tolist(),
     }
     payload = {"kernel": kernel, "dt": model.dt}
     if model.stencil is None:

@@ -5,11 +5,9 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from kerneldrift import (
-    BandwidthPolicy,
     DegenerateBandwidthError,
     IsolatedPointError,
     diffusion_model,
-    evaluate_expansion,
     section_matrix,
     select_bandwidth,
 )
@@ -44,40 +42,49 @@ def thresholded_oracle(rows, cols, eps, theta_zero=1e-14):
     return raw
 
 
+def left_degrees(model):
+    """deg_l at the centers: mean_j g(c_i, c_j) / deg_r(c_j)."""
+    raw = thresholded_oracle(model.centers, model.centers, model.epsilon, model.theta_zero)
+    return (raw * (1.0 / model.deg_r)).sum(axis=1) / model.n_centers
+
+
 def symmetrized_oracle(model, data):
     """g(x, y) / sqrt(deg_r(x) deg_l(x) deg_r(y) deg_l(y)) at the centers."""
     raw = thresholded_oracle(data, data, model.epsilon, model.theta_zero)
-    degrees = model.deg_r * model.deg_l
+    degrees = model.deg_r * left_degrees(model)
     return raw / np.sqrt(np.outer(degrees, degrees))
+
+
+def expansion(model, coeffs, points):
+    """sum_j a_j k(x, c_j) at each query point, from section_matrix rows."""
+    sections, flags = section_matrix(model, points)
+    return (sections * coeffs).sum(axis=1), flags
 
 
 class TestSelectBandwidth:
     def test_two_points_unit_distance(self):
         data = np.array([[0.0, 0.0], [1.0, 0.0]])
-        policy = BandwidthPolicy(eta=0.999, subsample_fraction=1.0)
-        eps = select_bandwidth(data, policy)
+        eps = select_bandwidth(data, eta=0.999, subsample_fraction=1.0)
         assert abs(eps - 1.0 / math.log(1e14)) < 1e-15
 
     def test_scaling_quadratic(self):
-        policy = BandwidthPolicy(eta=0.3, subsample_fraction=1.0)
-        base = select_bandwidth(cloud(seed=4), policy)
-        scaled = select_bandwidth(3.0 * cloud(seed=4), policy)
+        base = select_bandwidth(cloud(seed=4), eta=0.3, subsample_fraction=1.0)
+        scaled = select_bandwidth(3.0 * cloud(seed=4), eta=0.3, subsample_fraction=1.0)
         assert abs(scaled - 9.0 * base) < 1e-12 * scaled
 
     def test_achieved_sparsity_fraction(self):
         data = cloud(n=200, seed=7)
-        policy = BandwidthPolicy(eta=0.25, subsample_fraction=1.0)
-        eps = select_bandwidth(data, policy)
+        eps = select_bandwidth(data, eta=0.25, subsample_fraction=1.0)
         from scipy.spatial.distance import pdist
 
         values = np.exp(-pdist(data, "sqeuclidean") / eps)
-        frac = np.mean(values >= policy.theta_zero)
+        frac = np.mean(values >= 1e-14)
         assert abs(frac - 0.25) <= 2.0 / len(values)
 
     def test_monotone_in_eta(self):
         data = cloud(n=100, seed=2)
         epss = [
-            select_bandwidth(data, BandwidthPolicy(eta=eta, subsample_fraction=1.0))
+            select_bandwidth(data, eta=eta, subsample_fraction=1.0)
             for eta in (0.05, 0.2, 0.5, 0.9)
         ]
         assert all(a <= b for a, b in zip(epss, epss[1:]))
@@ -85,15 +92,16 @@ class TestSelectBandwidth:
     def test_coincident_points_degenerate(self):
         data = np.zeros((10, 2))
         with pytest.raises(DegenerateBandwidthError):
-            select_bandwidth(data, BandwidthPolicy(eta=0.5, subsample_fraction=1.0))
+            select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            BandwidthPolicy(eta=1.5)
-        with pytest.raises(ValueError):
-            BandwidthPolicy(eta=0.5, theta_zero=2.0)
-        with pytest.raises(ValueError):
-            BandwidthPolicy(eta=0.5, subsample_fraction=0.0)
+        data = cloud(n=10, seed=1)
+        with pytest.raises(ValueError, match="eta"):
+            select_bandwidth(data, eta=1.5)
+        with pytest.raises(ValueError, match="theta_zero"):
+            select_bandwidth(data, eta=0.5, theta_zero=2.0)
+        with pytest.raises(ValueError, match="subsample_fraction"):
+            select_bandwidth(data, eta=0.5, subsample_fraction=0.0)
 
 
 class TestMarkovMatrix:
@@ -167,7 +175,7 @@ class TestMarkovMatrix:
 
     def test_rows_sum_to_one(self):
         data = cloud(n=150, seed=5)
-        eps = select_bandwidth(data, BandwidthPolicy(eta=0.3, subsample_fraction=1.0))
+        eps = select_bandwidth(data, eta=0.3, subsample_fraction=1.0)
         sums = markov_dense(data, data, eps).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
@@ -219,12 +227,13 @@ class TestDiffusionModel:
         kdiff, _ = section_matrix(model, pts)
         # same geometry at both points
         assert abs(model.deg_r[0] - model.deg_r[1]) < 1e-15
-        rho = np.sqrt(model.deg_l / model.deg_r)
+        deg_l = left_degrees(model)
+        rho = np.sqrt(deg_l / model.deg_r)
         ktilde = rho[:, None] * kdiff / rho[None, :]
         np.testing.assert_allclose(ktilde, ktilde.T, atol=1e-15)
         # scaling check at the diagonal: k(x,x) deg_r(x) deg_l(x) = 1
         for i in range(2):
-            assert abs(kdiff[i, i] * model.deg_r[i] * model.deg_l[i] - 1.0) < 1e-14
+            assert abs(kdiff[i, i] * model.deg_r[i] * deg_l[i] - 1.0) < 1e-14
 
     def test_equilateral_constant_offdiagonal(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
@@ -241,7 +250,7 @@ class TestDiffusionModel:
         deg_r = raw.mean(axis=1)
         deg_l = (raw / deg_r[None, :]).mean(axis=1)
         np.testing.assert_allclose(model.deg_r, deg_r, rtol=1e-12)
-        np.testing.assert_allclose(model.deg_l, deg_l, rtol=1e-12)
+        np.testing.assert_allclose(left_degrees(model), deg_l, rtol=1e-12)
         np.testing.assert_allclose(
             section_matrix(model, data)[0], raw / np.outer(deg_l, deg_r),
             rtol=1e-10, atol=1e-12
@@ -250,10 +259,10 @@ class TestDiffusionModel:
     def test_symmetrization_identity(self):
         # conjugating by rho = sqrt(deg_l/deg_r) reproduces the symmetric form
         data = cloud(n=200, seed=12)
-        eps = select_bandwidth(data, BandwidthPolicy(eta=0.5, subsample_fraction=1.0))
+        eps = select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
         model = diffusion_model(data, eps)
         kdiff, _ = section_matrix(model, data)
-        rho = np.sqrt(model.deg_l / model.deg_r)
+        rho = np.sqrt(left_degrees(model) / model.deg_r)
         lhs = rho[:, None] * kdiff / rho[None, :]
         ktilde = symmetrized_oracle(model, data)
         np.testing.assert_allclose(lhs, ktilde, rtol=1e-10, atol=1e-12)
@@ -269,9 +278,9 @@ class TestEvaluateExpansion:
         coeffs = rng.normal(size=50)
         raw = dense_gaussian(data, data, eps)
         raw[raw < 1e-14] = 0.0
-        dense = raw / np.outer(model.deg_l, model.deg_r)
+        dense = raw / np.outer(left_degrees(model), model.deg_r)
         for i in (0, 17, 33):
-            value, flag = evaluate_expansion(model, coeffs, data[i])
+            (value,), (flag,) = expansion(model, coeffs, data[i])
             assert not flag
             assert abs(value - dense[i] @ coeffs) < 1e-10
 
@@ -286,7 +295,7 @@ class TestEvaluateExpansion:
         raw[raw < 1e-14] = 0.0
         rho_l = np.mean(raw / model.deg_r)
         expected = np.sum(coeffs * raw / (rho_l * model.deg_r))
-        value, flag = evaluate_expansion(model, coeffs, x)
+        (value,), (flag,) = expansion(model, coeffs, x)
         assert not flag
         assert abs(value - expected) < 1e-10
 
@@ -296,18 +305,29 @@ class TestEvaluateExpansion:
         model = diffusion_model(data, eps)
         coeffs = np.random.default_rng(4).normal(size=20)
         far = data[3] + np.array([1.0, 0.0]) * np.sqrt(1e4 * eps)
-        value, flag = evaluate_expansion(model, coeffs, far)
+        (value,), (flag,) = expansion(model, coeffs, far)
         assert flag
         nearest = data[np.argmin(np.sum((data - far) ** 2, axis=1))]
-        expected, nf = evaluate_expansion(model, coeffs, nearest)
+        (expected,), (nf,) = expansion(model, coeffs, nearest)
         assert not nf
         assert value == expected
 
-    def test_coefficient_length_checked(self):
-        data = cloud(n=10, seed=19)
+    def test_overflowing_far_query_rejected(self):
+        # every squared distance to the centers overflows to inf, so no
+        # nearest center can be told apart
+        model = diffusion_model(cloud(n=50, seed=21), 0.5)
+        with pytest.raises(ValueError, match="query point 1 "):
+            section_matrix(model, np.array([[0.0, 0.0], [1e160, 0.0]]))
+
+    def test_distant_query_falls_back_to_true_nearest_center(self):
+        data = cloud(n=50, seed=21)
         model = diffusion_model(data, 0.5)
-        with pytest.raises(ValueError):
-            evaluate_expansion(model, np.ones(9), data[0])
+        far = np.array([1e10, 0.0])
+        sections, flags = section_matrix(model, far)
+        assert flags[0]
+        nearest = np.argmin(((data - far) ** 2).sum(axis=1))
+        assert nearest != 0  # centre 0 is what an all-inf argmin would pick
+        np.testing.assert_array_equal(sections[0], section_matrix(model, data[nearest])[0][0])
 
 
 def test_kernel_model_roundtrip():
@@ -319,7 +339,11 @@ def test_kernel_model_roundtrip():
     assert loaded.epsilon == model.epsilon
     np.testing.assert_array_equal(loaded.centers, model.centers)
     np.testing.assert_array_equal(loaded.deg_r, model.deg_r)
-    np.testing.assert_array_equal(loaded.deg_l, model.deg_l)
+    assert "deg_l" not in payload
+    # older files carry left degrees; they are ignored
+    older = kernel_model_from_dict(dict(payload, deg_l=left_degrees(model).tolist()))
+    np.testing.assert_array_equal(section_matrix(older, data)[0],
+                                  section_matrix(model, data)[0])
     # only the diffusion kernel is a model kind
     with pytest.raises(ValueError, match="kernel kind"):
         kernel_model_from_dict(dict(payload, kind="gaussian"))

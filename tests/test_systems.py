@@ -177,6 +177,12 @@ def test_simulate_blowup_reports_index():
     assert info.value.index == expected.value.index
 
 
+@pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, np.inf]])
+def test_simulate_rejects_non_finite_start(x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        simulate(make_spec("hopf"), x0, 10, 0.01, 0, burn_in=0)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(dt=0.01, points=np.zeros((3, 2)))  # too short
