@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 import kerneldrift as kd
-from kerneldrift import drift
 
 OUT = Path(__file__).parent / "demo_output"
 OUT.mkdir(exist_ok=True)
@@ -29,7 +28,11 @@ print("stencil neighborhoods:", stencil.left)
 snapshots = kd.extract_snapshots(train, stencil)
 print(f"pooled {len(snapshots)} records of dimension {snapshots.m} "
       f"from {len(train)} samples x {train.d} coordinates")
-drift.save_snapshots(snapshots, OUT / "l96_snapshots.csv")
+# the pooled records as CSV, columns in0..in{m-1},target
+rows = [",".join(f"in{i}" for i in range(snapshots.m)) + ",target"]
+rows += [",".join([repr(float(v)) for v in inputs] + [repr(float(target))])
+         for inputs, target in zip(snapshots.inputs, snapshots.targets)]
+(OUT / "l96_snapshots.csv").write_text("\n".join(rows) + "\n")
 
 model = kd.estimate_drift_sparse(snapshots, kd.CondExpParams(n_centers=500))
 report = kd.relative_l2_error(model, kd.system_field(spec), held.points)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SolverError
@@ -156,10 +157,13 @@ def fit_targets(inputs, targets, params: CondExpParams
     sections, _ = section_matrix(kernel, inputs)
 
     # one eps3 pass applies the Markov matrix to the kernel sections and
-    # the smoothed targets together
+    # the smoothed targets together, as a sparse product: the sections keep
+    # about 1% of their entries
     smoothed_y = markov_apply(inputs, inputs, eps1, y, params.theta_zero)
     stacked = markov_apply(inputs, inputs, eps3,
-                           np.hstack([sections, smoothed_y]), params.theta_zero)
+                           sp.hstack([sp.csr_array(sections), sp.csr_array(smoothed_y)],
+                                     format="csr"),
+                           params.theta_zero)
     b = stacked[:, : sections.shape[1]]
     g = stacked[:, sections.shape[1] :]
     coef, residuals, condition = solve_regularized(b, g, params.delta)
@@ -172,7 +176,6 @@ def fit_targets(inputs, targets, params: CondExpParams
         "n_train": len(inputs),
         "n_centers": params.n_centers,
         "residual_norms": residuals.tolist(),
-        "coefficient_norms": np.linalg.norm(coef, axis=0).tolist(),
         "normal_condition": condition,
     }
     return kernel, coef.T, diagnostics

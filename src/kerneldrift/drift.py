@@ -120,8 +120,10 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
     # bitwise-identical values regardless of row position: a batch matches
     # single-point calls, and cyclic shifts of the state permute a stencil
     # prediction exactly
-    values = np.stack([(sections * c).sum(axis=1) for c in model.coefficients], axis=1)
-    return values.reshape(n, d), flags.reshape(n, -1).any(axis=1)
+    values = (sections[:, None, :] * model.coefficients).sum(axis=2)
+    if model.stencil is not None:
+        values, flags = values.reshape(n, d), flags.reshape(n, d).any(axis=1)
+    return values, flags
 
 
 # The benchmark harness (perfbench/bench.py) times predictions by wrapping
@@ -258,12 +260,3 @@ def load_drift_model(path) -> DriftModel:
         )
     except KeyError as err:
         raise ValueError(f"{path}: drift model file lacks the {err.args[0]!r} entry") from err
-
-
-def save_snapshots(snapshots: SnapshotSet, path) -> None:
-    """Write pooled snapshot records as CSV with columns in0..in{m-1},target."""
-    header = ",".join(f"in{i}" for i in range(snapshots.m)) + ",target"
-    lines = [header]
-    for row, target in zip(snapshots.inputs, snapshots.targets):
-        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
-    Path(path).write_text("\n".join(lines) + "\n")

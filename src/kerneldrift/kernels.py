@@ -2,23 +2,29 @@
 
 Two operators are built from the squared-exponential kernel
 ``g(x, y) = exp(-|x - y|^2 / epsilon)``, with raw values below a zero
-threshold ``theta_zero`` dropped before any normalization:
+threshold ``theta_zero`` dropped before any normalization.  Since
+``g >= theta_zero`` exactly when ``|x - y|^2 <= epsilon * ln(1 / theta_zero)``,
+both take their raw values from the radius neighbours a k-d tree lists
+(:func:`_gaussian_pairs`), and the threshold test on each pair keeps
+exactly the entries a dense evaluation keeps:
 
 * the Markov smoothing operator (:func:`markov_apply`) -- ``g`` with each
-  row divided by its sum, a row-stochastic matrix between two point clouds.
-  Since ``g >= theta_zero`` exactly when
-  ``|x - y|^2 <= epsilon * ln(1 / theta_zero)``, it is assembled as a
-  sparse matrix from the radius neighbours a k-d tree lists;
+  row divided by its sum, a row-stochastic matrix between two point clouds,
+  assembled as a sparse matrix from a tree-to-tree query and applied to
+  dense or sparse columns;
 * the diffusion kernel (:class:`KernelModel`) over a few hundred centers --
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
   ``deg_r(x) = mean_j g(x, c_j)`` and left degree
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
   empirical measure of the centers.  Only ``deg_r`` is stored; the left
-  degree is computed for each query.  Its sections (:func:`section_matrix`)
-  are dense rows over the centers, and they are the one evaluator of a
-  kernel expansion: ``sum_j a_j k(x_i, c_j)`` is the row-wise
-  ``(S * a).sum(axis=1)``.  The diffusion kernel is symmetrizable:
-  ``rho(x) k(x, y) / rho(y)`` with ``rho = sqrt(deg_l / deg_r)`` equals
+  degree is computed for each query.  The model builds a k-d tree of its
+  centers once, when it is made or loaded; the tree is never persisted or
+  compared.  Its sections (:func:`section_matrix`) are dense rows over the
+  centers, filled from one ball query per query point against that tree,
+  and they are the one evaluator of a kernel expansion:
+  ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  The
+  diffusion kernel is symmetrizable: ``rho(x) k(x, y) / rho(y)`` with
+  ``rho = sqrt(deg_l / deg_r)`` equals
   ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
 
 Bandwidths are picked so a target fraction of pairwise kernel values
@@ -27,7 +33,9 @@ survives the threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,13 +46,17 @@ from .errors import DegenerateBandwidthError, IsolatedPointError
 
 DEFAULT_THETA_ZERO = 1e-14
 
+# a sum of fewer than 10^8 squared coordinate gaps below this stays finite
+_SAFE_GAP = 1e150
+
 
 @dataclass
 class KernelModel:
     """The diffusion kernel fitted over a set of center points.
 
     ``deg_r`` holds the right degrees at the centers; the left degree is
-    recomputed for every query by :func:`section_matrix`.
+    recomputed for every query by :func:`section_matrix`, which finds the
+    centers near a query in a k-d tree built once from ``centers``.
     """
 
     epsilon: float
@@ -52,10 +64,14 @@ class KernelModel:
     centers: np.ndarray
     deg_r: np.ndarray
 
+    # built once from the centers; not persisted, compared or passed in
+    _tree: cKDTree = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         self.centers = np.asarray(self.centers, dtype=float)
+        self._tree = cKDTree(self.centers)
 
     @property
     def n_centers(self) -> int:
@@ -111,22 +127,29 @@ def markov_apply(rows, cols, epsilon: float, values,
     """Apply the row-stochastic Gaussian kernel matrix to columns of ``values``.
 
     Entry (i, j) of the matrix is ``g(r_i, c_j) / sum_j' g(r_i, c_j')``
-    over the raw values at or above ``theta_zero``.  Candidate pairs come
-    from a k-d tree radius query at ``sqrt(epsilon * ln(1 / theta_zero))``;
-    each one is kept by the threshold test itself, on a squared distance
-    recomputed from the coordinates in the order ``cdist`` sums them, so
-    the kept entries are exactly those of a dense evaluation.  They form a
-    canonical (sorted-index) CSR matrix, so the result does not depend on
-    the order in which the tree lists pairs.
+    over the raw values at or above ``theta_zero``, listed by a tree-to-tree
+    radius query (:func:`_gaussian_pairs`).  They form a canonical
+    (sorted-index) CSR matrix, so the result does not depend on the order
+    in which the tree lists pairs.  ``values`` is a dense array or a 2-d
+    ``scipy.sparse`` array; a sparse one is multiplied as a sparse product
+    and gives the same dense result, bit for bit.
 
     Raises
     ------
+    ValueError
+        If a row or column point is not finite or so far out that squared
+        distances overflow, or if ``values`` is not finite.
     IsolatedPointError
         If some row has no surviving entry.
     """
     rows = np.asarray(rows, dtype=float)
     cols = np.asarray(cols, dtype=float)
-    values = np.asarray(values, dtype=float)
+    if sp.issparse(values):
+        values = sp.csr_array(values, dtype=float)
+        finite = np.isfinite(values.data).all()
+    else:
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values).all()
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if rows.ndim != 2 or cols.ndim != 2 or rows.shape[1] != cols.shape[1]:
@@ -135,39 +158,113 @@ def markov_apply(rows, cols, epsilon: float, values,
         )
     single = values.ndim == 1
     v = values[:, None] if single else values
-    if len(v) != len(cols):
-        raise ValueError(f"{len(v)} value rows for {len(cols)} column points")
+    if v.shape[0] != len(cols):
+        raise ValueError(f"{v.shape[0]} value rows for {len(cols)} column points")
+    if not finite:
+        raise ValueError("values must be finite")
+    _check_markov_points(rows, cols)
 
-    # the relative pad keeps rounding in the tree's distances from dropping
-    # a pair that the threshold test below keeps
-    radius = np.sqrt(epsilon * np.log(1.0 / theta_zero)) * (1.0 + 1e-12)
-    pairs = cKDTree(rows).sparse_distance_matrix(cKDTree(cols), radius,
-                                                 output_type="ndarray")
-    i, j = pairs["i"], pairs["j"]
-    sq = np.zeros(len(pairs))
-    for k in range(rows.shape[1]):
-        sq += (rows[i, k] - cols[j, k]) ** 2
-    g = np.exp(-sq / epsilon)
-    keep = g >= theta_zero
-    kernel = sp.csr_array((g[keep], (i[keep], j[keep])), shape=(len(rows), len(cols)))
+    i, j, g = _gaussian_pairs(rows, cKDTree(cols), epsilon, theta_zero,
+                              point_tree=cKDTree(rows))
+    kernel = sp.csr_array((g, (i, j)), shape=(len(rows), len(cols)))
     kernel.sum_duplicates()  # sorts the column indices of every row
 
     sums = kernel.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
     if dead.size:
         raise IsolatedPointError(row=int(dead[0]))
-    out = (kernel @ v) / sums[:, None]
+    out = kernel @ v
+    if sp.issparse(out):
+        out = out.toarray()
+    out /= sums[:, None]
     return out[:, 0] if single else out
 
 
-def _thresholded_gaussian(points: np.ndarray, centers: np.ndarray, epsilon: float,
-                          theta_zero: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense squared distances and Gaussian values, values below the
-    threshold set to zero."""
-    sq = cdist(points, centers, "sqeuclidean")
-    gauss = np.exp(-sq / epsilon)
-    gauss[gauss < theta_zero] = 0.0
-    return sq, gauss
+def _far_sq(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to the farthest corner of the box
+    ``[lo, hi]``: NaN for a non-finite point, inf where it overflows.
+
+    A k-d tree radius query bounds its distances by such corners, and it
+    fails when one of them overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.maximum(points - lo, hi - points)
+        return (far * far).sum(axis=1)
+
+
+def _gaussian(sq: np.ndarray, epsilon: float, theta_zero: float) -> np.ndarray:
+    """``exp(-sq / epsilon)`` of squared distances, zero below ``theta_zero``."""
+    g = np.exp(sq / -epsilon)  # the same bits as exp(-sq / epsilon)
+    g[g < theta_zero] = 0.0
+    return g
+
+
+def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
+                    theta_zero: float, point_tree: cKDTree | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pairs ``(i, j, g)`` with ``g = g(points[i], tree.data[j])``
+    where it is at or above ``theta_zero`` and 0 where it is not.
+
+    Candidates come from a radius query of ``tree`` at
+    ``sqrt(epsilon * ln(1 / theta_zero))``: one tree-to-tree query against
+    ``point_tree`` when it is given, one ball query per point otherwise.
+    The threshold test itself decides, on a squared distance recomputed
+    from the coordinates in the order ``cdist`` sums them, so the nonzero
+    values are exactly those of a dense evaluation.  The radius carries a
+    relative pad so that rounding in the tree's distances cannot drop a
+    pair the test keeps; the few candidates it adds get a zero.
+    """
+    radius = math.sqrt(epsilon * math.log(1.0 / theta_zero)) * (1.0 + 1e-12)
+    if point_tree is None:
+        lists = tree.query_ball_point(points, radius)
+        counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+        i = np.arange(len(points)).repeat(counts)
+        j = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=len(i))
+    else:
+        pairs = point_tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
+        i, j = pairs["i"], pairs["j"]
+    if not len(i):
+        # typical of a single query far from every center, where the
+        # arithmetic on empty arrays would cost as much as the query
+        return i, j, np.zeros(0)
+    diff = points.take(i, axis=0) - tree.data.take(j, axis=0)
+    diff *= diff
+    sq = diff[:, 0]
+    for k in range(1, points.shape[1]):
+        sq = sq + diff[:, k]
+    return i, j, _gaussian(sq, epsilon, theta_zero)
+
+
+def _check_markov_points(rows: np.ndarray, cols: np.ndarray) -> None:
+    """Reject points that a tree query between ``rows`` and ``cols`` cannot take.
+
+    The query fails when the squared distance between the farthest corners
+    of the two bounding boxes is not finite.  Only then are points looked
+    at one by one: the first non-finite one, else the first whose squared
+    distance to the coordinate-wise median of the other cloud overflows.
+    """
+    if not (len(rows) and len(cols)):
+        return
+    lo_r, hi_r = rows.min(axis=0), rows.max(axis=0)
+    lo_c, hi_c = cols.min(axis=0), cols.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.maximum(hi_r - lo_c, hi_c - lo_r)
+        if (far * far).sum() < np.inf:
+            return
+    for name, points in (("row", rows), ("column", cols)):
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            bad = np.argmin(finite)
+            raise ValueError(f"{name} point {bad} is not finite: {points[bad].tolist()}")
+    for name, points, other in (("row", rows, cols), ("column", cols, rows)):
+        median = np.median(other, axis=0)
+        overflow = ~(_far_sq(points, median, median) < np.inf)
+        if overflow.any():
+            bad = np.argmax(overflow)
+            raise ValueError(f"{name} point {bad} is too far from the other points "
+                             f"(squared distances overflow): {points[bad].tolist()}")
+    raise ValueError("the row and column points spread so far apart that "
+                     "squared distances between them overflow")
 
 
 def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
@@ -182,9 +279,19 @@ def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
-    _, raw = _thresholded_gaussian(data, data, epsilon, theta_zero)
-    deg_r = raw.sum(axis=1) / len(data)
-    return KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data, deg_r=deg_r)
+    # the degrees come from the rows of the model's own center tree
+    model = KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data,
+                        deg_r=np.empty(len(data)))
+    model.deg_r = _raw_rows(model, model.centers).sum(axis=1) / len(data)
+    return model
+
+
+def _raw_rows(model: KernelModel, points: np.ndarray) -> np.ndarray:
+    """Dense raw Gaussian rows ``g(points[i], c_j)``, zero below the threshold."""
+    i, j, g = _gaussian_pairs(points, model._tree, model.epsilon, model.theta_zero)
+    raw = np.zeros((len(points), model.n_centers))
+    raw[i, j] = g
+    return raw
 
 
 def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +305,19 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     giving ``S[i, j] = g(x, c_j) / (rho_l(x) deg_r(c_j))``; at a center
     this is the fitted kernel's row.
 
+    Rows are assembled from the raw values of one ball query per point
+    against the model's center tree (:func:`_gaussian_pairs`), scattered
+    into dense rows; they equal a dense evaluation's, so a row is the same
+    alone or in any batch.  Only an extrapolated row is evaluated against
+    every center: ``cdist`` finds its nearest center (the first one on a
+    tie), and that center's raw row is computed in full.  Every point is
+    checked before the tree is queried.
+
     Raises
     ------
     ValueError
         If a query point has the wrong dimension, is not finite, or lies so
-        far out that every squared distance to the centers overflows.
+        far out that its squared distances to the centers overflow.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 0:
@@ -213,25 +328,29 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query dimension {points.shape[1]} != center dimension {model.dimension}"
         )
-    if not np.isfinite(points).all():
-        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))[0]
-        raise ValueError(f"query point {bad} is not finite: {points[bad].tolist()}")
-
-    sq, sections = _thresholded_gaussian(points, model.centers, model.epsilon,
-                                         model.theta_zero)
-    extrapolated = ~sections.any(axis=1)
-    if extrapolated.any():
-        far = sq[extrapolated]
-        overflowed = np.isinf(far).all(axis=1)
-        if overflowed.any():
-            bad = np.flatnonzero(extrapolated)[np.argmax(overflowed)]
+    lo, hi = model._tree.mins, model._tree.maxes
+    # a cheap bound first: no squared distance to a corner of the centers'
+    # box can overflow while every coordinate gap stays below it
+    if not np.maximum(points - lo, hi - points).max(initial=0.0) < _SAFE_GAP:
+        finite = np.isfinite(points).all(axis=1)
+        overflow = ~(_far_sq(points, lo, hi) < np.inf)
+        if not finite.all():
+            bad = np.argmin(finite)
+            raise ValueError(f"query point {bad} is not finite: {points[bad].tolist()}")
+        if overflow.any():
+            bad = np.argmax(overflow)
             raise ValueError(
                 f"query point {bad} is too far from every center to find the "
                 f"nearest one (squared distances overflow): {points[bad].tolist()}"
             )
-        nearest = np.argmin(far, axis=1)
-        sections[extrapolated] = _thresholded_gaussian(
-            model.centers[nearest], model.centers, model.epsilon, model.theta_zero)[1]
+
+    sections = _raw_rows(model, points)
+    extrapolated = ~sections.any(axis=1)
+    if extrapolated.any():
+        sq = cdist(points[extrapolated], model.centers, "sqeuclidean")
+        nearest = model.centers[sq.argmin(axis=1)]
+        sections[extrapolated] = _gaussian(cdist(nearest, model.centers, "sqeuclidean"),
+                                           model.epsilon, model.theta_zero)
     sections *= 1.0 / model.deg_r
     # row-wise reduction keeps identical query rows bitwise identical
     # regardless of their position in the batch

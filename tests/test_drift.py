@@ -22,7 +22,6 @@ from kerneldrift.drift import (
     STENCIL_WEIGHTS,
     load_drift_model,
     save_drift_model,
-    save_snapshots,
 )
 from kerneldrift.systems import Trajectory
 
@@ -128,17 +127,6 @@ class TestSnapshots:
         traj = Trajectory(dt=0.1, points=np.zeros((6, 4)))
         with pytest.raises(ValueError):
             extract_snapshots(traj, Stencil.cyclic(5))
-
-    def test_csv_export(self, tmp_path):
-        traj = Trajectory(dt=0.1, points=np.random.default_rng(2).normal(size=(8, 5)))
-        snaps = extract_snapshots(traj, Stencil.cyclic(5))
-        path = tmp_path / "snaps.csv"
-        save_snapshots(snaps, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "in0,in1,in2,in3,target"
-        assert len(lines) == 1 + len(snaps)
-        loaded = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(loaded[:, :4], snaps.inputs, rtol=1e-15)
 
 
 @pytest.fixture(scope="module")

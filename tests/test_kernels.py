@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from kerneldrift import (
@@ -40,6 +41,30 @@ def thresholded_oracle(rows, cols, eps, theta_zero=1e-14):
     raw = np.exp(-cdist(rows, cols, "sqeuclidean") / eps)
     raw[raw < theta_zero] = 0.0
     return raw
+
+
+def section_oracle(model, points):
+    """Dense section rows and fallback flags, every distance from ``cdist``."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    sq = cdist(points, model.centers, "sqeuclidean")
+    sections = thresholded_oracle(points, model.centers, model.epsilon, model.theta_zero)
+    extrapolated = ~sections.any(axis=1)
+    nearest = model.centers[np.argmin(sq[extrapolated], axis=1)]
+    sections[extrapolated] = thresholded_oracle(nearest, model.centers, model.epsilon,
+                                                model.theta_zero)
+    sections *= 1.0 / model.deg_r
+    sections /= (sections.sum(axis=1) / model.n_centers)[:, None]
+    return sections, extrapolated
+
+
+def assert_sections_match_oracle(model, points):
+    raw = thresholded_oracle(model.centers, model.centers, model.epsilon, model.theta_zero)
+    np.testing.assert_array_equal(model.deg_r, raw.sum(axis=1) / model.n_centers)
+    sections, flags = section_matrix(model, points)
+    expected, expected_flags = section_oracle(model, points)
+    np.testing.assert_array_equal(flags, expected_flags)
+    np.testing.assert_array_equal(sections, expected)
+    return flags
 
 
 def left_degrees(model):
@@ -172,6 +197,46 @@ class TestMarkovMatrix:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             markov_apply(cloud(n=5, d=2), cloud(n=5, d=3), 1.0, np.ones(5))
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_sparse_values_match_dense(self, fmt):
+        data = cloud(n=300, d=3, seed=40, scale=2.0)
+        rng = np.random.default_rng(41)
+        dense = rng.normal(size=(300, 12)) * (rng.random((300, 12)) < 0.1)
+        dense[:, -2:] = rng.normal(size=(300, 2))
+        values = sp.csr_array(dense).asformat(fmt)
+        np.testing.assert_array_equal(markov_apply(data, data, 0.05, values),
+                                      markov_apply(data, data, 0.05, dense))
+
+    @pytest.mark.parametrize("where, bad, message", [
+        ("rows", np.nan, "row point 2 is not finite"),
+        ("rows", -np.inf, "row point 2 is not finite"),
+        ("cols", np.inf, "column point 2 is not finite"),
+        ("rows", 1e160, "row point 2 is too far"),
+        ("cols", -1e160, "column point 2 is too far"),
+    ])
+    def test_bad_point_named(self, where, bad, message):
+        rows, cols = cloud(n=6, seed=42), cloud(n=5, seed=43)
+        (rows if where == "rows" else cols)[2, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            markov_apply(rows, cols, 0.5, np.ones(5))
+
+    def test_boxes_too_far_apart(self):
+        # no single point is out of range, but the distance between the
+        # far corners of the two bounding boxes overflows
+        a = 5.5e153
+        rows = np.array([[a, 0.0], [0.0, a]])
+        cols = np.array([[-a, 0.0], [0.0, -a]])
+        with pytest.raises(ValueError, match="spread so far apart"):
+            markov_apply(rows, cols, 1.0, np.ones(2))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_nonfinite_values_rejected(self, sparse):
+        data = cloud(n=20, seed=44)
+        values = np.ones((20, 2))
+        values[7, 1] = np.nan
+        with pytest.raises(ValueError, match="values must be finite"):
+            markov_apply(data, data, 0.5, sp.csr_array(values) if sparse else values)
 
     def test_rows_sum_to_one(self):
         data = cloud(n=150, seed=5)
@@ -319,6 +384,14 @@ class TestEvaluateExpansion:
         with pytest.raises(ValueError, match="query point 1 "):
             section_matrix(model, np.array([[0.0, 0.0], [1e160, 0.0]]))
 
+    def test_nonfinite_query_named(self):
+        model = diffusion_model(cloud(n=30, seed=22), 0.5)
+        points = np.zeros((4, 2))
+        points[3, 0] = np.nan
+        points[2, 1] = 1e160  # a non-finite point is named first
+        with pytest.raises(ValueError, match="query point 3 is not finite"):
+            section_matrix(model, points)
+
     def test_distant_query_falls_back_to_true_nearest_center(self):
         data = cloud(n=50, seed=21)
         model = diffusion_model(data, 0.5)
@@ -328,6 +401,63 @@ class TestEvaluateExpansion:
         nearest = np.argmin(((data - far) ** 2).sum(axis=1))
         assert nearest != 0  # centre 0 is what an all-inf argmin would pick
         np.testing.assert_array_equal(sections[0], section_matrix(model, data[nearest])[0][0])
+
+
+class TestSectionsAgainstDenseOracle:
+    """Rows and flags equal, bit for bit, a dense ``cdist`` evaluation."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_mixed_batch(self, d):
+        centers = cloud(n=80, d=d, seed=50, scale=2.0)
+        model = diffusion_model(centers, 0.05)
+        rng = np.random.default_rng(51)
+        points = np.vstack([
+            centers[rng.integers(80, size=40)] + 0.05 * rng.normal(size=(40, d)),
+            centers[:3],
+            centers[:5] + 40.0,  # far outside: the nearest-center fallback
+            rng.normal(size=(40, d)) * 3.0,
+        ])
+        flags = assert_sections_match_oracle(model, points)
+        assert flags.any() and not flags.all()
+
+    def test_duplicate_centers(self):
+        base = cloud(n=30, d=2, seed=52)
+        centers = np.vstack([base, base[:10], base[:3]])
+        model = diffusion_model(centers, 0.02)
+        points = np.vstack([base[:6], base[:4] + 0.01, base[:2] + 30.0])
+        assert_sections_match_oracle(model, points)
+
+    @pytest.mark.parametrize("far, theta_zero", [
+        ((3.0, 4.0, 0.0), 1e-14),
+        ((1.0, 0.0, 0.0), 0.22),
+    ])
+    def test_threshold_boundary_in_mixed_batch(self, far, theta_zero):
+        # the squared distance from the origin to `far` is exact, so only
+        # the threshold test decides whether that section entry survives
+        centers = np.vstack([np.zeros(3), far, 20.0 + cloud(n=10, d=3, seed=53)])
+        points = np.vstack([np.zeros(3), [60.0, 0.0, 0.0], centers[2:5] + 0.01])
+        sq = sum(v * v for v in far)
+        base = sq / math.log(1.0 / theta_zero)
+        decisions = set()
+        for ulps in range(-4, 5):
+            eps = base * (1.0 + ulps * 2.0**-52)
+            model = diffusion_model(centers, eps, theta_zero)
+            assert_sections_match_oracle(model, points)
+            decisions.add(bool(section_matrix(model, points)[0][0, 1] > 0.0))
+        assert decisions == {False, True}
+
+    def test_single_row_matches_row_in_large_batch(self):
+        centers = cloud(n=500, d=3, seed=54, scale=3.0)
+        model = diffusion_model(centers, 0.5)
+        rng = np.random.default_rng(55)
+        points = rng.normal(size=(10_000, 3)) * 3.0
+        points[9_000] += 200.0  # one extrapolated row
+        sections, flags = section_matrix(model, points)
+        assert flags[9_000] and not flags.all()
+        for i in (0, 4_321, 9_000, 9_999):
+            row, flag = section_matrix(model, points[i])
+            np.testing.assert_array_equal(row[0], sections[i])
+            assert flag[0] == flags[i]
 
 
 def test_kernel_model_roundtrip():
