@@ -26,10 +26,10 @@ stencil = kd.Stencil.cyclic(5)
 print("stencil neighborhoods:", stencil.left)
 
 snapshots = kd.extract_snapshots(train, stencil)
-print(f"pooled {len(snapshots)} records of dimension {snapshots.m} "
+print(f"pooled {len(snapshots)} records of dimension {snapshots.stencil.m} "
       f"from {len(train)} samples x {train.d} coordinates")
 # the pooled records as CSV, columns in0..in{m-1},target
-rows = [",".join(f"in{i}" for i in range(snapshots.m)) + ",target"]
+rows = [",".join(f"in{i}" for i in range(snapshots.stencil.m)) + ",target"]
 rows += [",".join([repr(float(v)) for v in inputs] + [repr(float(target))])
          for inputs, target in zip(snapshots.inputs, snapshots.targets)]
 (OUT / "l96_snapshots.csv").write_text("\n".join(rows) + "\n")

@@ -94,7 +94,10 @@ def solve_regularized(smoothed_sections: np.ndarray, smoothed_targets: np.ndarra
     for ``delta = 0`` falls back to a minimum-norm least-squares solve.
     Returns ``(coefficients, residual_norms, condition)`` with one column /
     entry per target column and the condition number of the (regularized)
-    normal matrix.
+    normal matrix.  The condition is ``lambda_max / lambda_min`` of that
+    symmetric matrix's eigenvalues, which agrees with the 2-norm condition
+    number ``np.linalg.cond`` computes by an SVD to rounding; it is ``inf``
+    when ``lambda_min <= 0``, as for a rank-deficient ``B`` at ``delta = 0``.
     """
     b = smoothed_sections
     g = smoothed_targets if smoothed_targets.ndim == 2 else smoothed_targets[:, None]
@@ -116,7 +119,8 @@ def solve_regularized(smoothed_sections: np.ndarray, smoothed_targets: np.ndarra
             f"for target column(s) {bad.tolist()}",
             diagnostics={"delta": delta, "nonfinite_columns": bad.tolist()},
         )
-    condition = float(np.linalg.cond(normal))
+    eigenvalues = np.linalg.eigvalsh(normal)
+    condition = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else np.inf
     residuals = np.linalg.norm(b @ coef - g, axis=0)
     if smoothed_targets.ndim == 1:
         return coef[:, 0], residuals, condition

@@ -119,8 +119,11 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
     # row-wise reduction (not a BLAS product) so identical section rows give
     # bitwise-identical values regardless of row position: a batch matches
     # single-point calls, and cyclic shifts of the state permute a stencil
-    # prediction exactly
-    values = (sections[:, None, :] * model.coefficients).sum(axis=2)
+    # prediction exactly; one coefficient row at a time keeps the temporary
+    # at the size of the sections
+    values = np.empty((len(sections), len(model.coefficients)))
+    for r, row in enumerate(model.coefficients):
+        values[:, r] = (sections * row).sum(axis=1)
     if model.stencil is not None:
         values, flags = values.reshape(n, d), flags.reshape(n, d).any(axis=1)
     return values, flags
@@ -180,10 +183,10 @@ class SnapshotSet:
 
     Each record pairs the stencil neighborhood of one coordinate at one
     base time with that coordinate's increment rate over the following
-    three steps.  The stencil that produced the records rides along.
+    three steps.  The stencil that produced the records rides along; its
+    ``m`` is the record dimension.
     """
 
-    m: int
     inputs: np.ndarray  # (n_records, m)
     targets: np.ndarray  # (n_records,)
     dt: float
@@ -210,7 +213,6 @@ def extract_snapshots(traj: Trajectory, stencil: Stencil) -> SnapshotSet:
     inputs = base[:, left]  # (n, d, m)
     targets = rates  # (n, d)
     return SnapshotSet(
-        m=stencil.m,
         inputs=inputs.reshape(n * d, stencil.m),
         targets=targets.reshape(n * d),
         dt=traj.dt,

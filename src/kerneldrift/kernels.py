@@ -10,8 +10,10 @@ exactly the entries a dense evaluation keeps:
 
 * the Markov smoothing operator (:func:`markov_apply`) -- ``g`` with each
   row divided by its sum, a row-stochastic matrix between two point clouds,
-  assembled as a sparse matrix from a tree-to-tree query and applied to
-  dense or sparse columns;
+  assembled as a canonical CSR matrix straight from sorted pair keys and
+  applied to dense or sparse columns.  Between two clouds the pairs come
+  from a tree-to-tree query; a cloud with itself lists each pair once and
+  keys both orientations and the diagonal from it;
 * the diffusion kernel (:class:`KernelModel`) over a few hundred centers --
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
   ``deg_r(x) = mean_j g(x, c_j)`` and left degree
@@ -127,12 +129,15 @@ def markov_apply(rows, cols, epsilon: float, values,
     """Apply the row-stochastic Gaussian kernel matrix to columns of ``values``.
 
     Entry (i, j) of the matrix is ``g(r_i, c_j) / sum_j' g(r_i, c_j')``
-    over the raw values at or above ``theta_zero``, listed by a tree-to-tree
-    radius query (:func:`_gaussian_pairs`).  They form a canonical
-    (sorted-index) CSR matrix, so the result does not depend on the order
-    in which the tree lists pairs.  ``values`` is a dense array or a 2-d
-    ``scipy.sparse`` array; a sparse one is multiplied as a sparse product
-    and gives the same dense result, bit for bit.
+    over the raw values at or above ``theta_zero``, listed by a radius
+    query (:func:`_gaussian_pairs`) in sorted order: the canonical
+    (sorted-index) CSR matrix is built from them directly, so the result
+    does not depend on the order in which the tree lists pairs.  When
+    ``rows is cols`` one tree lists each pair once; the result is the same,
+    bit for bit, as for a copy of the cloud.  ``values`` is a dense array
+    or a 2-d ``scipy.sparse`` array; a sparse one is multiplied as a
+    sparse product, its stored entries are divided by their row sums, and
+    the dense result is the same, bit for bit.
 
     Raises
     ------
@@ -164,10 +169,12 @@ def markov_apply(rows, cols, epsilon: float, values,
         raise ValueError("values must be finite")
     _check_markov_points(rows, cols)
 
-    i, j, g = _gaussian_pairs(rows, cKDTree(cols), epsilon, theta_zero,
-                              point_tree=cKDTree(rows))
-    kernel = sp.csr_array((g, (i, j)), shape=(len(rows), len(cols)))
-    kernel.sum_duplicates()  # sorts the column indices of every row
+    tree = cKDTree(cols)
+    i, j, g = _gaussian_pairs(rows, tree, epsilon, theta_zero,
+                              point_tree=tree if rows is cols else cKDTree(rows))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=len(rows)), out=indptr[1:])
+    kernel = sp.csr_array((g, j, indptr), shape=(len(rows), len(cols)))
 
     sums = kernel.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
@@ -175,8 +182,11 @@ def markov_apply(rows, cols, epsilon: float, values,
         raise IsolatedPointError(row=int(dead[0]))
     out = kernel @ v
     if sp.issparse(out):
+        # the same division of every stored entry as of the dense result
+        out.data /= sums.repeat(np.diff(out.indptr))
         out = out.toarray()
-    out /= sums[:, None]
+    else:
+        out /= sums[:, None]
     return out[:, 0] if single else out
 
 
@@ -206,11 +216,17 @@ def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
     where it is at or above ``theta_zero`` and 0 where it is not.
 
     Candidates come from a radius query of ``tree`` at
-    ``sqrt(epsilon * ln(1 / theta_zero))``: one tree-to-tree query against
-    ``point_tree`` when it is given, one ball query per point otherwise.
-    The threshold test itself decides, on a squared distance recomputed
-    from the coordinates in the order ``cdist`` sums them, so the nonzero
-    values are exactly those of a dense evaluation.  The radius carries a
+    ``sqrt(epsilon * ln(1 / theta_zero))``: one ball query per point
+    without ``point_tree``; one tree-to-tree query against a separate
+    ``point_tree``; when ``point_tree is tree``, one ``query_pairs`` that
+    lists each unordered pair once, keyed in both orientations plus the
+    diagonal.  With a ``point_tree`` each pair is encoded as the int64 key
+    ``i * n_cols + j``; the keys are unique, so sorting them gives the
+    pairs in canonical CSR order (by row, then column).  The threshold test
+    itself decides, on a squared distance recomputed in that order from
+    the coordinates in the order ``cdist`` sums them, so the nonzero values
+    are exactly those of a dense evaluation; negating a coordinate gap is
+    exact, so ``(j, i)`` gets the bits of ``(i, j)``.  The radius carries a
     relative pad so that rounding in the tree's distances cannot drop a
     pair the test keeps; the few candidates it adds get a zero.
     """
@@ -221,18 +237,33 @@ def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
         i = np.arange(len(points)).repeat(counts)
         j = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=len(i))
     else:
-        pairs = point_tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
-        i, j = pairs["i"], pairs["j"]
+        keys = _pair_keys(tree, point_tree, radius)
+        keys.sort()
+        i, j = np.divmod(keys, tree.n, out=(keys, np.empty_like(keys)))
     if not len(i):
         # typical of a single query far from every center, where the
         # arithmetic on empty arrays would cost as much as the query
         return i, j, np.zeros(0)
-    diff = points.take(i, axis=0) - tree.data.take(j, axis=0)
-    diff *= diff
-    sq = diff[:, 0]
-    for k in range(1, points.shape[1]):
-        sq = sq + diff[:, k]
+    # coordinate by coordinate, so the temporaries stay the size of one
+    # column; adding the first square to zero is exact
+    sq = np.zeros(len(i))
+    for k in range(points.shape[1]):
+        gap = points[:, k].take(i)
+        gap -= tree.data[:, k].take(j)
+        gap *= gap
+        sq += gap
     return i, j, _gaussian(sq, epsilon, theta_zero)
+
+
+def _pair_keys(tree: cKDTree, point_tree: cKDTree, radius: float) -> np.ndarray:
+    """Unsorted int64 keys ``i * tree.n + j`` of the pairs within ``radius``
+    of ``point_tree`` point ``i`` and ``tree`` point ``j``."""
+    n = tree.n
+    if point_tree is tree:
+        lo, hi = tree.query_pairs(radius, output_type="ndarray").astype(np.int64).T
+        return np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
+    pairs = point_tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
+    return pairs["i"].astype(np.int64) * n + pairs["j"]
 
 
 def _check_markov_points(rows: np.ndarray, cols: np.ndarray) -> None:

@@ -171,6 +171,22 @@ def test_solver_failure_raises():
         solve_regularized(b, np.ones(4), delta=0.1)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_condition_matches_svd(delta):
+    rng = np.random.default_rng(12)
+    b = rng.normal(size=(60, 8)) * np.logspace(0, 2, 8)
+    _, _, condition = solve_regularized(b, rng.normal(size=60), delta)
+    expected = np.linalg.cond(b.T @ b + delta * np.eye(8))
+    np.testing.assert_allclose(condition, expected, rtol=1e-8)
+
+
+def test_condition_infinite_for_rank_deficient():
+    b = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    coef, _, condition = solve_regularized(b, np.ones(3), delta=0.0)
+    assert condition == np.inf
+    assert np.isfinite(coef).all()
+
+
 def test_fit_targets_shares_kernel_across_columns():
     rng = np.random.default_rng(10)
     x = rng.uniform(-1, 1, size=(300, 2))

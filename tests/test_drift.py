@@ -162,6 +162,17 @@ class TestDenseEstimator:
             np.testing.assert_array_equal(batch[i], v)
             assert flags[i] == f
 
+    def test_matches_broadcast_reduction(self, hopf_fit):
+        # one coefficient row at a time gives the bits of the reduction
+        # over a (n, k, M) broadcast product
+        _, traj, model = hopf_fit
+        from kerneldrift.kernels import section_matrix
+
+        pts = traj.points[::20]
+        sections, _ = section_matrix(model.kernel, pts)
+        expected = (sections[:, None, :] * model.coefficients).sum(axis=2)
+        np.testing.assert_array_equal(predict_drift_many(model, pts)[0], expected)
+
     def test_dimension_mismatch(self, hopf_fit):
         _, _, model = hopf_fit
         with pytest.raises(ValueError):
@@ -271,7 +282,7 @@ class TestSparseEstimator:
         rest = np.array([i for i in range(n) if i not in centers])
         perm = np.arange(n)
         perm[rest] = rest[np.random.default_rng(4).permutation(len(rest))]
-        shuffled = SnapshotSet(m=snaps.m, inputs=snaps.inputs[perm],
+        shuffled = SnapshotSet(inputs=snaps.inputs[perm],
                                targets=snaps.targets[perm], dt=snaps.dt,
                                stencil=snaps.stencil)
         base = estimate_drift_sparse(snaps, params)

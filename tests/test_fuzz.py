@@ -4,11 +4,13 @@ Clouds with duplicate points, a constant coordinate, one dimension, as
 many centers as inputs, a handful of points and bandwidths from 1e-300 to
 1e300: every case gives finite values or a documented ``NumericalError``
 or ``ValueError``.  Section rows also match the dense ``cdist`` oracle bit
-for bit.
+for bit, and a Markov pass over one cloud (its self-pair query) matches
+the tree-to-tree query over a copy of it.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -17,6 +19,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from kerneldrift import CondExpParams, NumericalError, diffusion_model, section_matrix  # noqa: E402
 from kerneldrift.condexp import fit_targets  # noqa: E402
+from kerneldrift.kernels import markov_apply  # noqa: E402
 from test_kernels import section_oracle  # noqa: E402
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -58,6 +61,20 @@ def test_section_rows_fuzz(cloud_pair, epsilon):
     expected, expected_flags = section_oracle(model, queries)
     np.testing.assert_array_equal(flags, expected_flags)
     np.testing.assert_array_equal(sections, expected)
+
+
+@FUZZ
+@given(clouds(), bandwidths, st.booleans())
+def test_markov_self_pairs_fuzz(points, epsilon, sparse):
+    # rows is cols (one self-pair query) against a copy of the cloud (the
+    # tree-to-tree query): the same result bit for bit
+    values = np.random.default_rng(len(points)).normal(size=(len(points), 3))
+    values[::2, 0] = 0.0
+    if sparse:
+        values = sp.csr_array(values)
+    got = markov_apply(points, points, epsilon, values)
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got, markov_apply(points, points.copy(), epsilon, values))
 
 
 @st.composite

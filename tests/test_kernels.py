@@ -194,6 +194,41 @@ class TestMarkovMatrix:
             decisions.add(kept)
         assert decisions == {False, True}
 
+    @pytest.mark.parametrize("far, theta_zero", [
+        ((3.0, 4.0), 1e-14),
+        ((1.0, 0.0), 0.22),
+    ])
+    def test_threshold_boundary_self_pairs(self, far, theta_zero):
+        # the same boundary with rows is cols, where each pair is listed
+        # once and keyed in both orientations
+        points = np.array([[0.0, 0.0], far])
+        base = (far[0] ** 2 + far[1] ** 2) / math.log(1.0 / theta_zero)
+        decisions = set()
+        for ulps in range(-4, 5):
+            eps = base * (1.0 + ulps * 2.0**-52)
+            kept = bool(thresholded_oracle(points, points, eps, theta_zero)[0, 1] > 0.0)
+            got = markov_apply(points, points, eps, np.eye(2), theta_zero)
+            assert (got[0, 1] != 0.0) == kept, ulps
+            assert (got[1, 0] != 0.0) == kept, ulps
+            decisions.add(kept)
+        assert decisions == {False, True}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_self_pairs_match_tree_to_tree(self, d, sparse):
+        # rows is cols takes the self-pair query; a copy of the same cloud
+        # takes the tree-to-tree query: the results agree bit for bit
+        base = cloud(n=150, d=d, seed=50 + d, scale=2.0)
+        data = np.vstack([base, base[:20], base[:5]])  # duplicate points
+        eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
+        rng = np.random.default_rng(d)
+        values = rng.normal(size=(len(data), 6)) * (rng.random((len(data), 6)) < 0.2)
+        if sparse:
+            values = sp.csr_array(values)
+        got = markov_apply(data, data, eps, values)
+        assert (got == 0.0).any() and (got != 0.0).any()
+        np.testing.assert_array_equal(got, markov_apply(data, data.copy(), eps, values))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             markov_apply(cloud(n=5, d=2), cloud(n=5, d=3), 1.0, np.ones(5))
