@@ -12,7 +12,10 @@ where ``G`` and ``P`` are row-stochastic Gaussian smoothing matrices over
 the inputs and ``K`` is the matrix of kernel sections at the inputs.  All
 three bandwidths are tuned by sparsity targets unless given explicitly.
 :func:`fit_targets` is the one fit; the expansion is evaluated through
-the rows of :func:`~kerneldrift.kernels.section_matrix`.
+the rows of :func:`~kerneldrift.kernels.section_matrix`.  The thresholded
+operators are sparse, and so is ``B = P K``: the fit keeps ``K``, ``B``
+and the products of the normal equations in CSR, and only the (M, M)
+normal matrix and the (N, k) smoothed targets are dense.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import SolverError
 from .kernels import (
     DEFAULT_THETA_ZERO,
     KernelModel,
+    _section_blocks,
     diffusion_model,
     markov_apply,
     section_matrix,
@@ -86,12 +90,17 @@ def select_centers(n: int, params: CondExpParams) -> np.ndarray:
     return np.arange(m) * (n // m)
 
 
-def solve_regularized(smoothed_sections: np.ndarray, smoothed_targets: np.ndarray,
+def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
+                      smoothed_targets: np.ndarray,
                       delta: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Ridge solution of ``min || B a - g ||^2 + delta ||a||^2`` per column.
 
     Uses the regularized normal equations with a Cholesky factorization;
     for ``delta = 0`` falls back to a minimum-norm least-squares solve.
+    ``B`` is a dense or a CSR array, ``g`` dense.  The normal matrix
+    ``B^T B``, the right-hand side ``B^T g`` and the residuals
+    ``B a - g`` come from ``B`` as given: a CSR ``B`` gives them as sparse
+    products, and only the (M, M) normal matrix is densified.
     Returns ``(coefficients, residual_norms, condition)`` with one column /
     entry per target column and the condition number of the (regularized)
     normal matrix.  The condition is ``lambda_max / lambda_min`` of that
@@ -102,6 +111,8 @@ def solve_regularized(smoothed_sections: np.ndarray, smoothed_targets: np.ndarra
     b = smoothed_sections
     g = smoothed_targets if smoothed_targets.ndim == 2 else smoothed_targets[:, None]
     normal = b.T @ b
+    if sp.issparse(normal):
+        normal = normal.toarray()
     rhs = b.T @ g
     try:
         if delta > 0:
@@ -158,18 +169,20 @@ def fit_targets(inputs, targets, params: CondExpParams
 
     centers = select_centers(len(inputs), params)
     kernel = diffusion_model(inputs[centers], eps2, params.theta_zero)
-    sections, _ = section_matrix(kernel, inputs)
+    # the sections keep about 1% of their entries: they are evaluated one
+    # row block at a time and kept as CSR
+    sections = sp.vstack([sp.csr_array(section_matrix(kernel, inputs[rows])[0])
+                          for rows in _section_blocks(kernel, inputs)], format="csr")
 
     # one eps3 pass applies the Markov matrix to the kernel sections and
-    # the smoothed targets together, as a sparse product: the sections keep
-    # about 1% of their entries
+    # the smoothed targets together, as a sparse product that stays CSR;
+    # only the k target columns are densified
     smoothed_y = markov_apply(inputs, inputs, eps1, y, params.theta_zero)
     stacked = markov_apply(inputs, inputs, eps3,
-                           sp.hstack([sp.csr_array(sections), sp.csr_array(smoothed_y)],
-                                     format="csr"),
+                           sp.hstack([sections, sp.csr_array(smoothed_y)], format="csr"),
                            params.theta_zero)
-    b = stacked[:, : sections.shape[1]]
-    g = stacked[:, sections.shape[1] :]
+    b = stacked[:, : kernel.n_centers]
+    g = stacked[:, kernel.n_centers :].toarray()
     coef, residuals, condition = solve_regularized(b, g, params.delta)
 
     diagnostics = {

@@ -29,6 +29,7 @@ from . import condexp
 from .condexp import CondExpParams
 from .kernels import (
     KernelModel,
+    _section_blocks,
     kernel_model_from_dict,
     kernel_model_to_dict,
     section_matrix,
@@ -115,15 +116,17 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
     n, d = points.shape
     if model.stencil is not None:
         points = points[:, np.array(model.stencil.left)].reshape(n * d, model.stencil.m)
-    sections, flags = section_matrix(model.kernel, points)
     # row-wise reduction (not a BLAS product) so identical section rows give
     # bitwise-identical values regardless of row position: a batch matches
     # single-point calls, and cyclic shifts of the state permute a stencil
-    # prediction exactly; one coefficient row at a time keeps the temporary
-    # at the size of the sections
-    values = np.empty((len(sections), len(model.coefficients)))
-    for r, row in enumerate(model.coefficients):
-        values[:, r] = (sections * row).sum(axis=1)
+    # prediction exactly; one row block of sections and one coefficient row
+    # at a time keep the temporaries at the size of a block
+    values = np.empty((len(points), len(model.coefficients)))
+    flags = np.empty(len(points), dtype=bool)
+    for rows in _section_blocks(model.kernel, points):
+        sections, flags[rows] = section_matrix(model.kernel, points[rows])
+        for r, row in enumerate(model.coefficients):
+            values[rows, r] = (sections * row).sum(axis=1)
     if model.stencil is not None:
         values, flags = values.reshape(n, d), flags.reshape(n, d).any(axis=1)
     return values, flags

@@ -11,7 +11,8 @@ exactly the entries a dense evaluation keeps:
 * the Markov smoothing operator (:func:`markov_apply`) -- ``g`` with each
   row divided by its sum, a row-stochastic matrix between two point clouds,
   assembled as a canonical CSR matrix straight from sorted pair keys and
-  applied to dense or sparse columns.  Between two clouds the pairs come
+  applied to dense columns, giving a dense result, or to sparse columns,
+  giving a CSR result.  Between two clouds the pairs come
   from a tree-to-tree query; a cloud with itself lists each pair once and
   keys both orientations and the diagonal from it;
 * the diffusion kernel (:class:`KernelModel`) over a few hundred centers --
@@ -24,7 +25,9 @@ exactly the entries a dense evaluation keeps:
   compared.  Its sections (:func:`section_matrix`) are dense rows over the
   centers, filled from one ball query per query point against that tree,
   and they are the one evaluator of a kernel expansion:
-  ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  The
+  ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
+  large batch is evaluated one row block at a time (:func:`_section_blocks`),
+  so its dense (n, M) sections are never built whole.  The
   diffusion kernel is symmetrizable: ``rho(x) k(x, y) / rho(y)`` with
   ``rho = sqrt(deg_l / deg_r)`` equals
   ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
@@ -50,6 +53,9 @@ DEFAULT_THETA_ZERO = 1e-14
 
 # a sum of fewer than 10^8 squared coordinate gaps below this stays finite
 _SAFE_GAP = 1e150
+
+# rows of dense sections evaluated at a time (about 2 MB at M = 500)
+_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -125,7 +131,7 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
 
 
 def markov_apply(rows, cols, epsilon: float, values,
-                 theta_zero: float = DEFAULT_THETA_ZERO) -> np.ndarray:
+                 theta_zero: float = DEFAULT_THETA_ZERO) -> np.ndarray | sp.csr_array:
     """Apply the row-stochastic Gaussian kernel matrix to columns of ``values``.
 
     Entry (i, j) of the matrix is ``g(r_i, c_j) / sum_j' g(r_i, c_j')``
@@ -134,10 +140,10 @@ def markov_apply(rows, cols, epsilon: float, values,
     (sorted-index) CSR matrix is built from them directly, so the result
     does not depend on the order in which the tree lists pairs.  When
     ``rows is cols`` one tree lists each pair once; the result is the same,
-    bit for bit, as for a copy of the cloud.  ``values`` is a dense array
-    or a 2-d ``scipy.sparse`` array; a sparse one is multiplied as a
-    sparse product, its stored entries are divided by their row sums, and
-    the dense result is the same, bit for bit.
+    bit for bit, as for a copy of the cloud.  ``values`` is a dense array,
+    which gives a dense result, or a 2-d ``scipy.sparse`` array, which
+    gives a CSR array: the sparse product with each stored entry divided
+    by its row sum, whose ``toarray()`` is the dense result bit for bit.
 
     Raises
     ------
@@ -184,7 +190,6 @@ def markov_apply(rows, cols, epsilon: float, values,
     if sp.issparse(out):
         # the same division of every stored entry as of the dense result
         out.data /= sums.repeat(np.diff(out.indptr))
-        out = out.toarray()
     else:
         out /= sums[:, None]
     return out[:, 0] if single else out
@@ -325,6 +330,40 @@ def _raw_rows(model: KernelModel, points: np.ndarray) -> np.ndarray:
     return raw
 
 
+def _check_queries(model: KernelModel, points: np.ndarray) -> None:
+    """Reject the first (n, d) query point that is not finite or whose
+    squared distances to the centers overflow, naming its row index."""
+    lo, hi = model._tree.mins, model._tree.maxes
+    # a cheap bound first: no squared distance to a corner of the centers'
+    # box can overflow while every coordinate gap stays below it
+    if np.maximum(points - lo, hi - points).max(initial=0.0) < _SAFE_GAP:
+        return
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad = np.argmin(finite)
+        raise ValueError(f"query point {bad} is not finite: {points[bad].tolist()}")
+    overflow = ~(_far_sq(points, lo, hi) < np.inf)
+    if overflow.any():
+        bad = np.argmax(overflow)
+        raise ValueError(
+            f"query point {bad} is too far from every center to find the "
+            f"nearest one (squared distances overflow): {points[bad].tolist()}"
+        )
+
+
+def _section_blocks(model: KernelModel, points: np.ndarray) -> list[slice]:
+    """Row slices of at most ``_BLOCK_ROWS`` over an (n, d) batch, in order.
+
+    Callers evaluate :func:`section_matrix` one block at a time, so no
+    dense (n, M) array is built.  A batch of more than one block is
+    checked here, once, so that an error names the row's index in the
+    whole batch; a single block is left to :func:`section_matrix`.
+    """
+    if len(points) > _BLOCK_ROWS:
+        _check_queries(model, points)
+    return [slice(s, s + _BLOCK_ROWS) for s in range(0, len(points), _BLOCK_ROWS)]
+
+
 def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate all kernel sections ``k(., c_j)`` at query points.
 
@@ -359,21 +398,7 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query dimension {points.shape[1]} != center dimension {model.dimension}"
         )
-    lo, hi = model._tree.mins, model._tree.maxes
-    # a cheap bound first: no squared distance to a corner of the centers'
-    # box can overflow while every coordinate gap stays below it
-    if not np.maximum(points - lo, hi - points).max(initial=0.0) < _SAFE_GAP:
-        finite = np.isfinite(points).all(axis=1)
-        overflow = ~(_far_sq(points, lo, hi) < np.inf)
-        if not finite.all():
-            bad = np.argmin(finite)
-            raise ValueError(f"query point {bad} is not finite: {points[bad].tolist()}")
-        if overflow.any():
-            bad = np.argmax(overflow)
-            raise ValueError(
-                f"query point {bad} is too far from every center to find the "
-                f"nearest one (squared distances overflow): {points[bad].tolist()}"
-            )
+    _check_queries(model, points)
 
     sections = _raw_rows(model, points)
     extrapolated = ~sections.any(axis=1)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from kerneldrift import CondExpParams, SolverError, diffusion_model, section_matrix
+from kerneldrift import CondExpParams, SolverError, condexp, diffusion_model, section_matrix
 from kerneldrift.condexp import fit_targets, select_centers, solve_regularized
+from kerneldrift.kernels import _BLOCK_ROWS
 
 
 def fit_1d(x, y, params):
@@ -94,6 +96,21 @@ def test_residual_monotone_in_ridge():
         _, _, diagnostics = fit_1d(x, y, CondExpParams(n_centers=80, delta=delta))
         residuals.append(diagnostics["residual_norms"][0])
     assert all(a <= b for a, b in zip(residuals, residuals[1:]))
+
+
+def test_residual_rises_with_ridge_at_unit_scale():
+    # explicit bandwidths keep the normal matrix's eigenvalues near 1..1e3,
+    # where delta in [1e-3, 1] competes with them: the residual rises
+    # visibly at every step, not just by rounding
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-2, 2, size=60)
+    y = np.sin(2 * x) + 0.3 * rng.standard_normal(60)
+    residuals = []
+    for delta in (0.0, 1e-3, 1e-1, 1.0):
+        params = CondExpParams(n_centers=20, delta=delta, eps1=0.025, eps2=0.1, eps3=0.025)
+        residuals.append(fit_1d(x, y, params)[2]["residual_norms"][0])
+    assert all(a < b for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] > 1.01 * residuals[0]
 
 
 def test_permutation_equivariance():
@@ -197,3 +214,74 @@ def test_fit_targets_shares_kernel_across_columns():
     single_kernel, single_coef, _ = fit_targets(x, targets[:, 0],
                                                 CondExpParams(n_centers=80))
     np.testing.assert_allclose(single_coef[0], coef[0], rtol=1e-10, atol=1e-12)
+
+
+def sparse_design(seed=13, n=200, m=30):
+    """A CSR ``B`` with about 15% of its entries and scaled columns."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.15) * np.logspace(0, 1, m)
+    dense[np.arange(m), np.arange(m)] += 1.0  # every column stored
+    return sp.csr_array(dense), rng.normal(size=(n, 3))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_csr_design_matches_dense(delta, monkeypatch):
+    b, g = sparse_design()
+    dense = solve_regularized(b.toarray(), g, delta)
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    coef, residuals, condition = solve_regularized(b, g, delta)
+    # delta = 0 still takes the least-squares solve, delta > 0 the Cholesky one
+    assert len(calls) == (delta == 0.0)
+    assert isinstance(coef, np.ndarray) and isinstance(residuals, np.ndarray)
+    np.testing.assert_allclose(coef, dense[0], rtol=1e-10)
+    np.testing.assert_allclose(residuals, dense[1], rtol=1e-10)
+    np.testing.assert_allclose(condition, dense[2], rtol=1e-9)
+
+
+def test_csr_design_rank_deficient_zero_ridge():
+    b = sp.csr_array(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
+    coef, _, condition = solve_regularized(b, np.ones(3), delta=0.0)
+    assert condition == np.inf
+    assert np.isfinite(coef).all()
+
+
+def test_csr_design_failure_raises():
+    b = sp.csr_array(np.array([[np.nan, 1.0], [1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(SolverError):
+        solve_regularized(b, np.ones(3), delta=0.1)
+
+
+def test_blocked_sections_feed_eps3_pass(monkeypatch):
+    # more than two row blocks: the CSR sections stacked into the eps3 pass
+    # are those of one dense evaluation, same indices and same data bits
+    rng = np.random.default_rng(14)
+    n = 2 * _BLOCK_ROWS + 37
+    x = rng.normal(size=(n, 2))
+    y = np.stack([x[:, 0] * x[:, 1], np.cos(x[:, 0])], axis=1)
+    passes = []
+    markov_apply = condexp.markov_apply
+
+    def spy(rows, cols, epsilon, values, theta_zero):
+        passes.append(values)
+        return markov_apply(rows, cols, epsilon, values, theta_zero)
+
+    monkeypatch.setattr(condexp, "markov_apply", spy)
+    kernel, _, _ = fit_targets(x, y, CondExpParams(n_centers=40))
+    assert len(passes) == 2 and sp.issparse(passes[1])
+    fed = passes[1][:, : kernel.n_centers]
+    expected = sp.csr_array(section_matrix(kernel, x)[0])
+    assert fed.has_canonical_format
+    np.testing.assert_array_equal(fed.indptr, expected.indptr)
+    np.testing.assert_array_equal(fed.indices, expected.indices)
+    np.testing.assert_array_equal(fed.data, expected.data)
+
+
+def test_far_input_past_first_block_named():
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(_BLOCK_ROWS + 50, 1))
+    x[_BLOCK_ROWS + 21] = 1e200
+    params = CondExpParams(n_centers=20, eps1=0.1, eps2=0.1, eps3=0.1)
+    with pytest.raises(ValueError, match=f"query point {_BLOCK_ROWS + 21} is too far"):
+        fit_targets(x, np.zeros(len(x)), params)

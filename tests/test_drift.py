@@ -23,6 +23,7 @@ from kerneldrift.drift import (
     load_drift_model,
     save_drift_model,
 )
+from kerneldrift.kernels import _BLOCK_ROWS, section_matrix
 from kerneldrift.systems import Trajectory
 
 
@@ -376,3 +377,66 @@ def test_constant_trajectory_fit_predicts_zero():
     model = estimate_drift(traj, params)
     value, _ = predict_drift(model, np.array([1.0, 2.0]))
     np.testing.assert_allclose(value, [0.0, 0.0], atol=1e-10)
+
+
+def blocked_batch(traj, far, row):
+    """More than two section blocks of path states, with state ``row`` set to
+    ``far``, which falls back to its nearest center."""
+    n = 2 * _BLOCK_ROWS + 37
+    pts = traj.points[np.arange(n) % len(traj.points)].copy()
+    pts[row] = far
+    return pts
+
+
+def broadcast_oracle(model, points):
+    """Predictions from one dense evaluation of every section row."""
+    records = points if model.stencil is None else \
+        points[:, np.array(model.stencil.left)].reshape(-1, model.stencil.m)
+    sections, flags = section_matrix(model.kernel, records)
+    values = (sections[:, None, :] * model.coefficients).sum(axis=2)
+    if model.stencil is None:
+        return values, flags
+    n, d = points.shape
+    return values.reshape(n, d), flags.reshape(n, d).any(axis=1)
+
+
+def assert_blocks_match_single_and_oracle(model, pts, row):
+    values, flags = predict_drift_many(model, pts)
+    assert flags[row]
+    expected, expected_flags = broadcast_oracle(model, pts)
+    np.testing.assert_array_equal(values, expected)
+    np.testing.assert_array_equal(flags, expected_flags)
+    for i, x in enumerate(pts):
+        v, f = predict_drift(model, x)
+        np.testing.assert_array_equal(values[i], v)
+        assert flags[i] == f
+    return values
+
+
+def test_batch_across_blocks_dense(hopf_fit):
+    _, traj, model = hopf_fit
+    row = _BLOCK_ROWS + 5
+    pts = blocked_batch(traj, [500.0, 500.0], row)
+    assert_blocks_match_single_and_oracle(model, pts, row)
+
+
+def test_batch_across_blocks_stencil(l96_sparse_fit):
+    _, traj, _, model = l96_sparse_fit
+    # five section rows per state: this state's rows open the second block
+    row = _BLOCK_ROWS // 5 + 1
+    pts = blocked_batch(traj, [8.0, 8.0, 500.0, 8.0, 8.0], row)
+    values = assert_blocks_match_single_and_oracle(model, pts, row)
+    # the rows of state 102 straddle the first block boundary, so a cyclic
+    # shift moves section rows across it; equivariance stays exact
+    shifted, _ = predict_drift_many(model, np.roll(pts, 1, axis=1))
+    np.testing.assert_array_equal(shifted, np.roll(values, 1, axis=1))
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "is not finite"),
+                                          (1e200, "is too far from every center")])
+def test_bad_query_past_first_block_named(hopf_fit, bad, message):
+    _, traj, model = hopf_fit
+    pts = blocked_batch(traj, [0.0, 0.0], 0)
+    pts[_BLOCK_ROWS + 100, 1] = bad
+    with pytest.raises(ValueError, match=f"query point {_BLOCK_ROWS + 100} {message}"):
+        predict_drift_many(model, pts)

@@ -3,9 +3,11 @@
 Clouds with duplicate points, a constant coordinate, one dimension, as
 many centers as inputs, a handful of points and bandwidths from 1e-300 to
 1e300: every case gives finite values or a documented ``NumericalError``
-or ``ValueError``.  Section rows also match the dense ``cdist`` oracle bit
-for bit, and a Markov pass over one cloud (its self-pair query) matches
-the tree-to-tree query over a copy of it.
+or ``ValueError``, from the kernels up to a drift fit and its predictions.
+Section rows also match the dense ``cdist`` oracle bit for bit, a Markov
+pass over one cloud (its self-pair query) matches the tree-to-tree query
+over a copy of it, and a fit's coefficients solve the dense normal
+equations of its own ``B`` and ``g`` to rounding.
 """
 
 import numpy as np
@@ -17,9 +19,20 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from kerneldrift import CondExpParams, NumericalError, diffusion_model, section_matrix  # noqa: E402
+from kerneldrift import (  # noqa: E402
+    CondExpParams,
+    NumericalError,
+    Stencil,
+    diffusion_model,
+    estimate_drift,
+    estimate_drift_sparse,
+    extract_snapshots,
+    predict_drift_many,
+    section_matrix,
+)
 from kerneldrift.condexp import fit_targets  # noqa: E402
 from kerneldrift.kernels import markov_apply  # noqa: E402
+from kerneldrift.systems import Trajectory  # noqa: E402
 from test_kernels import section_oracle  # noqa: E402
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -68,13 +81,18 @@ def test_section_rows_fuzz(cloud_pair, epsilon):
 def test_markov_self_pairs_fuzz(points, epsilon, sparse):
     # rows is cols (one self-pair query) against a copy of the cloud (the
     # tree-to-tree query): the same result bit for bit
-    values = np.random.default_rng(len(points)).normal(size=(len(points), 3))
-    values[::2, 0] = 0.0
-    if sparse:
-        values = sp.csr_array(values)
+    dense = np.random.default_rng(len(points)).normal(size=(len(points), 3))
+    dense[::2, 0] = 0.0
+    values = sp.csr_array(dense) if sparse else dense
     got = markov_apply(points, points, epsilon, values)
+    copied = markov_apply(points, points.copy(), epsilon, values)
+    if sparse:
+        # sparse values give CSR, whose dense form is the dense-values result
+        assert isinstance(got, sp.csr_array) and isinstance(copied, sp.csr_array)
+        got, copied = got.toarray(), copied.toarray()
+        np.testing.assert_array_equal(got, markov_apply(points, points, epsilon, dense))
     assert np.isfinite(got).all()
-    np.testing.assert_array_equal(got, markov_apply(points, points.copy(), epsilon, values))
+    np.testing.assert_array_equal(got, copied)
 
 
 @st.composite
@@ -98,10 +116,63 @@ def fit_cases(draw):
 def test_fit_targets_fuzz(case):
     inputs, targets, params = case
     try:
-        kernel, coef, _ = fit_targets(inputs, targets, params)
+        kernel, coef, diagnostics = fit_targets(inputs, targets, params)
     except (NumericalError, ValueError):
         return
     assert np.isfinite(coef).all()
     sections, _ = section_matrix(kernel, inputs)
     field = (sections[:, None, :] * coef).sum(axis=2)
     assert np.isfinite(field).all()
+
+    # dense normal equations on the same B and g (the dense eps3 product):
+    # the coefficients solve them to rounding.  A minimum-norm solve at
+    # delta = 0 drops directions below eps * M of the largest eigenvalue,
+    # which leaves up to about sqrt(eps * M) of the scale.
+    theta = params.theta_zero
+    smoothed = markov_apply(inputs, inputs, diagnostics["eps1"], targets, theta)
+    stacked = markov_apply(inputs, inputs, diagnostics["eps3"],
+                           np.hstack([sections, smoothed]), theta)
+    b, g = stacked[:, : kernel.n_centers], stacked[:, kernel.n_centers :]
+    normal = b.T @ b + params.delta * np.eye(kernel.n_centers)
+    scale = (np.linalg.norm(normal) * np.linalg.norm(coef)
+             + np.linalg.norm(np.abs(b).T @ np.abs(g)))
+    tol = 1e-10 if params.delta > 0 else 1e-6
+    assert np.linalg.norm(normal @ coef.T - b.T @ g) <= tol * scale
+
+
+@st.composite
+def drift_cases(draw):
+    """A short path, possibly fitted through a two-offset cyclic stencil."""
+    points = draw(clouds(min_n=8, max_n=30))
+    n, d = points.shape
+    traj = Trajectory(dt=draw(st.sampled_from([1e-3, 0.01, 1.0])), points=points)
+    stencil = Stencil.cyclic(d, offsets=(-1, 0)) if d > 1 and draw(st.booleans()) else None
+    records = (n - 3) * (d if stencil else 1)
+    explicit = st.none() | bandwidths
+    params = CondExpParams(
+        n_centers=draw(st.integers(max(1, records - 3), records)),
+        subsample_fraction=1.0,
+        delta=draw(st.sampled_from([0.0, 1e-3, 0.1])),
+        eps1=draw(explicit), eps2=draw(explicit), eps3=draw(explicit),
+    )
+    far = draw(st.sampled_from([0.0, 1e3, 1e9]))
+    return traj, stencil, params, np.vstack([points, points[:1] + far])
+
+
+@FUZZ
+@given(drift_cases())
+def test_estimate_drift_fuzz(case):
+    # end to end: a finite field everywhere it is asked for, or a
+    # documented error, never a NaN
+    traj, stencil, params, probes = case
+    try:
+        if stencil is None:
+            model = estimate_drift(traj, params)
+        else:
+            model = estimate_drift_sparse(extract_snapshots(traj, stencil), params)
+        values, flags = predict_drift_many(model, probes)
+    except (NumericalError, ValueError):
+        return
+    assert np.isfinite(model.coefficients).all()
+    assert values.shape == probes.shape and flags.shape == (len(probes),)
+    assert np.isfinite(values).all()

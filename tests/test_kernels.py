@@ -222,12 +222,17 @@ class TestMarkovMatrix:
         data = np.vstack([base, base[:20], base[:5]])  # duplicate points
         eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
         rng = np.random.default_rng(d)
-        values = rng.normal(size=(len(data), 6)) * (rng.random((len(data), 6)) < 0.2)
-        if sparse:
-            values = sp.csr_array(values)
+        dense = rng.normal(size=(len(data), 6)) * (rng.random((len(data), 6)) < 0.2)
+        values = sp.csr_array(dense) if sparse else dense
         got = markov_apply(data, data, eps, values)
+        copied = markov_apply(data, data.copy(), eps, values)
+        if sparse:
+            # sparse values give CSR, whose dense form is the dense-values result
+            assert isinstance(got, sp.csr_array) and isinstance(copied, sp.csr_array)
+            got, copied = got.toarray(), copied.toarray()
+            np.testing.assert_array_equal(got, markov_apply(data, data, eps, dense))
         assert (got == 0.0).any() and (got != 0.0).any()
-        np.testing.assert_array_equal(got, markov_apply(data, data.copy(), eps, values))
+        np.testing.assert_array_equal(got, copied)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -240,8 +245,9 @@ class TestMarkovMatrix:
         dense = rng.normal(size=(300, 12)) * (rng.random((300, 12)) < 0.1)
         dense[:, -2:] = rng.normal(size=(300, 2))
         values = sp.csr_array(dense).asformat(fmt)
-        np.testing.assert_array_equal(markov_apply(data, data, 0.05, values),
-                                      markov_apply(data, data, 0.05, dense))
+        got = markov_apply(data, data, 0.05, values)
+        assert isinstance(got, sp.csr_array)
+        np.testing.assert_array_equal(got.toarray(), markov_apply(data, data, 0.05, dense))
 
     @pytest.mark.parametrize("where, bad, message", [
         ("rows", np.nan, "row point 2 is not finite"),
