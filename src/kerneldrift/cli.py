@@ -86,11 +86,13 @@ def _build_parser() -> tuple[_Parser, dict]:
                      help="cyclic stencil width (sparse estimator)")
     est.add_argument("--stencil-offsets", default=None,
                      help="comma-separated offsets, e.g. -2,-1,0,1 (overrides width)")
-    est.add_argument("--eta1", type=float, default=0.003)
-    est.add_argument("--eta2", type=float, default=0.01)
-    est.add_argument("--eta3", type=float, default=0.01)
-    est.add_argument("--delta", type=float, default=0.1)
-    est.add_argument("--centers", type=int, default=500, help="number of kernel centers M")
+    fit = condexp.CondExpParams()  # the fit's defaults are the options' defaults
+    est.add_argument("--eta1", type=float, default=fit.eta1)
+    est.add_argument("--eta2", type=float, default=fit.eta2)
+    est.add_argument("--eta3", type=float, default=fit.eta3)
+    est.add_argument("--delta", type=float, default=fit.delta)
+    est.add_argument("--centers", type=int, default=fit.n_centers,
+                     help="number of kernel centers M")
 
     cmp_ = sub.add_parser("compare", help="integrate true vs estimated field orbits")
     common(cmp_)
@@ -107,7 +109,7 @@ def _build_parser() -> tuple[_Parser, dict]:
                        help="comma-separated subset of the benchmark systems")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--dt", type=float, default=0.01)
-    sweep.add_argument("--centers", type=int, default=500)
+    sweep.add_argument("--centers", type=int, default=fit.n_centers)
     sweep.add_argument("--n", type=int, default=None,
                        help="override the per-system sample counts")
     return parser, {"simulate": sim, "estimate": est, "compare": cmp_, "sweep": sweep}
@@ -262,21 +264,14 @@ def cmd_sweep(args) -> int:
     for name in names:
         for noise in NOISE_SWEEP:
             cell_dir = out_root / f"{name}_noise{noise}"
-            sim_args = argparse.Namespace(
-                command="simulate", config=None, out=str(cell_dir), system=name,
-                noise=noise, n=args.n, dt=args.dt, seed=args.seed, burn_in=100,
-                substeps=10, cells=5,
-            )
-            cmd_simulate(sim_args)
-            est_args = argparse.Namespace(
-                command="estimate", config=None, out=str(cell_dir),
-                traj=str(cell_dir / "trajectory.csv"),
-                estimator="sparse" if name == "lorenz96" else "dense",
-                stencil_width=4 if name == "lorenz96" else None,
-                stencil_offsets=None, eta1=0.003, eta2=0.01, eta3=0.01,
-                delta=0.1, centers=args.centers,
-            )
-            cmd_estimate(est_args)
+            n = [] if args.n is None else [f"--n={args.n}"]
+            cmd_simulate(_parse_args([
+                "simulate", f"--out={cell_dir}", f"--system={name}", f"--noise={noise}",
+                f"--dt={args.dt}", f"--seed={args.seed}", *n]))
+            stencil = ["--estimator=sparse", "--stencil-width=4"] if name == "lorenz96" else []
+            cmd_estimate(_parse_args([
+                "estimate", f"--out={cell_dir}", f"--traj={cell_dir / 'trajectory.csv'}",
+                f"--centers={args.centers}", *stencil]))
             report = evaluation.load_error_report(cell_dir / "report.json")
             results[f"{name}@{noise}"] = report.relative_l2
     print("sweep summary (relative L2):")

@@ -72,13 +72,13 @@ class CondExpParams:
             raise ValueError(
                 f"subsample_fraction must lie in (0, 1], got {self.subsample_fraction}"
             )
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if self.n_centers < 1:
             raise ValueError(f"n_centers must be positive, got {self.n_centers}")
         for name in ("eps1", "eps2", "eps3"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive when given, got {value}")
 
 

@@ -101,6 +101,9 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
         raise ValueError(f"x0 has shape {x0.shape}, expected ({spec.dimension},)")
     if not np.isfinite(x0).all():
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    if not (0 < dt < np.inf and np.isfinite(horizon)):
+        raise ValueError(f"dt must be positive and finite and horizon finite, "
+                         f"got dt={dt}, horizon={horizon}")
     n_steps = int(round(horizon / dt))
     if n_steps < 3:
         raise ValueError("horizon must cover at least 3 steps")

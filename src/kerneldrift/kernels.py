@@ -10,10 +10,10 @@ exactly the entries a dense evaluation keeps:
 
 * the Markov smoothing operator (:func:`markov_apply`) -- ``g`` with each
   row divided by its sum, a row-stochastic matrix between two point clouds,
-  assembled as a canonical CSR matrix straight from sorted pair keys and
-  applied to dense columns, giving a dense result, or to sparse columns,
-  giving a CSR result.  Between two clouds the pairs come
-  from a tree-to-tree query; a cloud with itself lists each pair once and
+  assembled as a canonical CSR matrix and applied to dense columns, giving
+  a dense result, or to sparse columns, giving a CSR result.  Between two
+  clouds the pairs come from one ball query per row point, each CSR row
+  then put in column order; a cloud with itself lists each pair once and
   keys both orientations and the diagonal from it;
 * the diffusion kernel (:class:`KernelModel`) over a few hundred centers --
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
@@ -21,16 +21,15 @@ exactly the entries a dense evaluation keeps:
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
   empirical measure of the centers.  Only ``deg_r`` is stored; the left
   degree is computed for each query.  The model builds a k-d tree of its
-  centers once, when it is made or loaded; the tree is never persisted or
-  compared.  Its sections (:func:`section_matrix`) are dense rows over the
-  centers, filled from one ball query per query point against that tree,
-  and they are the one evaluator of a kernel expansion:
-  ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
-  large batch is evaluated one row block at a time (:func:`_section_blocks`),
-  so its dense (n, M) sections are never built whole.  The
-  diffusion kernel is symmetrizable: ``rho(x) k(x, y) / rho(y)`` with
-  ``rho = sqrt(deg_l / deg_r)`` equals
-  ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
+  centers once, when it is made or loaded, and never persists it.  Its
+  sections (:func:`section_matrix`) are dense rows over the centers,
+  filled from one ball query per query point against that tree, and the
+  one evaluator of a kernel expansion: ``sum_j a_j k(x_i, c_j)`` is the
+  row-wise ``(S * a).sum(axis=1)``.  A large batch goes one row block at a
+  time (:func:`_section_blocks`).  Every point is checked by
+  :func:`_check_points` before a tree sees it.  The diffusion kernel is
+  symmetrizable: with ``rho = sqrt(deg_l / deg_r)``, ``rho(x) k(x, y) / rho(y)``
+  equals ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
 
 Bandwidths are picked so a target fraction of pairwise kernel values
 survives the threshold.
@@ -76,7 +75,7 @@ class KernelModel:
     _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         self.centers = np.asarray(self.centers, dtype=float)
         self._tree = cKDTree(self.centers)
@@ -119,6 +118,9 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"data point {np.argmin(finite)} is not finite")
     sq = pdist(strided_subsample(data, subsample_fraction), "sqeuclidean")
     theta = 1.0 / np.log(1.0 / theta_zero)
     quantile = float(np.quantile(sq, eta))
@@ -136,20 +138,19 @@ def markov_apply(rows, cols, epsilon: float, values,
 
     Entry (i, j) of the matrix is ``g(r_i, c_j) / sum_j' g(r_i, c_j')``
     over the raw values at or above ``theta_zero``, listed by a radius
-    query (:func:`_gaussian_pairs`) in sorted order: the canonical
-    (sorted-index) CSR matrix is built from them directly, so the result
-    does not depend on the order in which the tree lists pairs.  When
-    ``rows is cols`` one tree lists each pair once; the result is the same,
-    bit for bit, as for a copy of the cloud.  ``values`` is a dense array,
-    which gives a dense result, or a 2-d ``scipy.sparse`` array, which
-    gives a CSR array: the sparse product with each stored entry divided
-    by its row sum, whose ``toarray()`` is the dense result bit for bit.
+    query (:func:`_gaussian_pairs`): one ball query per row point, or one
+    ``query_pairs`` when ``rows is cols``.  Each CSR row is put in column
+    order, so the result is the same, bit for bit, as for a copy of the
+    cloud.  Dense ``values`` give a dense result; a 2-d ``scipy.sparse``
+    array gives a CSR array, the sparse product with each stored entry
+    divided by its row sum, whose ``toarray()`` is the dense result.
 
     Raises
     ------
     ValueError
-        If a row or column point is not finite or so far out that squared
-        distances overflow, or if ``values`` is not finite.
+        If ``epsilon`` is not positive, if a row or column point is not
+        finite or so far out that squared distances overflow, or if
+        ``values`` is not finite.
     IsolatedPointError
         If some row has no surviving entry.
     """
@@ -161,7 +162,7 @@ def markov_apply(rows, cols, epsilon: float, values,
     else:
         values = np.asarray(values, dtype=float)
         finite = np.isfinite(values).all()
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if rows.ndim != 2 or cols.ndim != 2 or rows.shape[1] != cols.shape[1]:
         raise ValueError(
@@ -175,12 +176,12 @@ def markov_apply(rows, cols, epsilon: float, values,
         raise ValueError("values must be finite")
     _check_markov_points(rows, cols)
 
-    tree = cKDTree(cols)
-    i, j, g = _gaussian_pairs(rows, tree, epsilon, theta_zero,
-                              point_tree=tree if rows is cols else cKDTree(rows))
+    i, j, g = _gaussian_pairs(rows, cKDTree(cols), epsilon, theta_zero,
+                              self_pairs=rows is cols)
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(np.bincount(i, minlength=len(rows)), out=indptr[1:])
     kernel = sp.csr_array((g, j, indptr), shape=(len(rows), len(cols)))
+    kernel.sort_indices()  # ball query rows come in tree order
 
     sums = kernel.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
@@ -195,18 +196,6 @@ def markov_apply(rows, cols, epsilon: float, values,
     return out[:, 0] if single else out
 
 
-def _far_sq(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Squared distance of each point to the farthest corner of the box
-    ``[lo, hi]``: NaN for a non-finite point, inf where it overflows.
-
-    A k-d tree radius query bounds its distances by such corners, and it
-    fails when one of them overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        far = np.maximum(points - lo, hi - points)
-        return (far * far).sum(axis=1)
-
-
 def _gaussian(sq: np.ndarray, epsilon: float, theta_zero: float) -> np.ndarray:
     """``exp(-sq / epsilon)`` of squared distances, zero below ``theta_zero``."""
     g = np.exp(sq / -epsilon)  # the same bits as exp(-sq / epsilon)
@@ -215,39 +204,39 @@ def _gaussian(sq: np.ndarray, epsilon: float, theta_zero: float) -> np.ndarray:
 
 
 def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
-                    theta_zero: float, point_tree: cKDTree | None = None
+                    theta_zero: float, self_pairs: bool = False
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate pairs ``(i, j, g)`` with ``g = g(points[i], tree.data[j])``
     where it is at or above ``theta_zero`` and 0 where it is not.
 
     Candidates come from a radius query of ``tree`` at
-    ``sqrt(epsilon * ln(1 / theta_zero))``: one ball query per point
-    without ``point_tree``; one tree-to-tree query against a separate
-    ``point_tree``; when ``point_tree is tree``, one ``query_pairs`` that
-    lists each unordered pair once, keyed in both orientations plus the
-    diagonal.  With a ``point_tree`` each pair is encoded as the int64 key
-    ``i * n_cols + j``; the keys are unique, so sorting them gives the
-    pairs in canonical CSR order (by row, then column).  The threshold test
-    itself decides, on a squared distance recomputed in that order from
-    the coordinates in the order ``cdist`` sums them, so the nonzero values
-    are exactly those of a dense evaluation; negating a coordinate gap is
-    exact, so ``(j, i)`` gets the bits of ``(i, j)``.  The radius carries a
-    relative pad so that rounding in the tree's distances cannot drop a
-    pair the test keeps; the few candidates it adds get a zero.
+    ``sqrt(epsilon * ln(1 / theta_zero))``: one ball query per point, which
+    lists pairs by increasing ``i`` but the ``j`` of a point in no set
+    order; or, with ``self_pairs`` (``points`` are the tree's own), one
+    ``query_pairs`` that lists each unordered pair once.  Keyed in both
+    orientations plus the diagonal as the unique int64 ``i * n + j`` and
+    sorted, those come in canonical CSR order.  The threshold test decides
+    on a squared distance recomputed in the order ``cdist`` sums it, so the
+    nonzero values are exactly a dense evaluation's (a negated gap is exact:
+    ``(j, i)`` gets the bits of ``(i, j)``).  A relative pad on the radius
+    keeps rounding in the tree from dropping a kept pair; the candidates it
+    adds get a zero.
     """
     radius = math.sqrt(epsilon * math.log(1.0 / theta_zero)) * (1.0 + 1e-12)
-    if point_tree is None:
-        lists = tree.query_ball_point(points, radius)
+    if self_pairs:
+        n = tree.n
+        lo, hi = tree.query_pairs(radius, output_type="ndarray").astype(np.int64).T
+        keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
+        del lo, hi  # free the pair list before the distances are computed
+        keys.sort()
+        i, j = np.divmod(keys, n, out=(keys, np.empty_like(keys)))
+    else:
+        lists = tree.query_ball_point(points, radius, return_sorted=False)
         counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
         i = np.arange(len(points)).repeat(counts)
         j = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=len(i))
-    else:
-        keys = _pair_keys(tree, point_tree, radius)
-        keys.sort()
-        i, j = np.divmod(keys, tree.n, out=(keys, np.empty_like(keys)))
     if not len(i):
-        # typical of a single query far from every center, where the
-        # arithmetic on empty arrays would cost as much as the query
+        # a far single query: the empty arithmetic would cost as much
         return i, j, np.zeros(0)
     # coordinate by coordinate, so the temporaries stay the size of one
     # column; adding the first square to zero is exact
@@ -260,45 +249,45 @@ def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
     return i, j, _gaussian(sq, epsilon, theta_zero)
 
 
-def _pair_keys(tree: cKDTree, point_tree: cKDTree, radius: float) -> np.ndarray:
-    """Unsorted int64 keys ``i * tree.n + j`` of the pairs within ``radius``
-    of ``point_tree`` point ``i`` and ``tree`` point ``j``."""
-    n = tree.n
-    if point_tree is tree:
-        lo, hi = tree.query_pairs(radius, output_type="ndarray").astype(np.int64).T
-        return np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
-    pairs = point_tree.sparse_distance_matrix(tree, radius, output_type="ndarray")
-    return pairs["i"].astype(np.int64) * n + pairs["j"]
+def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,
+                  other: str) -> None:
+    """Reject the first (n, d) point, named ``{name} point {row}``, that is
+    not finite or whose squared distance to the farthest corner of the box
+    ``[lo, hi]`` (which stands for ``other``) overflows: a k-d tree radius
+    query bounds its distances by such corners and fails when one does."""
+    # a cheap bound first: no squared distance to a corner of the box can
+    # overflow while every coordinate gap stays below it
+    if np.maximum(points - lo, hi - points).max(initial=0.0) < _SAFE_GAP:
+        return
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        bad = np.argmin(finite)
+        raise ValueError(f"{name} point {bad} is not finite: {points[bad].tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = np.maximum(points - lo, hi - points)
+        # a box that is not finite itself (NaN) is left to its own check
+        overflow = (far * far).sum(axis=1) == np.inf
+    if overflow.any():
+        bad = np.argmax(overflow)
+        raise ValueError(f"{name} point {bad} is too far from {other} "
+                         f"(squared distances overflow): {points[bad].tolist()}")
 
 
 def _check_markov_points(rows: np.ndarray, cols: np.ndarray) -> None:
-    """Reject points that a tree query between ``rows`` and ``cols`` cannot take.
-
-    The query fails when the squared distance between the farthest corners
-    of the two bounding boxes is not finite.  Only then are points looked
-    at one by one: the first non-finite one, else the first whose squared
-    distance to the coordinate-wise median of the other cloud overflows.
-    """
+    """Reject points that a tree query between ``rows`` and ``cols`` cannot
+    take: it fails when the squared distance between the far corners of the
+    two bounding boxes overflows.  Only then are points looked at one by
+    one, each cloud against the coordinate-wise median of the other."""
     if not (len(rows) and len(cols)):
         return
-    lo_r, hi_r = rows.min(axis=0), rows.max(axis=0)
-    lo_c, hi_c = cols.min(axis=0), cols.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        far = np.maximum(hi_r - lo_c, hi_c - lo_r)
+        far = np.maximum(rows.max(axis=0) - cols.min(axis=0),
+                         cols.max(axis=0) - rows.min(axis=0))
         if (far * far).sum() < np.inf:
             return
-    for name, points in (("row", rows), ("column", cols)):
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            bad = np.argmin(finite)
-            raise ValueError(f"{name} point {bad} is not finite: {points[bad].tolist()}")
-    for name, points, other in (("row", rows, cols), ("column", cols, rows)):
-        median = np.median(other, axis=0)
-        overflow = ~(_far_sq(points, median, median) < np.inf)
-        if overflow.any():
-            bad = np.argmax(overflow)
-            raise ValueError(f"{name} point {bad} is too far from the other points "
-                             f"(squared distances overflow): {points[bad].tolist()}")
+    median_r, median_c = np.median(rows, axis=0), np.median(cols, axis=0)
+    _check_points(rows, median_c, median_c, "row", "the column points")
+    _check_points(cols, median_r, median_r, "column", "the row points")
     raise ValueError("the row and column points spread so far apart that "
                      "squared distances between them overflow")
 
@@ -311,11 +300,9 @@ def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
     point has a degree of at least ``1 / len(data)`` from its own entry.
     """
     data = np.asarray(data, dtype=float)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
-    # the degrees come from the rows of the model's own center tree
+    # the model checks epsilon; the degrees are rows of its own center tree
     model = KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data,
                         deg_r=np.empty(len(data)))
     model.deg_r = _raw_rows(model, model.centers).sum(axis=1) / len(data)
@@ -330,37 +317,15 @@ def _raw_rows(model: KernelModel, points: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _check_queries(model: KernelModel, points: np.ndarray) -> None:
-    """Reject the first (n, d) query point that is not finite or whose
-    squared distances to the centers overflow, naming its row index."""
-    lo, hi = model._tree.mins, model._tree.maxes
-    # a cheap bound first: no squared distance to a corner of the centers'
-    # box can overflow while every coordinate gap stays below it
-    if np.maximum(points - lo, hi - points).max(initial=0.0) < _SAFE_GAP:
-        return
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        bad = np.argmin(finite)
-        raise ValueError(f"query point {bad} is not finite: {points[bad].tolist()}")
-    overflow = ~(_far_sq(points, lo, hi) < np.inf)
-    if overflow.any():
-        bad = np.argmax(overflow)
-        raise ValueError(
-            f"query point {bad} is too far from every center to find the "
-            f"nearest one (squared distances overflow): {points[bad].tolist()}"
-        )
-
-
 def _section_blocks(model: KernelModel, points: np.ndarray) -> list[slice]:
     """Row slices of at most ``_BLOCK_ROWS`` over an (n, d) batch, in order.
 
     Callers evaluate :func:`section_matrix` one block at a time, so no
-    dense (n, M) array is built.  A batch of more than one block is
-    checked here, once, so that an error names the row's index in the
-    whole batch; a single block is left to :func:`section_matrix`.
+    dense (n, M) array is built.  A batch of more than one block is checked
+    here, once, so that an error names the row's index in the whole batch.
     """
     if len(points) > _BLOCK_ROWS:
-        _check_queries(model, points)
+        _check_points(points, model._tree.mins, model._tree.maxes, "query", "every center")
     return [slice(s, s + _BLOCK_ROWS) for s in range(0, len(points), _BLOCK_ROWS)]
 
 
@@ -375,13 +340,12 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     giving ``S[i, j] = g(x, c_j) / (rho_l(x) deg_r(c_j))``; at a center
     this is the fitted kernel's row.
 
-    Rows are assembled from the raw values of one ball query per point
-    against the model's center tree (:func:`_gaussian_pairs`), scattered
-    into dense rows; they equal a dense evaluation's, so a row is the same
-    alone or in any batch.  Only an extrapolated row is evaluated against
-    every center: ``cdist`` finds its nearest center (the first one on a
-    tie), and that center's raw row is computed in full.  Every point is
-    checked before the tree is queried.
+    Rows are scattered from the raw values of one ball query per point
+    against the model's center tree (:func:`_gaussian_pairs`); they equal
+    a dense evaluation's, so a row is the same alone or in any batch.  For
+    an extrapolated row ``cdist`` finds the nearest center (the first on a
+    tie), whose raw row is computed in full.  Every point is checked
+    (:func:`_check_points`) before the tree is queried.
 
     Raises
     ------
@@ -398,7 +362,7 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query dimension {points.shape[1]} != center dimension {model.dimension}"
         )
-    _check_queries(model, points)
+    _check_points(points, model._tree.mins, model._tree.maxes, "query", "every center")
 
     sections = _raw_rows(model, points)
     extrapolated = ~sections.any(axis=1)

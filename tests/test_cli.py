@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kerneldrift import load_trajectory
+from kerneldrift import CondExpParams, load_trajectory
 from kerneldrift.cli import main
 from kerneldrift.drift import load_drift_model
 from kerneldrift.evaluation import load_error_report, relative_l2_error, system_field
@@ -148,6 +148,14 @@ def test_compare_overflowing_start_is_usage_error(hopf_run, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("option", [("--dt", "0"), ("--horizon", "inf")])
+def test_compare_bad_step_or_horizon_is_usage_error(hopf_run, tmp_path, capsys, option):
+    code = run("compare", "--model", str(hopf_run / "model.json"),
+               "--system", "hopf", *option, "--out", str(tmp_path))
+    assert code == 1
+    assert "usage error: dt must be positive" in capsys.readouterr().err
+
+
 def test_compare_dimension_mismatch(hopf_run, tmp_path):
     code = run("compare", "--model", str(hopf_run / "model.json"),
                "--system", "lorenz63", "--out", str(tmp_path))
@@ -190,3 +198,12 @@ def test_sweep_small_grid(tmp_path):
         cell = out / f"hopf_noise{noise}"
         assert (cell / "report.json").exists()
         assert (cell / "model.json").exists()
+    # each cell echoes the options of an `estimate` run with the fit defaults
+    cell = out / "hopf_noise0.2"
+    fit = CondExpParams()
+    assert json.loads((cell / "config.json").read_text()) == {
+        "command": "estimate", "out": str(cell), "traj": str(cell / "trajectory.csv"),
+        "estimator": "dense", "stencil_width": None, "stencil_offsets": None,
+        "eta1": fit.eta1, "eta2": fit.eta2, "eta3": fit.eta3, "delta": fit.delta,
+        "centers": 100,
+    }

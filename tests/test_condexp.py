@@ -43,6 +43,14 @@ def test_params_reject_threshold_and_subsample_out_of_range(field, value):
         CondExpParams(n_centers=5, eps1=0.1, eps2=0.1, eps3=0.1, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["eta1", "delta", "eps1", "eps2", "eps3", "theta_zero",
+                                   "subsample_fraction"])
+def test_params_reject_nan(field):
+    # a NaN passes every comparison-based range check written as `value < 0`
+    with pytest.raises(ValueError, match=field):
+        CondExpParams(**{field: float("nan")})
+
+
 def test_select_centers_strided():
     params = CondExpParams(n_centers=5)
     np.testing.assert_array_equal(select_centers(20, params), [0, 4, 8, 12, 16])

@@ -164,6 +164,16 @@ class TestCompareOrbits:
         with pytest.raises(ValueError):
             compare_orbits(spec3, model, np.ones(3), horizon=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("horizon, dt", [
+        (1.0, 0.0), (1.0, -0.01), (1.0, np.nan), (1.0, np.inf),
+        (np.inf, 0.01), (np.nan, 0.01),
+    ])
+    def test_bad_step_or_horizon_rejected(self, horizon, dt):
+        spec = make_spec("lorenz63", sigma_noise=0.0)
+        oracle = lambda points: eval_drift(spec, points)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            compare_orbits(spec, oracle, np.ones(3), horizon=horizon, dt=dt)
+
 
 def test_extrapolated_fraction_counts_fallbacks(hopf_setup):
     spec, model, held = hopf_setup

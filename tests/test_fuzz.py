@@ -5,8 +5,8 @@ many centers as inputs, a handful of points and bandwidths from 1e-300 to
 1e300: every case gives finite values or a documented ``NumericalError``
 or ``ValueError``, from the kernels up to a drift fit and its predictions.
 Section rows also match the dense ``cdist`` oracle bit for bit, a Markov
-pass over one cloud (its self-pair query) matches the tree-to-tree query
-over a copy of it, and a fit's coefficients solve the dense normal
+pass over one cloud (its self-pair query) matches the ball queries over a
+copy of it, and a fit's coefficients solve the dense normal
 equations of its own ``B`` and ``g`` to rounding.
 """
 
@@ -79,8 +79,8 @@ def test_section_rows_fuzz(cloud_pair, epsilon):
 @FUZZ
 @given(clouds(), bandwidths, st.booleans())
 def test_markov_self_pairs_fuzz(points, epsilon, sparse):
-    # rows is cols (one self-pair query) against a copy of the cloud (the
-    # tree-to-tree query): the same result bit for bit
+    # rows is cols (one self-pair query) against a copy of the cloud (one
+    # ball query per row): the same result bit for bit
     dense = np.random.default_rng(len(points)).normal(size=(len(points), 3))
     dense[::2, 0] = 0.0
     values = sp.csr_array(dense) if sparse else dense

@@ -128,6 +128,13 @@ class TestSelectBandwidth:
         with pytest.raises(ValueError, match="subsample_fraction"):
             select_bandwidth(data, eta=0.5, subsample_fraction=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_data_rejected(self, bad):
+        data = cloud(n=10, seed=1)
+        data[4, 1] = bad
+        with pytest.raises(ValueError, match="data point 4 is not finite"):
+            select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+
 
 class TestMarkovMatrix:
     def test_single_column(self):
@@ -215,9 +222,9 @@ class TestMarkovMatrix:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("sparse", [False, True])
-    def test_self_pairs_match_tree_to_tree(self, d, sparse):
+    def test_self_pairs_match_copied_cloud(self, d, sparse):
         # rows is cols takes the self-pair query; a copy of the same cloud
-        # takes the tree-to-tree query: the results agree bit for bit
+        # takes one ball query per row: the results agree bit for bit
         base = cloud(n=150, d=d, seed=50 + d, scale=2.0)
         data = np.vstack([base, base[:20], base[:5]])  # duplicate points
         eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
@@ -234,9 +241,30 @@ class TestMarkovMatrix:
         assert (got == 0.0).any() and (got != 0.0).any()
         np.testing.assert_array_equal(got, copied)
 
+    def test_two_cloud_rows_in_column_order(self):
+        # the ball lists of a cloud this size come back out of index order,
+        # so the two-cloud result matches the self-pair one, stored entry
+        # for stored entry, only once each row is sorted by column
+        data = cloud(n=400, d=2, seed=60, scale=2.0)
+        eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
+        rng = np.random.default_rng(61)
+        dense = rng.normal(size=(400, 5)) * (rng.random((400, 5)) < 0.3)
+        got = markov_apply(data, data.copy(), eps, sp.csr_array(dense))
+        expected = markov_apply(data, data, eps, sp.csr_array(dense))
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+        np.testing.assert_array_equal(markov_apply(data, data.copy(), eps, dense),
+                                      markov_apply(data, data, eps, dense))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             markov_apply(cloud(n=5, d=2), cloud(n=5, d=3), 1.0, np.ones(5))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+    def test_bad_epsilon_rejected(self, eps):
+        data = cloud(n=8, seed=45)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            markov_apply(data, data, eps, np.ones(8))
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
     def test_sparse_values_match_dense(self, fmt):
@@ -253,6 +281,8 @@ class TestMarkovMatrix:
         ("rows", np.nan, "row point 2 is not finite"),
         ("rows", -np.inf, "row point 2 is not finite"),
         ("cols", np.inf, "column point 2 is not finite"),
+        # a NaN column leaves the median the rows are checked against NaN
+        ("cols", np.nan, "column point 2 is not finite"),
         ("rows", 1e160, "row point 2 is too far"),
         ("cols", -1e160, "column point 2 is too far"),
     ])
@@ -327,6 +357,15 @@ class TestMarkovMatrix:
 
 
 class TestDiffusionModel:
+    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan])
+    def test_bad_epsilon_rejected(self, eps):
+        # checked once, by the model itself, also when it is loaded
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            diffusion_model(cloud(n=10, seed=46), eps)
+        saved = kernel_model_to_dict(diffusion_model(cloud(n=10, seed=46), 0.5))
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            kernel_model_from_dict({**saved, "epsilon": eps})
+
     def test_two_point_symmetry(self):
         pts = np.array([[0.0], [1.0]])
         model = diffusion_model(pts, epsilon=0.5)
