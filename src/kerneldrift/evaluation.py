@@ -9,6 +9,7 @@ a system spec to the latter.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,7 +95,11 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
 
     Plain Euler steps of size ``dt`` over ``horizon`` time units; the
     estimated-field orbit records where the nearest-center fallback fired
-    (the source of spurious fixed points far from the data).
+    (the source of spurious fixed points far from the data), and its
+    fallback steps read their section rows from the model's table of
+    center rows.  The true orbit steps on Python floats, as
+    :func:`~kerneldrift.systems.simulate` does: the same IEEE operations
+    as :func:`~kerneldrift.systems.eval_drift` on arrays, so the same bits.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
@@ -113,15 +118,16 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     flags = np.zeros(n_steps + 1, dtype=bool)
     true_points[0] = x0
     est_points[0] = x0
-    xt = x0.copy()
+    xt = x0.tolist()
     xe = x0.copy()
     for k in range(1, n_steps + 1):
         # the model first: it rejects a start too far out to extrapolate
         # from before the true field overflows there
         value, flag = _evaluate(model, xe[None, :])
         xe = xe + value[0] * dt
-        xt = xt + systems_mod.eval_drift(spec, xt) * dt
-        if not (np.isfinite(xt).all() and np.isfinite(xe).all()):
+        xt = [xi + vi * dt for xi, vi in zip(xt, systems_mod._drift_terms(spec, xt))]
+        # a diverging step overflows to inf or nan (float arithmetic does not raise)
+        if not (all(map(math.isfinite, xt)) and np.isfinite(xe).all()):
             raise BlowUpError(index=k)
         true_points[k] = xt
         est_points[k] = xe

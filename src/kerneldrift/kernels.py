@@ -21,12 +21,15 @@ exactly the entries a dense evaluation keeps:
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
   empirical measure of the centers.  Only ``deg_r`` is stored; the left
   degree is computed for each query.  The model builds a k-d tree of its
-  centers once, when it is made or loaded, and never persists it.  Its
-  sections (:func:`section_matrix`) are dense rows over the centers,
-  filled from one ball query per query point against that tree, and the
-  one evaluator of a kernel expansion: ``sum_j a_j k(x_i, c_j)`` is the
-  row-wise ``(S * a).sum(axis=1)``.  A large batch goes one row block at a
-  time (:func:`_section_blocks`).  Every point is checked by
+  centers once, when it is made or loaded, and never persists it; so too
+  the CSR table of the M section rows at the centers, built on the first
+  extrapolated query.  Its sections (:func:`section_matrix`) are dense
+  rows over the centers, filled from one ball query per query point
+  against that tree, and the one evaluator of a kernel expansion:
+  ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
+  query with no raw value at or above the threshold takes its nearest
+  center's row from the table.  A large batch goes one row block at a time
+  (:func:`_section_blocks`).  Every point is checked by
   :func:`_check_points` before a tree sees it.  The diffusion kernel is
   symmetrizable: with ``rho = sqrt(deg_l / deg_r)``, ``rho(x) k(x, y) / rho(y)``
   equals ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
@@ -63,7 +66,9 @@ class KernelModel:
 
     ``deg_r`` holds the right degrees at the centers; the left degree is
     recomputed for every query by :func:`section_matrix`, which finds the
-    centers near a query in a k-d tree built once from ``centers``.
+    centers near a query in a k-d tree built once from ``centers``.  The
+    section rows at the centers themselves are built once too, as a CSR
+    table, on the first extrapolated query (:func:`_center_table`).
     """
 
     epsilon: float
@@ -71,12 +76,13 @@ class KernelModel:
     centers: np.ndarray
     deg_r: np.ndarray
 
-    # built once from the centers; not persisted, compared or passed in
+    # built once from the fields; not persisted, compared or passed in
     _tree: cKDTree = field(init=False, repr=False, compare=False)
+    _table: sp.csr_array | None = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_kernel(self.epsilon, self.theta_zero)
         self.centers = np.asarray(self.centers, dtype=float)
         self._tree = cKDTree(self.centers)
 
@@ -108,6 +114,14 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
     ``theta * q``, where ``q`` is the eta-quantile of the subsample's
     pairwise squared distances: ``exp(-s / epsilon) >= theta_zero`` exactly
     when ``s <= q``.
+
+    Raises
+    ------
+    ValueError
+        If a parameter is out of range, a data point is not finite, or
+        ``q`` is not finite because squared distances overflow.
+    DegenerateBandwidthError
+        If ``q`` is zero.
     """
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -123,7 +137,11 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
         raise ValueError(f"data point {np.argmin(finite)} is not finite")
     sq = pdist(strided_subsample(data, subsample_fraction), "sqeuclidean")
     theta = 1.0 / np.log(1.0 / theta_zero)
-    quantile = float(np.quantile(sq, eta))
+    with np.errstate(invalid="ignore"):  # inf - inf between overflowed distances
+        quantile = float(np.quantile(sq, eta))
+    if not math.isfinite(quantile):
+        raise ValueError(f"the {eta}-quantile of pairwise squared distances is not "
+                         "finite (squared distances overflow)")
     if quantile <= 0.0:
         raise DegenerateBandwidthError(
             f"the {eta}-quantile of pairwise squared distances is zero "
@@ -148,9 +166,9 @@ def markov_apply(rows, cols, epsilon: float, values,
     Raises
     ------
     ValueError
-        If ``epsilon`` is not positive, if a row or column point is not
-        finite or so far out that squared distances overflow, or if
-        ``values`` is not finite.
+        If ``epsilon`` is not positive, if ``theta_zero`` is not in
+        (0, 1), if a row or column point is not finite or so far out that
+        squared distances overflow, or if ``values`` is not finite.
     IsolatedPointError
         If some row has no surviving entry.
     """
@@ -162,8 +180,7 @@ def markov_apply(rows, cols, epsilon: float, values,
     else:
         values = np.asarray(values, dtype=float)
         finite = np.isfinite(values).all()
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_kernel(epsilon, theta_zero)
     if rows.ndim != 2 or cols.ndim != 2 or rows.shape[1] != cols.shape[1]:
         raise ValueError(
             f"rows {rows.shape} and cols {cols.shape} must be (n, d) arrays of one d"
@@ -194,6 +211,13 @@ def markov_apply(rows, cols, epsilon: float, values,
     else:
         out /= sums[:, None]
     return out[:, 0] if single else out
+
+
+def _check_kernel(epsilon: float, theta_zero: float) -> None:
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < theta_zero < 1:
+        raise ValueError(f"theta_zero must lie in (0, 1), got {theta_zero}")
 
 
 def _gaussian(sq: np.ndarray, epsilon: float, theta_zero: float) -> np.ndarray:
@@ -302,18 +326,48 @@ def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
-    # the model checks epsilon; the degrees are rows of its own center tree
+    # the model checks its parameters; the degrees are rows of its own tree
     model = KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data,
                         deg_r=np.empty(len(data)))
-    model.deg_r = _raw_rows(model, model.centers).sum(axis=1) / len(data)
+    _, _, raw = _center_rows(model)
+    model.deg_r = raw.sum(axis=1) / len(data)
     return model
 
 
-def _raw_rows(model: KernelModel, points: np.ndarray) -> np.ndarray:
-    """Dense raw Gaussian rows ``g(points[i], c_j)``, zero below the threshold."""
-    i, j, g = _gaussian_pairs(points, model._tree, model.epsilon, model.theta_zero)
-    raw = np.zeros((len(points), model.n_centers))
+def _center_rows(model: KernelModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``(i, j)`` among the centers in CSR order, and the dense
+    raw rows ``g(c_i, c_j)`` they fill (zero below the threshold)."""
+    i, j, g = _gaussian_pairs(model.centers, model._tree, model.epsilon, model.theta_zero,
+                              self_pairs=True)
+    raw = np.zeros((model.n_centers, model.n_centers))
     raw[i, j] = g
+    return i, j, raw
+
+
+def _center_table(model: KernelModel) -> sp.csr_array:
+    """The section rows at the centers as CSR, built on first use.  Each is
+    in range, since every center keeps its own entry 1; an extrapolated
+    query's row is the row of its nearest center."""
+    if model._table is None:
+        i, j, rows = _center_rows(model)
+        _normalise(model, rows)
+        indptr = np.zeros(model.n_centers + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=model.n_centers), out=indptr[1:])
+        model._table = sp.csr_array((rows[i, j], j, indptr), shape=rows.shape)
+    return model._table
+
+
+def _normalise(model: KernelModel, raw: np.ndarray, skip: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Section rows ``raw[i, j] / (rho_l(x_i) deg_r(c_j))``, in place, from
+    raw rows; the all-zero rows marked in ``skip`` stay zero."""
+    raw *= 1.0 / model.deg_r
+    # row-wise reduction keeps identical query rows bitwise identical
+    # regardless of their position in the batch
+    rho_l = raw.sum(axis=1) / model.n_centers
+    if skip is not None:
+        rho_l[skip] = 1.0
+    raw /= rho_l[:, None]
     return raw
 
 
@@ -344,8 +398,9 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     against the model's center tree (:func:`_gaussian_pairs`); they equal
     a dense evaluation's, so a row is the same alone or in any batch.  For
     an extrapolated row ``cdist`` finds the nearest center (the first on a
-    tie), whose raw row is computed in full.  Every point is checked
-    (:func:`_check_points`) before the tree is queried.
+    tie), whose section row is copied from the model's table of center
+    rows; a batch with no in-range row skips the normalisation.  Every
+    point is checked (:func:`_check_points`) before the tree is queried.
 
     Raises
     ------
@@ -364,18 +419,19 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         )
     _check_points(points, model._tree.mins, model._tree.maxes, "query", "every center")
 
-    sections = _raw_rows(model, points)
+    i, j, g = _gaussian_pairs(points, model._tree, model.epsilon, model.theta_zero)
+    sections = np.zeros((len(points), model.n_centers))
+    sections[i, j] = g
     extrapolated = ~sections.any(axis=1)
-    if extrapolated.any():
-        sq = cdist(points[extrapolated], model.centers, "sqeuclidean")
-        nearest = model.centers[sq.argmin(axis=1)]
-        sections[extrapolated] = _gaussian(cdist(nearest, model.centers, "sqeuclidean"),
-                                           model.epsilon, model.theta_zero)
-    sections *= 1.0 / model.deg_r
-    # row-wise reduction keeps identical query rows bitwise identical
-    # regardless of their position in the batch
-    rho_l = sections.sum(axis=1) / model.n_centers
-    sections /= rho_l[:, None]
+    if not extrapolated.any():
+        return _normalise(model, sections), extrapolated
+    if not extrapolated.all():
+        _normalise(model, sections, skip=extrapolated)
+    nearest = cdist(points[extrapolated], model.centers, "sqeuclidean").argmin(axis=1)
+    table = _center_table(model)
+    for row, center in zip(np.flatnonzero(extrapolated), nearest):
+        span = slice(table.indptr[center], table.indptr[center + 1])
+        sections[row, table.indices[span]] = table.data[span]
     return sections, extrapolated
 
 

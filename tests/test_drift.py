@@ -354,6 +354,27 @@ def test_parent_format_files_load(hopf_fit, l96_sparse_fit, tmp_path):
         np.testing.assert_array_equal(f1, f2)
 
 
+@pytest.mark.parametrize("which", ["dense", "stencil"])
+def test_loaded_model_first_call_extrapolates(hopf_fit, l96_sparse_fit, tmp_path, which):
+    # a far query's fallback row is the in-range section row of its nearest
+    # center, whether the model was fitted or loaded from a file
+    model, far = {
+        "dense": (hopf_fit[2], np.array([40.0, -30.0])),
+        "stencil": (l96_sparse_fit[3], np.array([60.0, -50.0, 70.0, 40.0, -60.0])),
+    }[which]
+    path = tmp_path / "model.json"
+    save_drift_model(model, path)
+    value, flag = predict_drift(load_drift_model(path), far)
+    assert flag
+    np.testing.assert_array_equal(value, predict_drift(model, far)[0])
+    k = model.kernel
+    points = far[None, :] if model.stencil is None else far[np.array(model.stencil.left)]
+    nearest = k.centers[cdist(points, k.centers, "sqeuclidean").argmin(axis=1)]
+    sections, flags = section_matrix(k, nearest)
+    assert not flags.any()
+    np.testing.assert_array_equal(value, (sections * model.coefficients).sum(axis=1))
+
+
 def test_l96_orbit_divergence_is_reported_not_failed(l96_sparse_fit):
     # chaotic sensitivity makes true and reconstructed orbits separate;
     # the comparison must deliver both paths rather than erroring out

@@ -4,9 +4,12 @@ import pytest
 from kerneldrift import (
     BlowUpError,
     CondExpParams,
+    Stencil,
     compare_orbits,
     estimate_drift,
+    estimate_drift_sparse,
     eval_drift,
+    extract_snapshots,
     make_spec,
     pointwise_errors,
     relative_l2_error,
@@ -19,6 +22,7 @@ from kerneldrift.evaluation import (
     save_orbit_comparison,
     save_pointwise_errors,
 )
+from test_kernels import section_oracle
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +177,48 @@ class TestCompareOrbits:
         oracle = lambda points: eval_drift(spec, points)
         with pytest.raises(ValueError, match="dt must be positive"):
             compare_orbits(spec, oracle, np.ones(3), horizon=horizon, dt=dt)
+
+
+def reference_orbits(spec, model, x0, horizon, dt):
+    """The orbit loop with numpy ``eval_drift`` steps for the true field and
+    the estimated field's section rows, fallback included, from the dense
+    ``cdist`` oracle."""
+    n_steps = int(round(horizon / dt))
+    true_points = np.empty((n_steps + 1, spec.dimension))
+    est_points = np.empty((n_steps + 1, spec.dimension))
+    flags = np.zeros(n_steps + 1, dtype=bool)
+    true_points[0] = est_points[0] = x0
+    xt, xe = x0.copy(), x0.copy()
+    for k in range(1, n_steps + 1):
+        points = xe[None, :] if model.stencil is None else xe[np.array(model.stencil.left)]
+        sections, flag = section_oracle(model.kernel, points)
+        xe = xe + (sections * model.coefficients).sum(axis=1) * dt
+        xt = xt + eval_drift(spec, xt) * dt
+        true_points[k], est_points[k], flags[k] = xt, xe, flag.any()
+    return true_points, est_points, flags
+
+
+@pytest.mark.parametrize("system, x0", [
+    ("hopf", [2.5, -2.0]),
+    ("lorenz63", [30.0, -30.0, 60.0]),
+    ("lorenz96", [12.0, -9.0, 8.0, 13.0, -8.0]),
+])
+def test_orbits_off_the_data_match_reference_loop(system, x0):
+    spec = make_spec(system, sigma_noise=0.1)
+    start = [2.0, 0.0] if system == "hopf" else spec.dimension * [1.0]
+    traj = simulate(spec, start, n_samples=1000, dt=0.01, seed=8, burn_in=100, substeps=5)
+    params = CondExpParams(n_centers=120)
+    if system == "lorenz96":
+        model = estimate_drift_sparse(extract_snapshots(traj, Stencil.cyclic(5)), params)
+    else:
+        model = estimate_drift(traj, params)
+    x0 = np.array(x0)
+    comparison = compare_orbits(spec, model, x0, horizon=1.0, dt=0.01)
+    true_points, est_points, flags = reference_orbits(spec, model, x0, 1.0, 0.01)
+    assert flags.any()
+    np.testing.assert_array_equal(comparison.true_orbit.points, true_points)
+    np.testing.assert_array_equal(comparison.estimated_orbit.points, est_points)
+    np.testing.assert_array_equal(comparison.extrapolated, flags)
 
 
 def test_extrapolated_fraction_counts_fallbacks(hopf_setup):

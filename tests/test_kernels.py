@@ -128,6 +128,15 @@ class TestSelectBandwidth:
         with pytest.raises(ValueError, match="subsample_fraction"):
             select_bandwidth(data, eta=0.5, subsample_fraction=0.0)
 
+    def test_overflowing_quantile_rejected(self):
+        # the 0.99-quantile interpolates between two overflowed (inf)
+        # squared distances; the 0.5-quantile is finite and keeps its bits
+        data = np.vstack([cloud(n=50, seed=0), [[1e160, 1e160]]])
+        with pytest.raises(ValueError, match="squared distances overflow"):
+            select_bandwidth(data, eta=0.99, subsample_fraction=1.0)
+        eps = select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+        assert eps == float.fromhex("0x1.6a223fab147d9p-4")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_data_rejected(self, bad):
         data = cloud(n=10, seed=1)
@@ -266,6 +275,12 @@ class TestMarkovMatrix:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             markov_apply(data, data, eps, np.ones(8))
 
+    @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0])
+    def test_bad_theta_zero_rejected(self, theta_zero):
+        data = cloud(n=50, seed=47)
+        with pytest.raises(ValueError, match="theta_zero must lie in"):
+            markov_apply(data, data, 0.5, np.ones(50), theta_zero)
+
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
     def test_sparse_values_match_dense(self, fmt):
         data = cloud(n=300, d=3, seed=40, scale=2.0)
@@ -359,12 +374,21 @@ class TestMarkovMatrix:
 class TestDiffusionModel:
     @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan])
     def test_bad_epsilon_rejected(self, eps):
-        # checked once, by the model itself, also when it is loaded
+        # checked by the model itself, also when it is loaded
         with pytest.raises(ValueError, match="epsilon must be positive"):
             diffusion_model(cloud(n=10, seed=46), eps)
         saved = kernel_model_to_dict(diffusion_model(cloud(n=10, seed=46), 0.5))
         with pytest.raises(ValueError, match="epsilon must be positive"):
             kernel_model_from_dict({**saved, "epsilon": eps})
+
+    @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0])
+    def test_bad_theta_zero_rejected(self, theta_zero):
+        data = cloud(n=50, seed=47)
+        with pytest.raises(ValueError, match="theta_zero must lie in"):
+            diffusion_model(data, 0.5, theta_zero=theta_zero)
+        saved = kernel_model_to_dict(diffusion_model(data, 0.5))
+        with pytest.raises(ValueError, match="theta_zero must lie in"):
+            kernel_model_from_dict({**saved, "theta_zero": theta_zero})
 
     def test_two_point_symmetry(self):
         pts = np.array([[0.0], [1.0]])
@@ -525,6 +549,23 @@ class TestSectionsAgainstDenseOracle:
             assert_sections_match_oracle(model, points)
             decisions.add(bool(section_matrix(model, points)[0][0, 1] > 0.0))
         assert decisions == {False, True}
+
+    def test_all_extrapolated_batch(self):
+        # (0, 1000) is exactly as far from (1, 10) as from (-1, 10), whose
+        # rows differ: only (-1, 10) has a neighbour; the first one is taken
+        centers = np.vstack([cloud(n=40, d=2, seed=56),
+                             [[1.0, 10.0], [-1.0, 10.0], [-1.3, 10.0]]])
+        model = diffusion_model(centers, 0.05)
+        points = np.array([[0.0, 1e3], [0.0, 1e3], [60.0, 0.0], [61.0, 0.5],
+                           [-40.0, -40.0], [1e3, 1e3]])
+        flags = assert_sections_match_oracle(model, points)
+        assert flags.all()
+        sq = cdist(points, centers, "sqeuclidean")
+        nearest = sq.argmin(axis=1)
+        assert sq[0, 40] == sq[0, 41] and nearest[0] == 40
+        assert nearest[2] == nearest[3]
+        sections, _ = section_matrix(model, points)
+        assert not np.array_equal(sections[0], section_matrix(model, centers[41])[0][0])
 
     def test_single_row_matches_row_in_large_batch(self):
         centers = cloud(n=500, d=3, seed=54, scale=3.0)
