@@ -234,8 +234,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = drift.load_drift_model(args.model)
-    spec = systems.make_spec(args.system, sigma_noise=0.0,
-                             **({"N": args.cells} if args.system == "lorenz96" else {}))
+    spec = _spec_from_args(args)
     if model.d != spec.dimension:
         raise _UsageError(f"model dimension {model.d} != system dimension {spec.dimension}")
     if args.x0 is not None:
@@ -295,10 +294,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (_UsageError, ValueError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except NumericalError as err:

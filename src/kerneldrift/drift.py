@@ -27,13 +27,7 @@ import numpy as np
 
 from . import condexp
 from .condexp import CondExpParams
-from .kernels import (
-    KernelModel,
-    _section_blocks,
-    kernel_model_from_dict,
-    kernel_model_to_dict,
-    section_matrix,
-)
+from .kernels import KernelModel, _section_blocks, section_matrix
 from .systems import Trajectory
 
 # forward-difference weights at offsets 0, 1, 2, 3
@@ -64,12 +58,13 @@ class DriftModel:
     Without a stencil each of the k = d rows gives one coordinate of the
     field (dense estimator).  With a stencil the single row (k = 1) is a
     shared unit, applied to the stencil projection of the state for every
-    coordinate (sparse estimator).
+    coordinate (sparse estimator).  Every fit and load checks that the
+    coefficients are finite and that the kernel's dimension is that of its
+    inputs: d, or the stencil's m.
     """
 
     kernel: KernelModel
     coefficients: np.ndarray  # shape (k, M)
-    dt: float
     stencil: Optional[Stencil] = None
 
     def __post_init__(self):
@@ -78,8 +73,17 @@ class DriftModel:
             raise ValueError("coefficients must be a (k, M) matrix")
         if self.coefficients.shape[1] != self.kernel.n_centers:
             raise ValueError("coefficient columns must match the kernel centers")
+        finite = np.isfinite(self.coefficients)
+        if not finite.all():
+            bad = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ValueError(f"coefficient {tuple(map(int, bad))} is not finite")
         if self.stencil is not None and self.coefficients.shape[0] != 1:
             raise ValueError("a stencil model has exactly one coefficient row")
+        # the kernel sees states (d = k coordinates) or stencil records (m)
+        name, m = (("d", len(self.coefficients)) if self.stencil is None
+                   else ("stencil.m", self.stencil.m))
+        if self.kernel.dimension != m:
+            raise ValueError(f"kernel dimension {self.kernel.dimension} != {name} = {m}")
 
     @property
     def d(self) -> int:
@@ -101,7 +105,7 @@ def estimate_drift(traj: Trajectory, params: CondExpParams) -> DriftModel:
             f"drift fit failed for coordinate(s) {coords}: {err}",
             diagnostics=err.diagnostics,
         ) from err
-    return DriftModel(kernel=kernel, coefficients=coef, dt=traj.dt)
+    return DriftModel(kernel=kernel, coefficients=coef)
 
 
 def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +196,6 @@ class SnapshotSet:
 
     inputs: np.ndarray  # (n_records, m)
     targets: np.ndarray  # (n_records,)
-    dt: float
     stencil: Stencil
 
     def __len__(self) -> int:
@@ -218,7 +221,6 @@ def extract_snapshots(traj: Trajectory, stencil: Stencil) -> SnapshotSet:
     return SnapshotSet(
         inputs=inputs.reshape(n * d, stencil.m),
         targets=targets.reshape(n * d),
-        dt=traj.dt,
         stencil=stencil,
     )
 
@@ -227,20 +229,24 @@ def estimate_drift_sparse(snapshots: SnapshotSet, params: CondExpParams
                           ) -> DriftModel:
     """Fit the shared low-dimensional unit on pooled snapshot records."""
     kernel, coef, _ = condexp.fit_targets(snapshots.inputs, snapshots.targets, params)
-    return DriftModel(kernel=kernel, coefficients=coef, dt=snapshots.dt,
-                      stencil=snapshots.stencil)
+    return DriftModel(kernel=kernel, coefficients=coef, stencil=snapshots.stencil)
 
 
 # --- persistence ------------------------------------------------------------
 
 
 def save_drift_model(model: DriftModel, path) -> None:
-    """Write a drift model as JSON: kernel, (k, M) coefficients, dt, stencil."""
-    stencil = model.stencil
+    """Write a drift model as JSON: the kernel's bandwidth, threshold and
+    centers, the (k, M) coefficients and the stencil."""
+    kernel, stencil = model.kernel, model.stencil
     payload = {
-        "kernel": kernel_model_to_dict(model.kernel),
+        "kernel": {
+            "kind": "diffusion",
+            "epsilon": kernel.epsilon,
+            "theta_zero": kernel.theta_zero,
+            "centers": kernel.centers.tolist(),
+        },
         "coefficients": model.coefficients.tolist(),
-        "dt": model.dt,
         "stencil": None if stencil is None
         else {"m": stencil.m, "left": [list(r) for r in stencil.left]},
     }
@@ -250,17 +256,23 @@ def save_drift_model(model: DriftModel, path) -> None:
 def load_drift_model(path) -> DriftModel:
     """Read a drift model written by :func:`save_drift_model`.
 
-    Older files load too: their ``type`` key and kernel ``deg_l`` and ``w``
-    entries are ignored, and a shared unit's 1-D coefficient vector becomes
-    one row.
+    The kernel is rebuilt from its bandwidth, threshold and centers, which
+    it checks; its degrees and center table are derived from them, never
+    read.  Older files load too: their ``dt`` and ``type`` keys and kernel
+    ``deg_r``, ``deg_l`` and ``w`` entries are ignored, and a shared unit's
+    1-D coefficient vector becomes one row.
     """
     data = json.loads(Path(path).read_text())
     st = data.get("stencil")
     try:
+        kernel = data["kernel"]
+        if kernel["kind"] != "diffusion":
+            raise ValueError(f"unknown kernel kind {kernel['kind']!r}; expected 'diffusion'")
         return DriftModel(
-            kernel=kernel_model_from_dict(data["kernel"]),
+            kernel=KernelModel(epsilon=float(kernel["epsilon"]),
+                               theta_zero=float(kernel["theta_zero"]),
+                               centers=kernel["centers"]),
             coefficients=np.atleast_2d(np.asarray(data["coefficients"], dtype=float)),
-            dt=float(data["dt"]),
             stencil=None if st is None else Stencil(m=int(st["m"]), left=st["left"]),
         )
     except KeyError as err:

@@ -19,20 +19,21 @@ exactly the entries a dense evaluation keeps:
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
   ``deg_r(x) = mean_j g(x, c_j)`` and left degree
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
-  empirical measure of the centers.  Only ``deg_r`` is stored; the left
-  degree is computed for each query.  The model builds a k-d tree of its
-  centers once, when it is made or loaded, and never persists it; so too
-  the CSR table of the M section rows at the centers, built on the first
-  extrapolated query.  Its sections (:func:`section_matrix`) are dense
-  rows over the centers, filled from one ball query per query point
-  against that tree, and the one evaluator of a kernel expansion:
-  ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
-  query with no raw value at or above the threshold takes its nearest
-  center's row from the table.  A large batch goes one row block at a time
-  (:func:`_section_blocks`).  Every point is checked by
-  :func:`_check_points` before a tree sees it.  The diffusion kernel is
-  symmetrizable: with ``rho = sqrt(deg_l / deg_r)``, ``rho(x) k(x, y) / rho(y)``
-  equals ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
+  empirical measure of the centers.  A model is its ``epsilon``,
+  ``theta_zero`` and centers alone: when a fit or a load makes one, it
+  derives from one listing of the center pairs a k-d tree of the centers,
+  ``deg_r`` and the CSR table of the M section rows at the centers, and
+  persists none of them; the left degree is computed for each query.  Its
+  sections (:func:`section_matrix`) are dense rows over the centers, filled
+  from one ball query per query point against that tree, and the one
+  evaluator of a kernel expansion: ``sum_j a_j k(x_i, c_j)`` is the
+  row-wise ``(S * a).sum(axis=1)``.  A query with no raw value at or above
+  the threshold takes its nearest center's row from the table.  A large
+  batch goes one row block at a time (:func:`_section_blocks`).  Every
+  point is checked by :func:`_check_points` before a tree sees it.  The
+  diffusion kernel is symmetrizable: with ``rho = sqrt(deg_l / deg_r)``,
+  ``rho(x) k(x, y) / rho(y)`` equals
+  ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
 
 Bandwidths are picked so a target fraction of pairwise kernel values
 survives the threshold.
@@ -64,27 +65,45 @@ _BLOCK_ROWS = 512
 class KernelModel:
     """The diffusion kernel fitted over a set of center points.
 
-    ``deg_r`` holds the right degrees at the centers; the left degree is
-    recomputed for every query by :func:`section_matrix`, which finds the
-    centers near a query in a k-d tree built once from ``centers``.  The
-    section rows at the centers themselves are built once too, as a CSR
-    table, on the first extrapolated query (:func:`_center_table`).
+    A model is its bandwidth ``epsilon``, zero threshold ``theta_zero`` and
+    (M, d) ``centers``; every fit and every load builds it the same way.
+    When it is made it checks the centers and derives the rest from one
+    listing of the center pairs: a k-d tree of the centers, which
+    :func:`section_matrix` queries; the right degrees ``deg_r`` at the
+    centers; and the CSR table of the section rows at the centers, which
+    an extrapolated query copies from.  None of these is persisted.
     """
 
     epsilon: float
     theta_zero: float
     centers: np.ndarray
-    deg_r: np.ndarray
 
-    # built once from the fields; not persisted, compared or passed in
+    # derived from the fields; not persisted, compared or passed in
+    deg_r: np.ndarray = field(init=False, repr=False, compare=False)
     _tree: cKDTree = field(init=False, repr=False, compare=False)
-    _table: sp.csr_array | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    _table: sp.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_kernel(self.epsilon, self.theta_zero)
-        self.centers = np.asarray(self.centers, dtype=float)
-        self._tree = cKDTree(self.centers)
+        centers = np.asarray(self.centers, dtype=float)
+        if centers.ndim != 2 or not centers.size:
+            raise ValueError(f"centers must be a non-empty (M, d) array, got shape "
+                             f"{centers.shape}")
+        median = np.median(centers, axis=0)
+        _check_points(centers, median, median, "center", "the other centers")
+        self.centers = centers
+        self._tree = cKDTree(centers)
+        # the raw rows g(c_i, c_j) among the centers, in CSR order
+        i, j, g = _gaussian_pairs(centers, self._tree, self.epsilon, self.theta_zero,
+                                  self_pairs=True)
+        rows = np.zeros((len(centers), len(centers)))
+        rows[i, j] = g
+        self.deg_r = rows.sum(axis=1) / len(centers)
+        # each center keeps its own entry 1, so every table row is in range
+        _normalise(self, rows)
+        indptr = np.zeros(len(centers) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=len(centers)), out=indptr[1:])
+        self._table = sp.csr_array((rows[i, j], j, indptr), shape=rows.shape)
 
     @property
     def n_centers(self) -> int:
@@ -95,7 +114,7 @@ class KernelModel:
         return self.centers.shape[1]
 
 
-def strided_subsample(data: np.ndarray, fraction: float) -> np.ndarray:
+def _strided_subsample(data: np.ndarray, fraction: float) -> np.ndarray:
     """A subsample spread evenly through the data (at least 2 points)."""
     n = len(data)
     n_sub = max(2, int(round(n * fraction)))
@@ -135,7 +154,7 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ValueError(f"data point {np.argmin(finite)} is not finite")
-    sq = pdist(strided_subsample(data, subsample_fraction), "sqeuclidean")
+    sq = pdist(_strided_subsample(data, subsample_fraction), "sqeuclidean")
     theta = 1.0 / np.log(1.0 / theta_zero)
     with np.errstate(invalid="ignore"):  # inf - inf between overflowed distances
         quantile = float(np.quantile(sq, eta))
@@ -326,35 +345,7 @@ def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
-    # the model checks its parameters; the degrees are rows of its own tree
-    model = KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data,
-                        deg_r=np.empty(len(data)))
-    _, _, raw = _center_rows(model)
-    model.deg_r = raw.sum(axis=1) / len(data)
-    return model
-
-
-def _center_rows(model: KernelModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs ``(i, j)`` among the centers in CSR order, and the dense
-    raw rows ``g(c_i, c_j)`` they fill (zero below the threshold)."""
-    i, j, g = _gaussian_pairs(model.centers, model._tree, model.epsilon, model.theta_zero,
-                              self_pairs=True)
-    raw = np.zeros((model.n_centers, model.n_centers))
-    raw[i, j] = g
-    return i, j, raw
-
-
-def _center_table(model: KernelModel) -> sp.csr_array:
-    """The section rows at the centers as CSR, built on first use.  Each is
-    in range, since every center keeps its own entry 1; an extrapolated
-    query's row is the row of its nearest center."""
-    if model._table is None:
-        i, j, rows = _center_rows(model)
-        _normalise(model, rows)
-        indptr = np.zeros(model.n_centers + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i, minlength=model.n_centers), out=indptr[1:])
-        model._table = sp.csr_array((rows[i, j], j, indptr), shape=rows.shape)
-    return model._table
+    return KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data)
 
 
 def _normalise(model: KernelModel, raw: np.ndarray, skip: np.ndarray | None = None
@@ -428,34 +419,8 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     if not extrapolated.all():
         _normalise(model, sections, skip=extrapolated)
     nearest = cdist(points[extrapolated], model.centers, "sqeuclidean").argmin(axis=1)
-    table = _center_table(model)
+    table = model._table
     for row, center in zip(np.flatnonzero(extrapolated), nearest):
         span = slice(table.indptr[center], table.indptr[center + 1])
         sections[row, table.indices[span]] = table.data[span]
     return sections, extrapolated
-
-
-# --- persistence ------------------------------------------------------------
-
-
-def kernel_model_to_dict(model: KernelModel) -> dict:
-    return {
-        "kind": "diffusion",
-        "epsilon": model.epsilon,
-        "theta_zero": model.theta_zero,
-        "centers": model.centers.tolist(),
-        "deg_r": np.asarray(model.deg_r).tolist(),
-    }
-
-
-def kernel_model_from_dict(data: dict) -> KernelModel:
-    """Rebuild a kernel from :func:`kernel_model_to_dict` output; the
-    ``deg_l`` entry of older files is ignored."""
-    if data["kind"] != "diffusion":
-        raise ValueError(f"unknown kernel kind {data['kind']!r}; expected 'diffusion'")
-    return KernelModel(
-        epsilon=float(data["epsilon"]),
-        theta_zero=float(data["theta_zero"]),
-        centers=np.asarray(data["centers"], dtype=float),
-        deg_r=np.asarray(data["deg_r"], dtype=float),
-    )

@@ -7,6 +7,7 @@ import json
 
 from kerneldrift import (
     CondExpParams,
+    DriftModel,
     Stencil,
     estimate_drift,
     estimate_drift_sparse,
@@ -284,7 +285,7 @@ class TestSparseEstimator:
         perm = np.arange(n)
         perm[rest] = rest[np.random.default_rng(4).permutation(len(rest))]
         shuffled = SnapshotSet(inputs=snaps.inputs[perm],
-                               targets=snaps.targets[perm], dt=snaps.dt,
+                               targets=snaps.targets[perm],
                                stencil=snaps.stencil)
         base = estimate_drift_sparse(snaps, params)
         again = estimate_drift_sparse(shuffled, params)
@@ -329,7 +330,7 @@ def _parent_format_payload(model):
         "deg_l": deg_l.tolist(),
         "w": (1.0 / np.sqrt(k.deg_r * deg_l)).tolist(),
     }
-    payload = {"kernel": kernel, "dt": model.dt}
+    payload = {"kernel": kernel, "dt": 0.01}
     if model.stencil is None:
         payload.update(type="dense", coefficients=model.coefficients.tolist())
     else:
@@ -352,6 +353,79 @@ def test_parent_format_files_load(hopf_fit, l96_sparse_fit, tmp_path):
         v2, f2 = predict_drift_many(loaded, pts)
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(f1, f2)
+
+
+def _edited_model_file(model, path, edit):
+    """Save ``model`` to ``path``, then rewrite its JSON payload with ``edit``."""
+    save_drift_model(model, path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("deg_r", ["zero", "nan", "short"])
+def test_file_degrees_are_not_read(hopf_fit, tmp_path, deg_r):
+    # the degrees derive from the centers; a file's deg_r, however wrong,
+    # changes nothing
+    _, traj, model = hopf_fit
+    m = model.kernel.n_centers
+    bad = {"zero": [0.0] * m, "nan": [float("nan")] * m,
+           "short": model.kernel.deg_r[:-1].tolist()}[deg_r]
+    path = _edited_model_file(model, tmp_path / "model.json",
+                              lambda p: p["kernel"].update(deg_r=bad))
+    loaded = load_drift_model(path)
+    np.testing.assert_array_equal(loaded.kernel.deg_r, model.kernel.deg_r)
+    pts = np.vstack([traj.points[:6], [[40.0, -30.0]]])
+    v1, f1 = predict_drift_many(model, pts)
+    v2, f2 = predict_drift_many(loaded, pts)
+    assert f2[-1]
+    np.testing.assert_array_equal(v1, v2)
+    np.testing.assert_array_equal(f1, f2)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c[:3] + [[c[3][0], float("nan")]] + c[4:], "center point 3 is not finite"),
+    (lambda c: c[:3] + [[c[3][0], 1e200]] + c[4:], "center point 3 is too far"),
+    (lambda c: [], r"centers must be a non-empty \(M, d\) array, got shape \(0,\)"),
+    (lambda c: [row[0] for row in c], r"centers must be a non-empty \(M, d\) array"),
+], ids=["nan", "far", "empty", "1-d"])
+def test_bad_centers_rejected_on_load(hopf_fit, tmp_path, edit, message):
+    path = _edited_model_file(
+        hopf_fit[2], tmp_path / "model.json",
+        lambda p: p["kernel"].update(centers=edit(p["kernel"]["centers"])))
+    with pytest.raises(ValueError, match=message):
+        load_drift_model(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_coefficients_rejected(hopf_fit, tmp_path, bad):
+    model = hopf_fit[2]
+    coefficients = model.coefficients.copy()
+    coefficients[1, 7] = bad
+    with pytest.raises(ValueError, match=r"coefficient \(1, 7\) is not finite"):
+        DriftModel(kernel=model.kernel, coefficients=coefficients)
+    path = _edited_model_file(model, tmp_path / "model.json",
+                              lambda p: p["coefficients"][1].__setitem__(7, bad))
+    with pytest.raises(ValueError, match=r"coefficient \(1, 7\) is not finite"):
+        load_drift_model(path)
+
+
+def test_kernel_dimension_must_match_inputs(hopf_fit, l96_sparse_fit, tmp_path):
+    # a dense model's kernel sees its d coordinates
+    hopf = hopf_fit[2]
+    with pytest.raises(ValueError, match="kernel dimension 2 != d = 3"):
+        DriftModel(kernel=hopf.kernel, coefficients=np.zeros((3, hopf.kernel.n_centers)))
+    # a stencil model's kernel sees the stencil's m-point records
+    l96 = l96_sparse_fit[3]
+    with pytest.raises(ValueError, match="kernel dimension 4 != stencil.m = 3"):
+        DriftModel(kernel=l96.kernel, coefficients=l96.coefficients,
+                   stencil=Stencil.cyclic(5, (-1, 0, 1)))
+    narrow = [list(r) for r in Stencil.cyclic(5, (-1, 0, 1)).left]
+    path = _edited_model_file(l96, tmp_path / "model.json",
+                              lambda p: p.update(stencil={"m": 3, "left": narrow}))
+    with pytest.raises(ValueError, match="kernel dimension 4 != stencil.m = 3"):
+        load_drift_model(path)
 
 
 @pytest.mark.parametrize("which", ["dense", "stencil"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,16 +8,15 @@ from scipy.spatial.distance import cdist
 
 from kerneldrift import (
     DegenerateBandwidthError,
+    DriftModel,
     IsolatedPointError,
+    KernelModel,
     diffusion_model,
     section_matrix,
     select_bandwidth,
 )
-from kerneldrift.kernels import (
-    kernel_model_from_dict,
-    kernel_model_to_dict,
-    markov_apply,
-)
+from kerneldrift.drift import load_drift_model, save_drift_model
+from kerneldrift.kernels import markov_apply
 
 
 def cloud(n=60, d=2, seed=0, scale=1.0):
@@ -377,18 +377,16 @@ class TestDiffusionModel:
         # checked by the model itself, also when it is loaded
         with pytest.raises(ValueError, match="epsilon must be positive"):
             diffusion_model(cloud(n=10, seed=46), eps)
-        saved = kernel_model_to_dict(diffusion_model(cloud(n=10, seed=46), 0.5))
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            kernel_model_from_dict({**saved, "epsilon": eps})
+            KernelModel(epsilon=eps, theta_zero=1e-14, centers=cloud(n=10, seed=46))
 
     @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0])
     def test_bad_theta_zero_rejected(self, theta_zero):
         data = cloud(n=50, seed=47)
         with pytest.raises(ValueError, match="theta_zero must lie in"):
             diffusion_model(data, 0.5, theta_zero=theta_zero)
-        saved = kernel_model_to_dict(diffusion_model(data, 0.5))
         with pytest.raises(ValueError, match="theta_zero must lie in"):
-            kernel_model_from_dict({**saved, "theta_zero": theta_zero})
+            KernelModel(epsilon=0.5, theta_zero=theta_zero, centers=data)
 
     def test_two_point_symmetry(self):
         pts = np.array([[0.0], [1.0]])
@@ -581,20 +579,31 @@ class TestSectionsAgainstDenseOracle:
             assert flag[0] == flags[i]
 
 
-def test_kernel_model_roundtrip():
+def test_kernel_model_roundtrip(tmp_path):
     data = cloud(n=15, seed=20)
-    model = diffusion_model(data, 0.4)
-    payload = kernel_model_to_dict(model)
-    assert payload["kind"] == "diffusion"
-    loaded = kernel_model_from_dict(payload)
-    assert loaded.epsilon == model.epsilon
-    np.testing.assert_array_equal(loaded.centers, model.centers)
-    np.testing.assert_array_equal(loaded.deg_r, model.deg_r)
-    assert "deg_l" not in payload
-    # older files carry left degrees; they are ignored
-    older = kernel_model_from_dict(dict(payload, deg_l=left_degrees(model).tolist()))
-    np.testing.assert_array_equal(section_matrix(older, data)[0],
-                                  section_matrix(model, data)[0])
+    kernel = diffusion_model(data, 0.4)
+    coefficients = np.random.default_rng(21).normal(size=(2, 15))
+    path = tmp_path / "model.json"
+    save_drift_model(DriftModel(kernel=kernel, coefficients=coefficients), path)
+    payload = json.loads(path.read_text())
+    # a kernel is its bandwidth, threshold and centers; no degrees, no dt
+    assert payload["kernel"] == {"kind": "diffusion", "epsilon": 0.4,
+                                 "theta_zero": kernel.theta_zero,
+                                 "centers": data.tolist()}
+    assert "dt" not in payload
+    loaded = load_drift_model(path).kernel
+    assert (loaded.epsilon, loaded.theta_zero) == (kernel.epsilon, kernel.theta_zero)
+    np.testing.assert_array_equal(loaded.centers, kernel.centers)
+    np.testing.assert_array_equal(loaded.deg_r, kernel.deg_r)
+    np.testing.assert_array_equal(section_matrix(loaded, data)[0],
+                                  section_matrix(kernel, data)[0])
+    # older files carry degrees; they are ignored
+    path.write_text(json.dumps(dict(payload, kernel=dict(
+        payload["kernel"], deg_r=kernel.deg_r.tolist(),
+        deg_l=left_degrees(kernel).tolist()))))
+    np.testing.assert_array_equal(section_matrix(load_drift_model(path).kernel, data)[0],
+                                  section_matrix(kernel, data)[0])
     # only the diffusion kernel is a model kind
+    path.write_text(json.dumps(dict(payload, kernel=dict(payload["kernel"], kind="gaussian"))))
     with pytest.raises(ValueError, match="kernel kind"):
-        kernel_model_from_dict(dict(payload, kind="gaussian"))
+        load_drift_model(path)
