@@ -82,14 +82,6 @@ class CondExpParams:
                 raise ValueError(f"{name} must be positive when given, got {value}")
 
 
-def select_centers(n: int, params: CondExpParams) -> np.ndarray:
-    """Indices of the kernel centers among n inputs: every (n // M)-th."""
-    m = params.n_centers
-    if m > n:
-        raise ValueError(f"n_centers={m} exceeds the number of inputs {n}")
-    return np.arange(m) * (n // m)
-
-
 def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
                       smoothed_targets: np.ndarray,
                       delta: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -143,7 +135,8 @@ def fit_targets(inputs, targets, params: CondExpParams
     """Fit one kernel and one coefficient vector per target column.
 
     ``inputs`` has shape (N, d) and ``targets`` (N,) or (N, k); all columns
-    share the bandwidth selection, smoothing matrices, centers and the
+    share the bandwidth selection, smoothing matrices, centers (every
+    (N // M)-th input; ``M > N`` raises ``ValueError``) and the
     factorization of the normal equations.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
@@ -155,6 +148,9 @@ def fit_targets(inputs, targets, params: CondExpParams
         raise ValueError(f"{len(targets)} targets for {len(inputs)} inputs")
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError("inputs and targets must be finite")
+    n, m = len(inputs), params.n_centers
+    if m > n:
+        raise ValueError(f"n_centers={m} exceeds the number of inputs {n}")
     single = targets.ndim == 1
     y = targets[:, None] if single else targets
 
@@ -167,8 +163,7 @@ def fit_targets(inputs, targets, params: CondExpParams
     eps3 = bandwidth(params.eps3, params.eta3)
     eps2 = bandwidth(params.eps2, params.eta2)
 
-    centers = select_centers(len(inputs), params)
-    kernel = diffusion_model(inputs[centers], eps2, params.theta_zero)
+    kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2, params.theta_zero)
     # the sections keep about 1% of their entries: they are evaluated one
     # row block at a time and kept as CSR
     sections = sp.vstack([sp.csr_array(section_matrix(kernel, inputs[rows])[0])
@@ -190,7 +185,7 @@ def fit_targets(inputs, targets, params: CondExpParams
         "eps2": eps2,
         "eps3": eps3,
         "delta": params.delta,
-        "n_train": len(inputs),
+        "n_train": n,
         "n_centers": params.n_centers,
         "residual_norms": residuals.tolist(),
         "normal_condition": condition,

@@ -163,38 +163,24 @@ def load_error_report(path) -> ErrorReport:
 
 
 def save_pointwise_errors(path, test_points, errors) -> None:
-    """CSV with columns x0..x{d-1},err0..err{d-1}, one row per test point."""
+    """CSV with columns x0..x{d-1},err0..err{d-1}, one row per test point;
+    every value is written as its float64 by ``systems._write_csv``."""
     test_points = np.asarray(test_points, dtype=float)
     errors = np.asarray(errors, dtype=float)
     d = test_points.shape[1]
-    header = ",".join([f"x{i}" for i in range(d)] + [f"err{i}" for i in range(d)])
-    lines = [header]
-    for x, e in zip(test_points, errors):
-        lines.append(",".join([repr(float(v)) for v in x] + [repr(float(v)) for v in e]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    systems_mod._write_csv(path, [f"x{i}" for i in range(d)] + [f"err{i}" for i in range(d)],
+                           [*test_points.T, *errors.T])
 
 
 def save_orbit_comparison(comparison: OrbitComparison, path) -> None:
-    """Paired-path CSV: t, true coordinates, estimated coordinates, flag."""
-    d = comparison.true_orbit.d
-    header = (
-        "t,"
-        + ",".join(f"true_x{i}" for i in range(d))
-        + ","
-        + ",".join(f"est_x{i}" for i in range(d))
-        + ",extrapolated"
+    """Paired-path CSV written by ``systems._write_csv``: t = k*dt, the true
+    and the estimated coordinates, and the extrapolation flag as 0/1."""
+    true_orbit, est_orbit = comparison.true_orbit, comparison.estimated_orbit
+    d = true_orbit.d
+    systems_mod._write_csv(
+        path,
+        ["t", *(f"true_x{i}" for i in range(d)), *(f"est_x{i}" for i in range(d)),
+         "extrapolated"],
+        [np.arange(len(true_orbit)) * true_orbit.dt, *true_orbit.points.T,
+         *est_orbit.points.T, np.asarray(comparison.extrapolated).astype(int)],
     )
-    lines = [header]
-    dt = comparison.true_orbit.dt
-    rows = zip(comparison.true_orbit.points, comparison.estimated_orbit.points,
-               comparison.extrapolated)
-    for k, (xt, xe, flag) in enumerate(rows):
-        lines.append(
-            ",".join(
-                [repr(float(k * dt))]
-                + [repr(float(v)) for v in xt]
-                + [repr(float(v)) for v in xe]
-                + [str(int(flag))]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -47,6 +47,7 @@ class SystemSpec:
         the cyclic four-point dependence pattern is well defined).
     sigma_noise
         Scale of the diagonal diffusion term; 0 means a deterministic ODE.
+        It and every system constant must be finite.
     """
 
     name: str
@@ -64,12 +65,16 @@ class SystemSpec:
             raise ValueError(
                 f"bad parameters for {self.name}: unknown {unknown}, missing {missing}"
             )
+        for key, value in sorted(self.params.items()):
+            if not math.isfinite(value):
+                raise ValueError(f"{self.name} parameter {key} must be finite, got {value}")
         if self.name == "lorenz96":
             n = self.params["N"]
             if int(n) != n or int(n) < 4:
                 raise ValueError(f"lorenz96 cell count N must be an integer >= 4, got {n}")
-        if self.sigma_noise < 0:
-            raise ValueError(f"sigma_noise must be nonnegative, got {self.sigma_noise}")
+        if not 0 <= self.sigma_noise < math.inf:
+            raise ValueError(f"sigma_noise must be nonnegative and finite, "
+                             f"got {self.sigma_noise}")
 
     @property
     def dimension(self) -> int:
@@ -125,8 +130,8 @@ class Trajectory:
             raise ValueError("points must be a 2-d array (n_samples, d)")
         if len(self.points) < 4:
             raise ValueError(f"trajectory needs at least 4 samples, got {len(self.points)}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.isfinite(self.points).all():
             raise ValueError("trajectory contains non-finite points")
 
@@ -216,8 +221,8 @@ def simulate(
     BlowUpError
         If a recorded state is non-finite; carries the index reached.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_samples < 4:
         raise ValueError(f"n_samples must be at least 4, got {n_samples}")
     if substeps < 1:
@@ -256,6 +261,19 @@ def simulate(
 # a JSON sidecar (<stem>.meta.json) records how the path was generated.
 
 
+def _write_csv(path, header, columns) -> None:
+    """Write a plot-ready CSV: the ``header`` names, then one line per row.
+
+    Every CSV file of the package goes through here.  ``columns`` holds one
+    1-d array per name; each value is the ``repr`` of the Python scalar
+    ``ndarray.tolist()`` gives: the shortest text that round-trips a
+    float64, and plain digits for an integer column such as a 0/1 flag.
+    """
+    texts = [map(repr, np.asarray(column).tolist()) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*texts))]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _meta_path(csv_path) -> Path:
     csv_path = Path(csv_path)
     return csv_path.with_name(csv_path.stem + ".meta.json")
@@ -263,13 +281,10 @@ def _meta_path(csv_path) -> Path:
 
 def save_trajectory(traj: Trajectory, csv_path, spec: Optional[SystemSpec] = None,
                     burn_in: Optional[int] = None, substeps: Optional[int] = None) -> None:
-    csv_path = Path(csv_path)
+    """Write the path as CSV (``t = k*dt``, then x0..x{d-1}) and its sidecar."""
     d = traj.d
-    header = "t," + ",".join(f"x{i}" for i in range(d))
-    lines = [header]
-    for k, row in enumerate(traj.points):
-        lines.append(",".join([repr(float(k * traj.dt))] + [repr(float(v)) for v in row]))
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_csv(csv_path, ["t"] + [f"x{i}" for i in range(d)],
+               [np.arange(len(traj)) * traj.dt, *traj.points.T])
 
     meta = {"dt": traj.dt, "d": d, "n_samples": len(traj), "seed": traj.seed}
     if spec is not None:

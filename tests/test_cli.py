@@ -51,6 +51,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert run() == 1
 
 
+@pytest.mark.parametrize("option, message", [
+    (("--dt", "nan"), "dt must be positive and finite"),
+    (("--dt", "inf"), "dt must be positive and finite"),
+    (("--noise", "nan"), "sigma_noise must be nonnegative and finite"),
+    (("--noise", "inf"), "sigma_noise must be nonnegative and finite"),
+])
+def test_simulate_non_finite_step_or_noise_is_usage_error(tmp_path, capsys, option, message):
+    # rejected up front instead of failing as a blow-up at sample index 1
+    code = run("simulate", "--system", "hopf", "--n", "50", *option, "--out", str(tmp_path))
+    assert code == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def hopf_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("hopf_run")

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from kerneldrift import CondExpParams, SolverError, condexp, diffusion_model, section_matrix
-from kerneldrift.condexp import fit_targets, select_centers, solve_regularized
+from kerneldrift.condexp import fit_targets, solve_regularized
 from kerneldrift.kernels import _BLOCK_ROWS
 
 
@@ -51,11 +51,14 @@ def test_params_reject_nan(field):
         CondExpParams(**{field: float("nan")})
 
 
-def test_select_centers_strided():
-    params = CondExpParams(n_centers=5)
-    np.testing.assert_array_equal(select_centers(20, params), [0, 4, 8, 12, 16])
-    with pytest.raises(ValueError):
-        select_centers(4, params)
+def test_fit_targets_centers_strided():
+    # the kernel centers are every (N // M)-th input
+    inputs = np.random.default_rng(2).normal(size=(20, 2))
+    params = CondExpParams(n_centers=5, eps1=1.0, eps2=1.0, eps3=1.0)
+    kernel, _, _ = fit_targets(inputs, inputs[:, 0], params)
+    np.testing.assert_array_equal(kernel.centers, inputs[[0, 4, 8, 12, 16]])
+    with pytest.raises(ValueError, match="n_centers=5 exceeds the number of inputs 4"):
+        fit_targets(inputs[:4], inputs[:4, 0], params)
 
 
 def test_constant_target_recovery_zero_ridge():

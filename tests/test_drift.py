@@ -277,10 +277,10 @@ class TestSparseEstimator:
         # permute only non-center records so the strided center set is fixed
         n = len(snaps)
         params = CondExpParams(n_centers=300, eps1=0.05, eps2=0.1, eps3=0.1)
-        from kerneldrift.condexp import select_centers
         from kerneldrift.drift import SnapshotSet
 
-        centers = set(select_centers(n, params).tolist())
+        # the fit's centers are every (N // M)-th record
+        centers = set(range(0, 300 * (n // 300), n // 300))
         rest = np.array([i for i in range(n) if i not in centers])
         perm = np.arange(n)
         perm[rest] = rest[np.random.default_rng(4).permutation(len(rest))]
@@ -288,6 +288,7 @@ class TestSparseEstimator:
                                targets=snaps.targets[perm],
                                stencil=snaps.stencil)
         base = estimate_drift_sparse(snaps, params)
+        np.testing.assert_array_equal(base.kernel.centers, snaps.inputs[sorted(centers)])
         again = estimate_drift_sparse(shuffled, params)
         probes = snaps.inputs[:20]
         from kerneldrift.kernels import section_matrix

@@ -17,11 +17,13 @@ from kerneldrift import (
     system_field,
 )
 from kerneldrift.evaluation import (
+    OrbitComparison,
     load_error_report,
     save_error_report,
     save_orbit_comparison,
     save_pointwise_errors,
 )
+from kerneldrift.systems import Trajectory, save_trajectory
 from test_kernels import section_oracle
 
 
@@ -226,3 +228,78 @@ def test_extrapolated_fraction_counts_fallbacks(hopf_setup):
     far = held.points + 1000.0
     report = relative_l2_error(model, system_field(spec), far)
     assert report.extrapolated_fraction == 1.0
+
+
+# --- exact bytes of the plot-ready CSV files ---------------------------------
+#
+# The references are the writers' former per-value loops: a header line, then
+# repr of each value as a float64, flags as 0/1 and t = k * dt.
+
+
+def reference_trajectory_csv(traj):
+    lines = ["t," + ",".join(f"x{i}" for i in range(traj.d))]
+    for k, row in enumerate(traj.points):
+        lines.append(",".join([repr(float(k * traj.dt))] + [repr(float(v)) for v in row]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_pointwise_csv(test_points, errors):
+    test_points = np.asarray(test_points, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    d = test_points.shape[1]
+    lines = [",".join([f"x{i}" for i in range(d)] + [f"err{i}" for i in range(d)])]
+    for x, e in zip(test_points, errors):
+        lines.append(",".join([repr(float(v)) for v in x] + [repr(float(v)) for v in e]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_orbit_csv(comparison):
+    d = comparison.true_orbit.d
+    lines = ["t," + ",".join(f"true_x{i}" for i in range(d)) + ","
+             + ",".join(f"est_x{i}" for i in range(d)) + ",extrapolated"]
+    dt = comparison.true_orbit.dt
+    rows = zip(comparison.true_orbit.points, comparison.estimated_orbit.points,
+               comparison.extrapolated)
+    for k, (xt, xe, flag) in enumerate(rows):
+        lines.append(",".join([repr(float(k * dt))] + [repr(float(v)) for v in xt]
+                              + [repr(float(v)) for v in xe] + [str(int(flag))]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def awkward_values(n, d, seed):
+    """(n, d) float64 values over many magnitudes, led by a negative zero, the
+    smallest subnormal, a huge value and a sum that is not its decimal."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-12, 12, size=(n, d))
+    values.flat[:4] = [-0.0, 5e-324, 1e300, 0.1 + 0.2]
+    return values
+
+
+def test_trajectory_csv_bytes(tmp_path):
+    traj = Trajectory(dt=0.1, points=awkward_values(3000, 3, 0))
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, path)
+    assert path.read_bytes() == reference_trajectory_csv(traj)
+
+
+def test_pointwise_errors_csv_bytes(tmp_path):
+    # integer points and float32 errors are written as their float64 values
+    rng = np.random.default_rng(1)
+    test_points = rng.integers(-10**6, 10**6, size=(500, 2))
+    errors = np.clip(awkward_values(500, 2, 2), -1e30, 1e30).astype(np.float32)
+    path = tmp_path / "pw.csv"
+    save_pointwise_errors(path, test_points, errors)
+    assert path.read_bytes() == reference_pointwise_csv(test_points, errors)
+
+
+def test_orbit_comparison_csv_bytes(tmp_path):
+    n = 3000
+    comparison = OrbitComparison(
+        true_orbit=Trajectory(dt=0.1, points=awkward_values(n, 2, 3)),
+        estimated_orbit=Trajectory(dt=0.1, points=awkward_values(n, 2, 4)),
+        extrapolated=np.random.default_rng(5).random(n) < 0.5,
+    )
+    assert comparison.extrapolated.any() and not comparison.extrapolated.all()
+    path = tmp_path / "orbits.csv"
+    save_orbit_comparison(comparison, path)
+    assert path.read_bytes() == reference_orbit_csv(comparison)

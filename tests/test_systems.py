@@ -183,6 +183,32 @@ def test_simulate_rejects_non_finite_start(x0):
         simulate(make_spec("hopf"), x0, 10, 0.01, 0, burn_in=0)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+def test_non_finite_or_zero_dt_rejected(dt):
+    # a NaN passes a range check written as `dt <= 0`, and an infinite step
+    # only failed later as a blow-up at sample index 1
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        simulate(make_spec("hopf"), [2.0, 0.0], 10, dt, 0, burn_in=0)
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        Trajectory(dt=dt, points=np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+def test_non_finite_or_negative_noise_rejected(sigma):
+    with pytest.raises(ValueError, match="sigma_noise must be nonnegative and finite"):
+        make_spec("hopf", sigma_noise=sigma)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("hopf", {"p": np.nan}), ("lorenz63", {"rho": np.inf}),
+    ("lorenz96", {"F": -np.inf}), ("lorenz96", {"N": np.inf}),
+])
+def test_non_finite_system_constant_rejected(name, overrides):
+    (key, value), = overrides.items()
+    with pytest.raises(ValueError, match=f"{name} parameter {key} must be finite"):
+        make_spec(name, **overrides)
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(dt=0.01, points=np.zeros((3, 2)))  # too short
