@@ -2,7 +2,9 @@
 
 Each run writes into a flat output directory: a config echo, trajectory CSV
 plus metadata sidecar, model JSON, error report JSON, and plot-ready CSVs.
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure.  A run makes its
+output directory only once its arguments have passed every check, so a
+rejected run leaves none behind.
 
 A config file of ``key = value`` lines may supply any long-option default
 (underscores or dashes in keys); command-line flags override it.
@@ -154,13 +156,13 @@ def _echo_config(args, out_dir: Path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     spec = _spec_from_args(args)
     n = args.n if args.n is not None else DEFAULT_SAMPLES[args.system]
     traj = systems.simulate(spec, systems.default_initial_state(spec), n_samples=n,
                             dt=args.dt, seed=args.seed, burn_in=args.burn_in,
                             substeps=args.substeps)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "trajectory.csv"
     systems.save_trajectory(traj, path, spec=spec, burn_in=args.burn_in,
                             substeps=args.substeps)
@@ -190,8 +192,6 @@ def _stencil_from_args(args, d: int) -> drift.Stencil:
 
 
 def cmd_estimate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj, meta = systems.load_trajectory(args.traj)
     if "system" not in meta:
         raise _UsageError(f"{args.traj}: metadata sidecar with the generating system "
@@ -213,16 +213,16 @@ def cmd_estimate(args) -> int:
                                 n_samples=len(traj), dt=traj.dt, seed=seed + 1,
                                 burn_in=meta.get("burn_in", 100),
                                 substeps=meta.get("substeps", 10))
-    report = evaluation.relative_l2_error(model, evaluation.system_field(spec),
-                                          held_out.points)
-    errors = evaluation.pointwise_errors(model, evaluation.system_field(spec),
-                                         held_out.points)
+    # one prediction of the held-out cloud scores it and gives its errors
+    report, diff = evaluation._score(model, evaluation.system_field(spec), held_out.points)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.json"
     drift.save_drift_model(model, model_path)
     evaluation.save_error_report(report, out_dir / "report.json")
     evaluation.save_pointwise_errors(out_dir / "pointwise_errors.csv",
-                                     held_out.points, errors)
+                                     held_out.points, np.abs(diff))
     _echo_config(args, out_dir)
     print(f"estimate: {args.estimator} on {args.traj} -> relative_l2="
           f"{report.relative_l2:.6g} extrapolated={report.extrapolated_fraction:.3g} "
@@ -231,8 +231,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = drift.load_drift_model(args.model)
     spec = _spec_from_args(args)
     if model.d != spec.dimension:
@@ -243,6 +241,8 @@ def cmd_compare(args) -> int:
         x0 = systems.default_initial_state(spec)
     comparison = evaluation.compare_orbits(spec, model, x0, horizon=args.horizon,
                                            dt=args.dt)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "orbits.csv"
     evaluation.save_orbit_comparison(comparison, path)
     _echo_config(args, out_dir)

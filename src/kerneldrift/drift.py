@@ -123,14 +123,13 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
     # row-wise reduction (not a BLAS product) so identical section rows give
     # bitwise-identical values regardless of row position: a batch matches
     # single-point calls, and cyclic shifts of the state permute a stencil
-    # prediction exactly; one row block of sections and one coefficient row
-    # at a time keep the temporaries at the size of a block
+    # prediction exactly; one row block of sections at a time keeps the
+    # (rows, k, M) products at the size of k blocks
     values = np.empty((len(points), len(model.coefficients)))
     flags = np.empty(len(points), dtype=bool)
     for rows in _section_blocks(model.kernel, points):
         sections, flags[rows] = section_matrix(model.kernel, points[rows])
-        for r, row in enumerate(model.coefficients):
-            values[rows, r] = (sections * row).sum(axis=1)
+        values[rows] = np.add.reduce(sections[:, None, :] * model.coefficients, axis=2)
     if model.stencil is not None:
         values, flags = values.reshape(n, d), flags.reshape(n, d).any(axis=1)
     return values, flags

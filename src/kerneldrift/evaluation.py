@@ -53,6 +53,12 @@ def relative_l2_error(predict, truth, test_points) -> ErrorReport:
     ``sqrt(sum |predicted - true|^2) / sqrt(sum |true|^2)`` over the points,
     plus per-coordinate RMSE and the fraction of extrapolated predictions.
     """
+    return _score(predict, truth, test_points)[0]
+
+
+def _score(predict, truth, test_points) -> tuple[ErrorReport, np.ndarray]:
+    """:func:`relative_l2_error`'s report and the (n, d) signed errors
+    ``predicted - true`` behind it, from one prediction of the cloud."""
     test_points = np.asarray(test_points, dtype=float)
     if test_points.ndim != 2 or len(test_points) == 0:
         raise ValueError("test_points must be a nonempty (n, d) array")
@@ -64,12 +70,13 @@ def relative_l2_error(predict, truth, test_points) -> ErrorReport:
     if truth_norm == 0.0:
         raise ValueError("true field vanishes on every test point")
     diff = predicted - actual
-    return ErrorReport(
+    report = ErrorReport(
         relative_l2=float(np.sqrt(np.sum(diff**2)) / truth_norm),
         per_coordinate_rmse=np.sqrt(np.mean(diff**2, axis=0)),
         n_test=len(test_points),
         extrapolated_fraction=0.0 if flags is None else float(np.mean(flags)),
     )
+    return report, diff
 
 
 def pointwise_errors(predict, truth, test_points) -> np.ndarray:

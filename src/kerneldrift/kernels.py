@@ -4,8 +4,9 @@ Two operators are built from the squared-exponential kernel
 ``g(x, y) = exp(-|x - y|^2 / epsilon)``, with raw values below a zero
 threshold ``theta_zero`` dropped before any normalization.  Since
 ``g >= theta_zero`` exactly when ``|x - y|^2 <= epsilon * ln(1 / theta_zero)``,
-both take their raw values from the radius neighbours a k-d tree lists
-(:func:`_gaussian_pairs`), and the threshold test on each pair keeps
+the Markov operator takes its raw values from the radius neighbours a k-d
+tree lists (:func:`_gaussian_pairs`); the diffusion kernel's sections are
+dense over its few hundred centers.  Either way the threshold test keeps
 exactly the entries a dense evaluation keeps:
 
 * the Markov smoothing operator (:func:`markov_apply`) -- ``g`` with each
@@ -21,16 +22,17 @@ exactly the entries a dense evaluation keeps:
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
   empirical measure of the centers.  A model is its ``epsilon``,
   ``theta_zero`` and centers alone: when a fit or a load makes one, it
-  derives from one listing of the center pairs a k-d tree of the centers,
-  ``deg_r`` and the CSR table of the M section rows at the centers, and
-  persists none of them; the left degree is computed for each query.  Its
-  sections (:func:`section_matrix`) are dense rows over the centers, filled
-  from one ball query per query point against that tree, and the one
-  evaluator of a kernel expansion: ``sum_j a_j k(x_i, c_j)`` is the
-  row-wise ``(S * a).sum(axis=1)``.  A query with no raw value at or above
-  the threshold takes its nearest center's row from the table.  A large
-  batch goes one row block at a time (:func:`_section_blocks`).  Every
-  point is checked by :func:`_check_points` before a tree sees it.  The
+  derives ``deg_r`` and the CSR table of the M section rows at the centers
+  from one listing of the center pairs over a k-d tree it does not keep,
+  and persists none of them; the left degree is computed for each query.
+  Its sections (:func:`section_matrix`) are dense rows over the centers,
+  each row block evaluated from one ``cdist`` block of squared distances
+  to every center, and the one evaluator of a kernel expansion:
+  ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
+  query with no raw value at or above the threshold takes the row of the
+  nearest center in that block from the table.  A large batch goes one
+  row block at a time (:func:`_section_blocks`).  Every point is checked
+  by :func:`_check_points` before a tree or ``cdist`` sees it.  The
   diffusion kernel is symmetrizable: with ``rho = sqrt(deg_l / deg_r)``,
   ``rho(x) k(x, y) / rho(y)`` equals
   ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
@@ -67,11 +69,12 @@ class KernelModel:
 
     A model is its bandwidth ``epsilon``, zero threshold ``theta_zero`` and
     (M, d) ``centers``; every fit and every load builds it the same way.
-    When it is made it checks the centers and derives the rest from one
-    listing of the center pairs: a k-d tree of the centers, which
-    :func:`section_matrix` queries; the right degrees ``deg_r`` at the
-    centers; and the CSR table of the section rows at the centers, which
-    an extrapolated query copies from.  None of these is persisted.
+    When it is made it checks the centers and derives the rest: the
+    centers' bounding box, against which queries are checked; and, from
+    one listing of the center pairs over a k-d tree that is not kept, the
+    right degrees ``deg_r`` at the centers, their reciprocals and the CSR
+    table of the section rows at the centers, which an extrapolated query
+    copies from.  None of these is persisted.
     """
 
     epsilon: float
@@ -80,7 +83,9 @@ class KernelModel:
 
     # derived from the fields; not persisted, compared or passed in
     deg_r: np.ndarray = field(init=False, repr=False, compare=False)
-    _tree: cKDTree = field(init=False, repr=False, compare=False)
+    _inv_deg_r: np.ndarray = field(init=False, repr=False, compare=False)
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
     _table: sp.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,13 +97,14 @@ class KernelModel:
         median = np.median(centers, axis=0)
         _check_points(centers, median, median, "center", "the other centers")
         self.centers = centers
-        self._tree = cKDTree(centers)
+        self._lo, self._hi = centers.min(axis=0), centers.max(axis=0)
         # the raw rows g(c_i, c_j) among the centers, in CSR order
-        i, j, g = _gaussian_pairs(centers, self._tree, self.epsilon, self.theta_zero,
+        i, j, g = _gaussian_pairs(centers, cKDTree(centers), self.epsilon, self.theta_zero,
                                   self_pairs=True)
         rows = np.zeros((len(centers), len(centers)))
         rows[i, j] = g
         self.deg_r = rows.sum(axis=1) / len(centers)
+        self._inv_deg_r = 1.0 / self.deg_r
         # each center keeps its own entry 1, so every table row is in range
         _normalise(self, rows)
         indptr = np.zeros(len(centers) + 1, dtype=np.int64)
@@ -246,6 +252,13 @@ def _gaussian(sq: np.ndarray, epsilon: float, theta_zero: float) -> np.ndarray:
     return g
 
 
+def _cutoff(epsilon: float, theta_zero: float) -> float:
+    """The distance ``sqrt(epsilon * ln(1 / theta_zero))`` beyond which ``g``
+    falls below ``theta_zero``, with a relative pad of 1e-12: every pair
+    whose ``g`` reaches ``theta_zero`` lies within it, rounding included."""
+    return math.sqrt(epsilon * math.log(1.0 / theta_zero)) * (1.0 + 1e-12)
+
+
 def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
                     theta_zero: float, self_pairs: bool = False
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,11 +274,11 @@ def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
     sorted, those come in canonical CSR order.  The threshold test decides
     on a squared distance recomputed in the order ``cdist`` sums it, so the
     nonzero values are exactly a dense evaluation's (a negated gap is exact:
-    ``(j, i)`` gets the bits of ``(i, j)``).  A relative pad on the radius
-    keeps rounding in the tree from dropping a kept pair; the candidates it
-    adds get a zero.
+    ``(j, i)`` gets the bits of ``(i, j)``).  The radius is
+    :func:`_cutoff`'s, whose pad keeps rounding in the tree from dropping a
+    kept pair; the candidates it adds get a zero.
     """
-    radius = math.sqrt(epsilon * math.log(1.0 / theta_zero)) * (1.0 + 1e-12)
+    radius = _cutoff(epsilon, theta_zero)
     if self_pairs:
         n = tree.n
         lo, hi = tree.query_pairs(radius, output_type="ndarray").astype(np.int64).T
@@ -297,7 +310,8 @@ def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,
     """Reject the first (n, d) point, named ``{name} point {row}``, that is
     not finite or whose squared distance to the farthest corner of the box
     ``[lo, hi]`` (which stands for ``other``) overflows: a k-d tree radius
-    query bounds its distances by such corners and fails when one does."""
+    query bounds its distances by such corners and fails when one does, and
+    ``cdist`` would give an ``inf`` distance."""
     # a cheap bound first: no squared distance to a corner of the box can
     # overflow while every coordinate gap stays below it
     if np.maximum(points - lo, hi - points).max(initial=0.0) < _SAFE_GAP:
@@ -352,10 +366,10 @@ def _normalise(model: KernelModel, raw: np.ndarray, skip: np.ndarray | None = No
                ) -> np.ndarray:
     """Section rows ``raw[i, j] / (rho_l(x_i) deg_r(c_j))``, in place, from
     raw rows; the all-zero rows marked in ``skip`` stay zero."""
-    raw *= 1.0 / model.deg_r
+    raw *= model._inv_deg_r
     # row-wise reduction keeps identical query rows bitwise identical
     # regardless of their position in the batch
-    rho_l = raw.sum(axis=1) / model.n_centers
+    rho_l = np.add.reduce(raw, axis=1) / model.n_centers
     if skip is not None:
         rho_l[skip] = 1.0
     raw /= rho_l[:, None]
@@ -370,7 +384,7 @@ def _section_blocks(model: KernelModel, points: np.ndarray) -> list[slice]:
     here, once, so that an error names the row's index in the whole batch.
     """
     if len(points) > _BLOCK_ROWS:
-        _check_points(points, model._tree.mins, model._tree.maxes, "query", "every center")
+        _check_points(points, model._lo, model._hi, "query", "every center")
     return [slice(s, s + _BLOCK_ROWS) for s in range(0, len(points), _BLOCK_ROWS)]
 
 
@@ -385,13 +399,17 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     giving ``S[i, j] = g(x, c_j) / (rho_l(x) deg_r(c_j))``; at a center
     this is the fitted kernel's row.
 
-    Rows are scattered from the raw values of one ball query per point
-    against the model's center tree (:func:`_gaussian_pairs`); they equal
-    a dense evaluation's, so a row is the same alone or in any batch.  For
-    an extrapolated row ``cdist`` finds the nearest center (the first on a
-    tie), whose section row is copied from the model's table of center
-    rows; a batch with no in-range row skips the normalisation.  Every
-    point is checked (:func:`_check_points`) before the tree is queried.
+    Each call is one row block: one ``cdist`` block of squared distances
+    from the points to every center, thresholded by :func:`_gaussian`
+    within :func:`_cutoff`, beyond which every entry is zero.  ``cdist``
+    computes each entry alone, so a row is the same alone or in any batch.
+    An extrapolated row's nearest center is the ``argmin`` of its row of
+    that block (the first on a tie), whose section row is copied from the
+    model's table of center rows; a batch with no in-range row skips the
+    normalisation.  Every point is checked (:func:`_check_points`) against
+    the centers' bounding box before ``cdist`` sees it: a squared distance
+    that overflows would make a row all ``inf``, whose ``argmin`` is center
+    0 however near another center is.
 
     Raises
     ------
@@ -408,17 +426,19 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query dimension {points.shape[1]} != center dimension {model.dimension}"
         )
-    _check_points(points, model._tree.mins, model._tree.maxes, "query", "every center")
+    _check_points(points, model._lo, model._hi, "query", "every center")
 
-    i, j, g = _gaussian_pairs(points, model._tree, model.epsilon, model.theta_zero)
-    sections = np.zeros((len(points), model.n_centers))
-    sections[i, j] = g
+    sq = cdist(points, model.centers, "sqeuclidean")
+    # exp only within the cutoff: far beyond it exp underflows, which is slow
+    near = sq <= _cutoff(model.epsilon, model.theta_zero) ** 2
+    sections = np.zeros_like(sq)
+    sections[near] = _gaussian(sq[near], model.epsilon, model.theta_zero)
     extrapolated = ~sections.any(axis=1)
     if not extrapolated.any():
         return _normalise(model, sections), extrapolated
     if not extrapolated.all():
         _normalise(model, sections, skip=extrapolated)
-    nearest = cdist(points[extrapolated], model.centers, "sqeuclidean").argmin(axis=1)
+    nearest = sq[extrapolated].argmin(axis=1)
     table = model._table
     for row, center in zip(np.flatnonzero(extrapolated), nearest):
         span = slice(table.indptr[center], table.indptr[center + 1])

@@ -58,10 +58,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     (("--noise", "inf"), "sigma_noise must be nonnegative and finite"),
 ])
 def test_simulate_non_finite_step_or_noise_is_usage_error(tmp_path, capsys, option, message):
-    # rejected up front instead of failing as a blow-up at sample index 1
-    code = run("simulate", "--system", "hopf", "--n", "50", *option, "--out", str(tmp_path))
+    # rejected up front instead of failing as a blow-up at sample index 1,
+    # and before the output directory is made
+    out = tmp_path / "out"
+    code = run("simulate", "--system", "hopf", "--n", "50", *option, "--out", str(out))
     assert code == 1
     assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +128,20 @@ def test_compare_model_without_coefficients_is_usage_error(hopf_run, tmp_path):
                "--out", str(tmp_path)) == 1
 
 
-def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path):
+def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, capsys):
+    # a sidecar without params, or with a null noise level (float(None)
+    # raises TypeError), is a usage error and leaves no output directory
     traj = tmp_path / "trajectory.csv"
     traj.write_text((hopf_run / "trajectory.csv").read_text())
     meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
-    del meta["params"]
-    (tmp_path / "trajectory.meta.json").write_text(json.dumps(meta))
-    assert run("estimate", "--traj", str(traj), "--centers", "150",
-               "--out", str(tmp_path)) == 1
+    without_params = {k: v for k, v in meta.items() if k != "params"}
+    for key, sidecar in (("params", without_params), ("sigma_noise", {**meta, "sigma_noise": None})):
+        (tmp_path / "trajectory.meta.json").write_text(json.dumps(sidecar))
+        out = tmp_path / f"out_{key}"
+        assert run("estimate", "--traj", str(traj), "--centers", "150",
+                   "--out", str(out)) == 1
+        assert "usage error: metadata sidecar" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_compare_outputs(hopf_run, tmp_path):

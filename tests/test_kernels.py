@@ -565,11 +565,12 @@ class TestSectionsAgainstDenseOracle:
         sections, _ = section_matrix(model, points)
         assert not np.array_equal(sections[0], section_matrix(model, centers[41])[0][0])
 
-    def test_single_row_matches_row_in_large_batch(self):
-        centers = cloud(n=500, d=3, seed=54, scale=3.0)
+    @pytest.mark.parametrize("d", [2, 3, 4])  # the Hopf, Lorenz 63 and Lorenz 96 stencil d
+    def test_single_row_matches_row_in_large_batch(self, d):
+        centers = cloud(n=500, d=d, seed=54, scale=3.0)
         model = diffusion_model(centers, 0.5)
         rng = np.random.default_rng(55)
-        points = rng.normal(size=(10_000, 3)) * 3.0
+        points = rng.normal(size=(10_000, d)) * 3.0
         points[9_000] += 200.0  # one extrapolated row
         sections, flags = section_matrix(model, points)
         assert flags[9_000] and not flags.all()
