@@ -276,3 +276,6 @@ def load_drift_model(path) -> DriftModel:
         )
     except KeyError as err:
         raise ValueError(f"{path}: drift model file lacks the {err.args[0]!r} entry") from err
+    except TypeError as err:  # e.g. a null bandwidth or a list for the kernel
+        raise ValueError(f"{path}: drift model file has an entry of the wrong type: "
+                         f"{err}") from err

@@ -2,48 +2,45 @@
 
 Two operators are built from the squared-exponential kernel
 ``g(x, y) = exp(-|x - y|^2 / epsilon)``, with raw values below a zero
-threshold ``theta_zero`` dropped before any normalization.  Since
-``g >= theta_zero`` exactly when ``|x - y|^2 <= epsilon * ln(1 / theta_zero)``,
-the Markov operator takes its raw values from the radius neighbours a k-d
-tree lists (:func:`_gaussian_pairs`); the diffusion kernel's sections are
-dense over its few hundred centers.  Either way the threshold test keeps
-exactly the entries a dense evaluation keeps:
+threshold ``theta_zero`` dropped before any normalization.  The raw values
+against a given point set come from one ``cdist`` block of squared
+distances (:func:`_gaussian_block`); only a cloud with itself takes them
+from the radius neighbours a k-d tree lists (:func:`_gaussian_pairs`),
+since ``g >= theta_zero`` exactly when
+``|x - y|^2 <= epsilon * ln(1 / theta_zero)``.  Either way the threshold
+test keeps exactly the entries a dense evaluation keeps:
 
 * the Markov smoothing operator (:func:`markov_apply`) -- ``g`` with each
   row divided by its sum, a row-stochastic matrix between two point clouds,
   assembled as a canonical CSR matrix and applied to dense columns, giving
-  a dense result, or to sparse columns, giving a CSR result.  Between two
-  clouds the pairs come from one ball query per row point, each CSR row
-  then put in column order; a cloud with itself lists each pair once and
-  keys both orientations and the diagonal from it;
+  a dense result, or to sparse columns, giving a CSR result.  Two clouds
+  go one block of rows at a time; a cloud with itself lists each pair once
+  and keys both orientations and the diagonal from it;
 * the diffusion kernel (:class:`KernelModel`) over a few hundred centers --
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
   ``deg_r(x) = mean_j g(x, c_j)`` and left degree
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
   empirical measure of the centers.  A model is its ``epsilon``,
   ``theta_zero`` and centers alone: when a fit or a load makes one, it
-  derives ``deg_r`` and the CSR table of the M section rows at the centers
-  from one listing of the center pairs over a k-d tree it does not keep,
-  and persists none of them; the left degree is computed for each query.
-  Its sections (:func:`section_matrix`) are dense rows over the centers,
-  each row block evaluated from one ``cdist`` block of squared distances
-  to every center, and the one evaluator of a kernel expansion:
+  derives ``deg_r`` and a CSR table of the raw rows at the centers from
+  the centers' own block, and persists neither; the left degree is
+  computed for each query.  Its sections (:func:`section_matrix`) are
+  dense rows over the centers and the one evaluator of a kernel expansion:
   ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
-  query with no raw value at or above the threshold takes the row of the
-  nearest center in that block from the table.  A large batch goes one
-  row block at a time (:func:`_section_blocks`).  Every point is checked
-  by :func:`_check_points` before a tree or ``cdist`` sees it.  The
-  diffusion kernel is symmetrizable: with ``rho = sqrt(deg_l / deg_r)``,
+  query with no raw value at or above the threshold takes the raw row of
+  its nearest center from the table.  A large batch goes one row block at
+  a time (:func:`_section_blocks`).  The diffusion kernel is
+  symmetrizable: with ``rho = sqrt(deg_l / deg_r)``,
   ``rho(x) k(x, y) / rho(y)`` equals
   ``g(x, y) / sqrt(deg_r(x) deg_r(y) deg_l(x) deg_l(y))``.
 
-Bandwidths are picked so a target fraction of pairwise kernel values
-survives the threshold.
+Every point is checked before a tree or ``cdist`` sees it.  Bandwidths are
+picked so a target fraction of pairwise kernel values survives the
+threshold.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +56,7 @@ DEFAULT_THETA_ZERO = 1e-14
 # a sum of fewer than 10^8 squared coordinate gaps below this stays finite
 _SAFE_GAP = 1e150
 
-# rows of dense sections evaluated at a time (about 2 MB at M = 500)
+# rows of a cdist block evaluated at a time (about 2 MB against M = 500 centers)
 _BLOCK_ROWS = 512
 
 
@@ -69,12 +66,11 @@ class KernelModel:
 
     A model is its bandwidth ``epsilon``, zero threshold ``theta_zero`` and
     (M, d) ``centers``; every fit and every load builds it the same way.
-    When it is made it checks the centers and derives the rest: the
-    centers' bounding box, against which queries are checked; and, from
-    one listing of the center pairs over a k-d tree that is not kept, the
-    right degrees ``deg_r`` at the centers, their reciprocals and the CSR
-    table of the section rows at the centers, which an extrapolated query
-    copies from.  None of these is persisted.
+    When it is made it checks the centers and derives the rest, none of it
+    persisted: the centers' bounding box, against which queries are
+    checked; and, from the centers' own block of raw values, the right
+    degrees ``deg_r``, their reciprocals and the CSR table of raw rows that
+    an extrapolated query copies.
     """
 
     epsilon: float
@@ -98,18 +94,11 @@ class KernelModel:
         _check_points(centers, median, median, "center", "the other centers")
         self.centers = centers
         self._lo, self._hi = centers.min(axis=0), centers.max(axis=0)
-        # the raw rows g(c_i, c_j) among the centers, in CSR order
-        i, j, g = _gaussian_pairs(centers, cKDTree(centers), self.epsilon, self.theta_zero,
-                                  self_pairs=True)
-        rows = np.zeros((len(centers), len(centers)))
-        rows[i, j] = g
-        self.deg_r = rows.sum(axis=1) / len(centers)
+        # the raw rows g(c_i, c_j) among the centers; each keeps its own 1
+        raw = _gaussian_block(centers, centers, self.epsilon, self.theta_zero)[1]
+        self.deg_r = raw.sum(axis=1) / len(centers)
         self._inv_deg_r = 1.0 / self.deg_r
-        # each center keeps its own entry 1, so every table row is in range
-        _normalise(self, rows)
-        indptr = np.zeros(len(centers) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i, minlength=len(centers)), out=indptr[1:])
-        self._table = sp.csr_array((rows[i, j], j, indptr), shape=rows.shape)
+        self._table = sp.csr_array(raw)
 
     @property
     def n_centers(self) -> int:
@@ -180,13 +169,14 @@ def markov_apply(rows, cols, epsilon: float, values,
     """Apply the row-stochastic Gaussian kernel matrix to columns of ``values``.
 
     Entry (i, j) of the matrix is ``g(r_i, c_j) / sum_j' g(r_i, c_j')``
-    over the raw values at or above ``theta_zero``, listed by a radius
-    query (:func:`_gaussian_pairs`): one ball query per row point, or one
-    ``query_pairs`` when ``rows is cols``.  Each CSR row is put in column
-    order, so the result is the same, bit for bit, as for a copy of the
-    cloud.  Dense ``values`` give a dense result; a 2-d ``scipy.sparse``
-    array gives a CSR array, the sparse product with each stored entry
-    divided by its row sum, whose ``toarray()`` is the dense result.
+    over the raw values at or above ``theta_zero``: from ``cdist`` blocks
+    of ``_BLOCK_ROWS`` rows (:func:`_gaussian_block`), or from the radius
+    neighbours of :func:`_gaussian_pairs` when ``rows is cols``.  Either way
+    each CSR row is in column order, and the result is the same, bit for
+    bit, as for a copy of the cloud.  Dense ``values`` give a dense result;
+    a 2-d ``scipy.sparse`` array gives a CSR array, the sparse product with
+    each stored entry divided by its row sum, whose ``toarray()`` is the
+    dense result.
 
     Raises
     ------
@@ -218,12 +208,16 @@ def markov_apply(rows, cols, epsilon: float, values,
         raise ValueError("values must be finite")
     _check_markov_points(rows, cols)
 
-    i, j, g = _gaussian_pairs(rows, cKDTree(cols), epsilon, theta_zero,
-                              self_pairs=rows is cols)
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i, minlength=len(rows)), out=indptr[1:])
-    kernel = sp.csr_array((g, j, indptr), shape=(len(rows), len(cols)))
-    kernel.sort_indices()  # ball query rows come in tree order
+    if rows is cols:
+        i, j, g = _gaussian_pairs(rows, epsilon, theta_zero)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(i, minlength=len(rows)), out=indptr[1:])
+        kernel = sp.csr_array((g, j, indptr), shape=(len(rows), len(cols)))
+    else:
+        # an empty row cloud is one empty block
+        kernel = sp.vstack([
+            sp.csr_array(_gaussian_block(rows[s:s + _BLOCK_ROWS], cols, epsilon, theta_zero)[1])
+            for s in range(0, len(rows) or 1, _BLOCK_ROWS)], format="csr")
 
     sums = kernel.sum(axis=1)
     dead = np.flatnonzero(sums == 0.0)
@@ -259,47 +253,49 @@ def _cutoff(epsilon: float, theta_zero: float) -> float:
     return math.sqrt(epsilon * math.log(1.0 / theta_zero)) * (1.0 + 1e-12)
 
 
-def _gaussian_pairs(points: np.ndarray, tree: cKDTree, epsilon: float,
-                    theta_zero: float, self_pairs: bool = False
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate pairs ``(i, j, g)`` with ``g = g(points[i], tree.data[j])``
-    where it is at or above ``theta_zero`` and 0 where it is not.
+def _gaussian_block(points: np.ndarray, others: np.ndarray, epsilon: float,
+                    theta_zero: float) -> tuple[np.ndarray, np.ndarray]:
+    """The squared distances ``sq = cdist(points, others, "sqeuclidean")``
+    and the raw block ``g(points[i], others[j])``, zero below ``theta_zero``.
 
-    Candidates come from a radius query of ``tree`` at
-    ``sqrt(epsilon * ln(1 / theta_zero))``: one ball query per point, which
-    lists pairs by increasing ``i`` but the ``j`` of a point in no set
-    order; or, with ``self_pairs`` (``points`` are the tree's own), one
-    ``query_pairs`` that lists each unordered pair once.  Keyed in both
-    orientations plus the diagonal as the unique int64 ``i * n + j`` and
-    sorted, those come in canonical CSR order.  The threshold test decides
-    on a squared distance recomputed in the order ``cdist`` sums it, so the
-    nonzero values are exactly a dense evaluation's (a negated gap is exact:
-    ``(j, i)`` gets the bits of ``(i, j)``).  The radius is
-    :func:`_cutoff`'s, whose pad keeps rounding in the tree from dropping a
-    kept pair; the candidates it adds get a zero.
+    ``exp`` is taken only within :func:`_cutoff`: far beyond it ``exp``
+    underflows, which is slow.  ``cdist`` computes each entry alone, so a
+    row is the same alone or in any block.
     """
-    radius = _cutoff(epsilon, theta_zero)
-    if self_pairs:
-        n = tree.n
-        lo, hi = tree.query_pairs(radius, output_type="ndarray").astype(np.int64).T
-        keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
-        del lo, hi  # free the pair list before the distances are computed
-        keys.sort()
-        i, j = np.divmod(keys, n, out=(keys, np.empty_like(keys)))
-    else:
-        lists = tree.query_ball_point(points, radius, return_sorted=False)
-        counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-        i = np.arange(len(points)).repeat(counts)
-        j = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp, count=len(i))
-    if not len(i):
-        # a far single query: the empty arithmetic would cost as much
-        return i, j, np.zeros(0)
+    sq = cdist(points, others, "sqeuclidean")
+    near = sq <= _cutoff(epsilon, theta_zero) ** 2
+    raw = np.zeros_like(sq)
+    raw[near] = _gaussian(sq[near], epsilon, theta_zero)
+    return sq, raw
+
+
+def _gaussian_pairs(points: np.ndarray, epsilon: float, theta_zero: float
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pairs ``(i, j, g)`` of a cloud with itself, in canonical CSR
+    order, with ``g = g(points[i], points[j])`` where it is at or above
+    ``theta_zero`` and 0 where it is not.
+
+    One ``query_pairs`` over a k-d tree of the points, at :func:`_cutoff`'s
+    radius, lists each unordered pair once; keyed in both orientations plus
+    the diagonal as the unique int64 ``i * n + j`` and sorted, those come in
+    canonical CSR order.  The threshold test decides on a squared distance
+    recomputed in the order ``cdist`` sums it, so the nonzero values are
+    exactly a dense evaluation's (a negated gap is exact: ``(j, i)`` gets the
+    bits of ``(i, j)``).  The radius's pad keeps rounding in the tree from
+    dropping a kept pair; the candidates it adds get a zero.
+    """
+    n, radius = len(points), _cutoff(epsilon, theta_zero)
+    lo, hi = cKDTree(points).query_pairs(radius, output_type="ndarray").astype(np.int64).T
+    keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
+    del lo, hi  # free the pair list before the distances are computed
+    keys.sort()
+    i, j = np.divmod(keys, n, out=(keys, np.empty_like(keys)))
     # coordinate by coordinate, so the temporaries stay the size of one
     # column; adding the first square to zero is exact
     sq = np.zeros(len(i))
     for k in range(points.shape[1]):
         gap = points[:, k].take(i)
-        gap -= tree.data[:, k].take(j)
+        gap -= points[:, k].take(j)
         gap *= gap
         sq += gap
     return i, j, _gaussian(sq, epsilon, theta_zero)
@@ -331,10 +327,12 @@ def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,
 
 
 def _check_markov_points(rows: np.ndarray, cols: np.ndarray) -> None:
-    """Reject points that a tree query between ``rows`` and ``cols`` cannot
-    take: it fails when the squared distance between the far corners of the
-    two bounding boxes overflows.  Only then are points looked at one by
-    one, each cloud against the coordinate-wise median of the other."""
+    """Reject points whose squared distances may overflow: over one cloud
+    the tree query fails, and between two ``cdist`` gives ``inf``, which
+    reads as a far pair.  Neither can happen unless the squared distance
+    between the far corners of the two bounding boxes overflows; only then
+    are points looked at one by one, each cloud against the coordinate-wise
+    median of the other."""
     if not (len(rows) and len(cols)):
         return
     with np.errstate(over="ignore", invalid="ignore"):
@@ -362,16 +360,13 @@ def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
     return KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data)
 
 
-def _normalise(model: KernelModel, raw: np.ndarray, skip: np.ndarray | None = None
-               ) -> np.ndarray:
+def _normalise(model: KernelModel, raw: np.ndarray) -> np.ndarray:
     """Section rows ``raw[i, j] / (rho_l(x_i) deg_r(c_j))``, in place, from
-    raw rows; the all-zero rows marked in ``skip`` stay zero."""
+    raw rows."""
     raw *= model._inv_deg_r
     # row-wise reduction keeps identical query rows bitwise identical
     # regardless of their position in the batch
     rho_l = np.add.reduce(raw, axis=1) / model.n_centers
-    if skip is not None:
-        rho_l[skip] = 1.0
     raw /= rho_l[:, None]
     return raw
 
@@ -399,14 +394,12 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     giving ``S[i, j] = g(x, c_j) / (rho_l(x) deg_r(c_j))``; at a center
     this is the fitted kernel's row.
 
-    Each call is one row block: one ``cdist`` block of squared distances
-    from the points to every center, thresholded by :func:`_gaussian`
-    within :func:`_cutoff`, beyond which every entry is zero.  ``cdist``
-    computes each entry alone, so a row is the same alone or in any batch.
-    An extrapolated row's nearest center is the ``argmin`` of its row of
-    that block (the first on a tie), whose section row is copied from the
-    model's table of center rows; a batch with no in-range row skips the
-    normalisation.  Every point is checked (:func:`_check_points`) against
+    Each call is one row block from one ``cdist`` block of squared
+    distances to every center (:func:`_gaussian_block`), so a row is the
+    same alone or in any batch.  An extrapolated row's nearest center is
+    the ``argmin`` of its row of that block (the first on a tie), whose raw
+    row is copied in from the model's table; then every row is normalised
+    once.  Every point is checked (:func:`_check_points`) against
     the centers' bounding box before ``cdist`` sees it: a squared distance
     that overflows would make a row all ``inf``, whose ``argmin`` is center
     0 however near another center is.
@@ -428,19 +421,11 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         )
     _check_points(points, model._lo, model._hi, "query", "every center")
 
-    sq = cdist(points, model.centers, "sqeuclidean")
-    # exp only within the cutoff: far beyond it exp underflows, which is slow
-    near = sq <= _cutoff(model.epsilon, model.theta_zero) ** 2
-    sections = np.zeros_like(sq)
-    sections[near] = _gaussian(sq[near], model.epsilon, model.theta_zero)
-    extrapolated = ~sections.any(axis=1)
-    if not extrapolated.any():
-        return _normalise(model, sections), extrapolated
-    if not extrapolated.all():
-        _normalise(model, sections, skip=extrapolated)
-    nearest = sq[extrapolated].argmin(axis=1)
-    table = model._table
-    for row, center in zip(np.flatnonzero(extrapolated), nearest):
-        span = slice(table.indptr[center], table.indptr[center + 1])
-        sections[row, table.indices[span]] = table.data[span]
-    return sections, extrapolated
+    sq, raw = _gaussian_block(points, model.centers, model.epsilon, model.theta_zero)
+    extrapolated = ~raw.any(axis=1)
+    if extrapolated.any():
+        table = model._table
+        for row, center in zip(np.flatnonzero(extrapolated), sq[extrapolated].argmin(axis=1)):
+            span = slice(table.indptr[center], table.indptr[center + 1])
+            raw[row, table.indices[span]] = table.data[span]
+    return _normalise(model, raw), extrapolated

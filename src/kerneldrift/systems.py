@@ -299,7 +299,9 @@ def save_trajectory(traj: Trajectory, csv_path, spec: Optional[SystemSpec] = Non
 
 
 def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
-    """Load a trajectory CSV plus its metadata sidecar (``{}`` if absent)."""
+    """Load a trajectory CSV plus its metadata sidecar (``{}`` if absent); a
+    sidecar that is no JSON object, or a number in it of the wrong JSON
+    type, is a ValueError."""
     csv_path = Path(csv_path)
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
@@ -308,6 +310,13 @@ def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
     mp = _meta_path(csv_path)
     if mp.exists():
         meta = json.loads(mp.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"metadata sidecar {mp} is not a JSON object")
+    for key, types in (("dt", (int, float)), ("seed", (int, type(None))),
+                       ("burn_in", int), ("substeps", int)):
+        value = meta.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"metadata sidecar entry {key!r} has the wrong type: {value!r}")
     if "dt" in meta:
         dt = float(meta["dt"])
     elif len(data) > 1:

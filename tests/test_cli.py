@@ -144,6 +144,29 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dt", None, "entry 'dt'"),
+    ("burn_in", None, "entry 'burn_in'"),
+    ("substeps", "x", "entry 'substeps'"),
+    ("seed", "abc", "entry 'seed'"),
+    (None, [], "is not a JSON object"),
+], ids=["dt", "burn_in", "substeps", "seed", "not-an-object"])
+def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, key, value,
+                                                    message):
+    # a wrong-typed sidecar entry (key), or a sidecar that is no JSON object,
+    # is named in a usage error, with no traceback and no output directory
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text((hopf_run / "trajectory.csv").read_text())
+    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
+    sidecar = value if key is None else {**meta, key: value}
+    (tmp_path / "trajectory.meta.json").write_text(json.dumps(sidecar))
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "usage error: metadata sidecar" in err and message in err
+    assert not out.exists()
+
+
 def test_compare_outputs(hopf_run, tmp_path):
     out = tmp_path / "cmp"
     code = run("compare", "--model", str(hopf_run / "model.json"),

@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.spatial.distance import cdist
 
 import json
+import re
 
 from kerneldrift import (
     CondExpParams,
@@ -396,6 +397,18 @@ def test_bad_centers_rejected_on_load(hopf_fit, tmp_path, edit, message):
         hopf_fit[2], tmp_path / "model.json",
         lambda p: p["kernel"].update(centers=edit(p["kernel"]["centers"])))
     with pytest.raises(ValueError, match=message):
+        load_drift_model(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["kernel"].update(epsilon=None),
+    lambda p: p.update(kernel=[]),
+    lambda p: p.update(stencil={"m": 2, "left": 5}),
+], ids=["null-epsilon", "list-kernel", "int-stencil-left"])
+def test_wrong_typed_entry_rejected_on_load(hopf_fit, tmp_path, edit):
+    path = _edited_model_file(hopf_fit[2], tmp_path / "model.json", edit)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: drift model file has an entry "
+                                                   "of the wrong type")):
         load_drift_model(path)
 
 

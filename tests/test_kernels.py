@@ -16,7 +16,7 @@ from kerneldrift import (
     select_bandwidth,
 )
 from kerneldrift.drift import load_drift_model, save_drift_model
-from kerneldrift.kernels import markov_apply
+from kerneldrift.kernels import _BLOCK_ROWS, markov_apply
 
 
 def cloud(n=60, d=2, seed=0, scale=1.0):
@@ -233,7 +233,7 @@ class TestMarkovMatrix:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_self_pairs_match_copied_cloud(self, d, sparse):
         # rows is cols takes the self-pair query; a copy of the same cloud
-        # takes one ball query per row: the results agree bit for bit
+        # takes the two-cloud cdist blocks: the results agree bit for bit
         base = cloud(n=150, d=d, seed=50 + d, scale=2.0)
         data = np.vstack([base, base[:20], base[:5]])  # duplicate points
         eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
@@ -251,9 +251,9 @@ class TestMarkovMatrix:
         np.testing.assert_array_equal(got, copied)
 
     def test_two_cloud_rows_in_column_order(self):
-        # the ball lists of a cloud this size come back out of index order,
-        # so the two-cloud result matches the self-pair one, stored entry
-        # for stored entry, only once each row is sorted by column
+        # the two-cloud result, from cdist blocks, matches the self-pair
+        # one, from sorted pair keys, stored entry for stored entry: both
+        # keep each row in column order
         data = cloud(n=400, d=2, seed=60, scale=2.0)
         eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
         rng = np.random.default_rng(61)
@@ -264,6 +264,30 @@ class TestMarkovMatrix:
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
         np.testing.assert_array_equal(markov_apply(data, data.copy(), eps, dense),
                                       markov_apply(data, data, eps, dense))
+
+    def test_two_clouds_across_row_blocks(self):
+        # two clouds go _BLOCK_ROWS rows at a time: the stored pattern is the
+        # dense oracle's, a row next to a block boundary is the row computed
+        # alone, and an isolated row is named by its index in the whole cloud
+        assert _BLOCK_ROWS == 512
+        rows = cloud(n=1100, d=2, seed=70, scale=2.0)
+        cols = cloud(n=300, d=2, seed=71, scale=2.0)
+        eps = select_bandwidth(cols, eta=0.3, subsample_fraction=1.0)
+        matrix = markov_apply(rows, cols, eps, sp.eye_array(300, format="csr"))
+        stored = np.zeros((1100, 300), dtype=bool)
+        stored[np.arange(1100).repeat(np.diff(matrix.indptr)), matrix.indices] = True
+        kept = thresholded_oracle(rows, cols, eps) >= 1e-14
+        assert kept.any() and not kept.all()
+        np.testing.assert_array_equal(stored, kept)
+        values = np.random.default_rng(72).normal(size=(300, 4))
+        dense = markov_apply(rows, cols, eps, values)
+        for row in (511, 512, 1023, 1024):
+            np.testing.assert_array_equal(markov_apply(rows[row:row + 1], cols, eps, values),
+                                          dense[row:row + 1])
+        rows[1050] = [50.0, 50.0]
+        with pytest.raises(IsolatedPointError) as info:
+            markov_apply(rows, cols, eps, values)
+        assert info.value.row == 1050
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
