@@ -29,10 +29,6 @@ NOISE_SWEEP = (0.1, 0.2, 0.5)
 DEFAULT_SAMPLES = {"lorenz63": 10_000, "hopf": 10_000, "lorenz96": 2_000}
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         self.options = {}  # dest -> Action, the keys a config file may set
@@ -44,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
         return action
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _read_config_file(path) -> dict:
@@ -54,7 +50,7 @@ def _read_config_file(path) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"bad config line (expected key = value): {raw!r}")
+            raise ValueError(f"bad config line (expected key = value): {raw!r}")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -131,10 +127,10 @@ def _parse_args(argv):
         command = next((a for a in argv if not a.startswith("-")), None)
         target = subparsers.get(command)
         if target is None:
-            raise _UsageError("--config requires a known subcommand")
+            raise ValueError("--config requires a known subcommand")
         unknown = set(values) - set(target.options)
         if unknown:
-            raise _UsageError(f"unknown config keys {sorted(unknown)}")
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
         for dest in values:
             target.options[dest].required = False
         # string defaults are converted by the option's type at parse time
@@ -172,21 +168,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_offsets(text) -> tuple:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as err:
-        raise _UsageError(f"bad stencil offsets {text!r}") from err
-
-
 def _stencil_from_args(args, d: int) -> drift.Stencil:
     if args.stencil_offsets is not None:
-        return drift.Stencil.cyclic(d, _parse_offsets(args.stencil_offsets))
+        offsets = tuple(int(v) for v in args.stencil_offsets.split(","))
+        return drift.Stencil.cyclic(d, offsets)
     if args.stencil_width is None:
-        raise _UsageError("sparse estimator requires --stencil-width or --stencil-offsets")
+        raise ValueError("sparse estimator requires --stencil-width or --stencil-offsets")
     width = args.stencil_width
     if width < 1 or width > d:
-        raise _UsageError(f"stencil width must lie in 1..{d}, got {width}")
+        raise ValueError(f"stencil width must lie in 1..{d}, got {width}")
     offsets = tuple(range(-(width - 2), 2)) if width >= 2 else (0,)
     return drift.Stencil.cyclic(d, offsets)
 
@@ -194,8 +184,8 @@ def _stencil_from_args(args, d: int) -> drift.Stencil:
 def cmd_estimate(args) -> int:
     traj, meta = systems.load_trajectory(args.traj)
     if "system" not in meta:
-        raise _UsageError(f"{args.traj}: metadata sidecar with the generating system "
-                          "is required to evaluate against the true field")
+        raise ValueError(f"{args.traj}: metadata sidecar with the generating system "
+                         "is required to evaluate against the true field")
     spec = systems.spec_from_meta(meta)
 
     params = condexp.CondExpParams(eta1=args.eta1, eta2=args.eta2, eta3=args.eta3,
@@ -234,7 +224,7 @@ def cmd_compare(args) -> int:
     model = drift.load_drift_model(args.model)
     spec = _spec_from_args(args)
     if model.d != spec.dimension:
-        raise _UsageError(f"model dimension {model.d} != system dimension {spec.dimension}")
+        raise ValueError(f"model dimension {model.d} != system dimension {spec.dimension}")
     if args.x0 is not None:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     else:
@@ -256,9 +246,11 @@ def cmd_sweep(args) -> int:
     """One cell per (system, noise): simulate, estimate, report."""
     out_root = Path(args.out)
     names = [s.strip() for s in args.systems.split(",") if s.strip()]
+    if not names:
+        raise ValueError(f"--systems names no system: {args.systems!r}")
     for name in names:
         if name not in systems.SYSTEM_NAMES:
-            raise _UsageError(f"unknown system {name!r}")
+            raise ValueError(f"unknown system {name!r}")
     results = {}
     for name in names:
         for noise in NOISE_SWEEP:
@@ -294,7 +286,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except NumericalError as err:

@@ -113,15 +113,11 @@ def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
         else:
             coef, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
     except (np.linalg.LinAlgError, ValueError) as err:
-        raise SolverError(f"least-squares solve failed: {err}",
-                          diagnostics={"delta": delta}) from err
+        raise SolverError(f"least-squares solve failed: {err}") from err
     if not np.isfinite(coef).all():
         bad = np.flatnonzero(~np.isfinite(coef).all(axis=0))
-        raise SolverError(
-            f"least-squares solve produced non-finite coefficients "
-            f"for target column(s) {bad.tolist()}",
-            diagnostics={"delta": delta, "nonfinite_columns": bad.tolist()},
-        )
+        raise SolverError(f"least-squares solve produced non-finite coefficients "
+                          f"for target column(s) {bad.tolist()}")
     eigenvalues = np.linalg.eigvalsh(normal)
     condition = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else np.inf
     residuals = np.linalg.norm(b @ coef - g, axis=0)
@@ -136,7 +132,7 @@ def fit_targets(inputs, targets, params: CondExpParams
 
     ``inputs`` has shape (N, d) and ``targets`` (N,) or (N, k); all columns
     share the bandwidth selection, smoothing matrices, centers (every
-    (N // M)-th input; ``M > N`` raises ``ValueError``) and the
+    (N // M)-th input; ``M < 2`` or ``M > N`` raises ``ValueError``) and the
     factorization of the normal equations.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
@@ -151,6 +147,8 @@ def fit_targets(inputs, targets, params: CondExpParams
     n, m = len(inputs), params.n_centers
     if m > n:
         raise ValueError(f"n_centers={m} exceeds the number of inputs {n}")
+    if m < 2:
+        raise ValueError(f"n_centers={m}: a diffusion kernel needs at least 2 centers")
     single = targets.ndim == 1
     y = targets[:, None] if single else targets
 

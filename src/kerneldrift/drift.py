@@ -19,6 +19,7 @@ stencil.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -97,14 +98,7 @@ def estimate_drift(traj: Trajectory, params: CondExpParams) -> DriftModel:
     only the regression targets differ.
     """
     inputs, targets = increment_targets(traj)
-    try:
-        kernel, coef, _ = condexp.fit_targets(inputs, targets, params)
-    except condexp.SolverError as err:
-        coords = err.diagnostics.get("nonfinite_columns", [])
-        raise condexp.SolverError(
-            f"drift fit failed for coordinate(s) {coords}: {err}",
-            diagnostics=err.diagnostics,
-        ) from err
+    kernel, coef, _ = condexp.fit_targets(inputs, targets, params)
     return DriftModel(kernel=kernel, coefficients=coef)
 
 
@@ -160,7 +154,10 @@ class Stencil:
     left: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "left", tuple(tuple(int(j) for j in row) for row in self.left))
+        # integers only: a float m or index is a TypeError, never truncated
+        object.__setattr__(self, "m", operator.index(self.m))
+        object.__setattr__(self, "left",
+                           tuple(tuple(operator.index(j) for j in row) for row in self.left))
         d = len(self.left)
         for i, row in enumerate(self.left):
             if len(row) != self.m or len(set(row)) != self.m:
@@ -259,23 +256,22 @@ def load_drift_model(path) -> DriftModel:
     it checks; its degrees and center table are derived from them, never
     read.  Older files load too: their ``dt`` and ``type`` keys and kernel
     ``deg_r``, ``deg_l`` and ``w`` entries are ignored, and a shared unit's
-    1-D coefficient vector becomes one row.
+    1-D coefficient vector becomes one row.  Entries are passed on as read,
+    never coerced: the objects they build reject a wrong type or value.
     """
     data = json.loads(Path(path).read_text())
-    st = data.get("stencil")
     try:
-        kernel = data["kernel"]
+        kernel, st = data["kernel"], data.get("stencil")
         if kernel["kind"] != "diffusion":
             raise ValueError(f"unknown kernel kind {kernel['kind']!r}; expected 'diffusion'")
         return DriftModel(
-            kernel=KernelModel(epsilon=float(kernel["epsilon"]),
-                               theta_zero=float(kernel["theta_zero"]),
+            kernel=KernelModel(epsilon=kernel["epsilon"], theta_zero=kernel["theta_zero"],
                                centers=kernel["centers"]),
             coefficients=np.atleast_2d(np.asarray(data["coefficients"], dtype=float)),
-            stencil=None if st is None else Stencil(m=int(st["m"]), left=st["left"]),
+            stencil=None if st is None else Stencil(m=st["m"], left=st["left"]),
         )
     except KeyError as err:
         raise ValueError(f"{path}: drift model file lacks the {err.args[0]!r} entry") from err
-    except TypeError as err:  # e.g. a null bandwidth or a list for the kernel
+    except TypeError as err:  # e.g. a null bandwidth, or a list for the kernel or file
         raise ValueError(f"{path}: drift model file has an entry of the wrong type: "
                          f"{err}") from err

@@ -1,9 +1,10 @@
 """Exception types for numerical failure modes.
 
-Contract violations (bad shapes, unknown parameters, invalid options) raise
-plain ``ValueError``; the classes below mark failures that arise from the
-data or the arithmetic itself, so callers can map them to a distinct exit
-status.
+Contract violations (bad shapes, unknown parameters, invalid options,
+wrong-typed file entries) raise plain ``ValueError`` where they are
+checked.  The classes below mark failures that arise from the data or the
+arithmetic itself, so callers can map them to a distinct exit status; each
+is raised once, where the failure is found, and never re-wrapped.
 """
 
 
@@ -17,9 +18,9 @@ class BlowUpError(NumericalError):
     ``index`` is the index of the last recorded sample before the blow-up.
     """
 
-    def __init__(self, index, message=None):
+    def __init__(self, index):
         self.index = index
-        super().__init__(message or f"non-finite state encountered at sample index {index}")
+        super().__init__(f"non-finite state encountered at sample index {index}")
 
 
 class DegenerateBandwidthError(NumericalError):
@@ -33,14 +34,10 @@ class IsolatedPointError(NumericalError):
     resolves it.
     """
 
-    def __init__(self, row, message=None):
+    def __init__(self, row):
         self.row = row
-        super().__init__(message or f"row {row} has no kernel value above the zero threshold")
+        super().__init__(f"row {row} has no kernel value above the zero threshold")
 
 
 class SolverError(NumericalError):
-    """The least-squares solve produced a non-finite solution."""
-
-    def __init__(self, message, diagnostics=None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
+    """The least-squares solve failed or produced a non-finite solution."""

@@ -329,13 +329,12 @@ def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
 
 def spec_from_meta(meta: dict) -> SystemSpec:
     """Rebuild the generating SystemSpec from a metadata sidecar; a missing
-    entry or one of the wrong type (``"sigma_noise": null``) is a ValueError."""
+    entry or one of the wrong type (``"sigma_noise": null``) is a ValueError.
+    Entries are passed on as read, never coerced: SystemSpec checks them."""
     try:
-        name, params = meta["system"], meta["params"]
-        params = {k: (int(v) if k == "N" else float(v)) for k, v in params.items()}
-        sigma_noise = float(meta.get("sigma_noise", 0.0))
+        return SystemSpec(name=meta["system"], params=meta["params"],
+                          sigma_noise=meta.get("sigma_noise", 0.0))
     except KeyError as err:
         raise ValueError(f"metadata sidecar lacks the {err.args[0]!r} entry") from err
     except (TypeError, AttributeError) as err:
         raise ValueError(f"metadata sidecar has an entry of the wrong type: {err}") from err
-    return SystemSpec(name=name, params=params, sigma_noise=sigma_noise)

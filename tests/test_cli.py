@@ -107,6 +107,15 @@ def test_sparse_requires_stencil(hopf_run):
     assert code == 1
 
 
+def test_estimate_one_center_is_usage_error(hopf_run, tmp_path, capsys):
+    # named as the fit's n_centers, not as a bandwidth check on one point
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(hopf_run / "trajectory.csv"), "--centers", "1",
+               "--out", str(out)) == 1
+    assert "usage error: n_centers=1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_missing_file_is_usage_error(tmp_path):
     assert run("estimate", "--traj", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path)) == 1
@@ -150,7 +159,8 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
     ("substeps", "x", "entry 'substeps'"),
     ("seed", "abc", "entry 'seed'"),
     (None, [], "is not a JSON object"),
-], ids=["dt", "burn_in", "substeps", "seed", "not-an-object"])
+    ("params", {"p": "1.0"}, "wrong type"),
+], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param"])
 def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, key, value,
                                                     message):
     # a wrong-typed sidecar entry (key), or a sidecar that is no JSON object,
@@ -252,3 +262,11 @@ def test_sweep_small_grid(tmp_path):
         "eta1": fit.eta1, "eta2": fit.eta2, "eta3": fit.eta3, "delta": fit.delta,
         "centers": 100,
     }
+
+
+def test_sweep_without_systems_is_usage_error(tmp_path, capsys):
+    # an empty system list is rejected before any cell runs or --out is made
+    out = tmp_path / "sweep"
+    assert run("sweep", "--systems", ",", "--out", str(out)) == 1
+    assert "usage error: --systems names no system" in capsys.readouterr().err
+    assert not out.exists()

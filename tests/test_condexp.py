@@ -59,6 +59,9 @@ def test_fit_targets_centers_strided():
     np.testing.assert_array_equal(kernel.centers, inputs[[0, 4, 8, 12, 16]])
     with pytest.raises(ValueError, match="n_centers=5 exceeds the number of inputs 4"):
         fit_targets(inputs[:4], inputs[:4, 0], params)
+    with pytest.raises(ValueError, match="n_centers=1: a diffusion kernel needs at least 2"):
+        fit_targets(inputs, inputs[:, 0], CondExpParams(n_centers=1, eps1=1.0, eps2=1.0,
+                                                        eps3=1.0))
 
 
 def test_constant_target_recovery_zero_ridge():

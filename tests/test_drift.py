@@ -358,11 +358,12 @@ def test_parent_format_files_load(hopf_fit, l96_sparse_fit, tmp_path):
 
 
 def _edited_model_file(model, path, edit):
-    """Save ``model`` to ``path``, then rewrite its JSON payload with ``edit``."""
+    """Save ``model`` to ``path``, then rewrite its JSON payload with ``edit``,
+    which changes it in place or returns a replacement."""
     save_drift_model(model, path)
     payload = json.loads(path.read_text())
-    edit(payload)
-    path.write_text(json.dumps(payload))
+    replaced = edit(payload)
+    path.write_text(json.dumps(payload if replaced is None else replaced))
     return path
 
 
@@ -400,13 +401,20 @@ def test_bad_centers_rejected_on_load(hopf_fit, tmp_path, edit, message):
         load_drift_model(path)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda p: p["kernel"].update(epsilon=None),
-    lambda p: p.update(kernel=[]),
-    lambda p: p.update(stencil={"m": 2, "left": 5}),
-], ids=["null-epsilon", "list-kernel", "int-stencil-left"])
-def test_wrong_typed_entry_rejected_on_load(hopf_fit, tmp_path, edit):
-    path = _edited_model_file(hopf_fit[2], tmp_path / "model.json", edit)
+@pytest.mark.parametrize("fit, edit", [
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon=None)),
+    ("hopf_fit", lambda p: p.update(kernel=[])),
+    ("hopf_fit", lambda p: p.update(stencil={"m": 2, "left": 5})),
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon="0.5")),
+    ("hopf_fit", lambda p: []),
+    # a fractional stencil index or width is rejected, not truncated
+    ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, 3.99)),
+    ("l96_sparse_fit", lambda p: p["stencil"].update(m=4.9)),
+], ids=["null-epsilon", "list-kernel", "int-stencil-left", "str-epsilon", "list-file",
+        "float-stencil-index", "float-stencil-m"])
+def test_wrong_typed_entry_rejected_on_load(request, tmp_path, fit, edit):
+    # the model is the last entry of either fixture
+    path = _edited_model_file(request.getfixturevalue(fit)[-1], tmp_path / "model.json", edit)
     with pytest.raises(ValueError, match=re.escape(f"{path}: drift model file has an entry "
                                                    "of the wrong type")):
         load_drift_model(path)

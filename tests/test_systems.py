@@ -113,6 +113,9 @@ def test_unknown_system_and_params():
         make_spec("lorenz96", N=3)
     with pytest.raises(ValueError):
         SystemSpec(name="hopf", params={"p": 1.0}, sigma_noise=-0.1)
+    # a sidecar's fractional cell count is rejected, not truncated
+    with pytest.raises(ValueError, match="cell count N must be an integer >= 4, got 5.5"):
+        spec_from_meta({"system": "lorenz96", "params": {"F": 8.0, "N": 5.5}})
 
 
 def test_simulate_deterministic_repeatable():
