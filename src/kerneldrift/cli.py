@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.  A run makes its
 output directory only once its arguments have passed every check, so a
 rejected run leaves none behind.
 
-A config file of ``key = value`` lines may supply any long-option default
-(underscores or dashes in keys); command-line flags override it.
+Each decision has one option: ``estimate --stencil-offsets`` fits the
+sparse estimator through that cyclic stencil and its absence the dense one,
+and ``compare`` takes a Lorenz 96 lattice's cell count from the model.
 """
 
 from __future__ import annotations
@@ -30,39 +31,16 @@ DEFAULT_SAMPLES = {"lorenz63": 10_000, "hopf": 10_000, "lorenz96": 2_000}
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        self.options = {}  # dest -> Action, the keys a config file may set
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
-        return action
-
     def error(self, message):
         raise ValueError(message)
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key = value): {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _build_parser() -> tuple[_Parser, dict]:
+def _parse_args(argv):
     parser = _Parser(prog="kerneldrift",
                      description="SDE drift estimation from sampled trajectories")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="key = value file; flags override it")
         p.add_argument("--out", default=".", help="output directory")
 
     sim = sub.add_parser("simulate", help="sample an SDE path and write it as CSV")
@@ -79,11 +57,10 @@ def _build_parser() -> tuple[_Parser, dict]:
     est = sub.add_parser("estimate", help="fit a drift model from a trajectory CSV")
     common(est)
     est.add_argument("--traj", required=True, help="trajectory CSV (with .meta.json sidecar)")
-    est.add_argument("--estimator", choices=("dense", "sparse"), default="dense")
-    est.add_argument("--stencil-width", type=int, default=None,
-                     help="cyclic stencil width (sparse estimator)")
     est.add_argument("--stencil-offsets", default=None,
-                     help="comma-separated offsets, e.g. -2,-1,0,1 (overrides width)")
+                     help="comma-separated cyclic stencil offsets, e.g. "
+                          "--stencil-offsets=-2,-1,0,1: fit the sparse estimator "
+                          "through them (default: the dense estimator)")
     fit = condexp.CondExpParams()  # the fit's defaults are the options' defaults
     est.add_argument("--eta1", type=float, default=fit.eta1)
     est.add_argument("--eta2", type=float, default=fit.eta2)
@@ -96,7 +73,6 @@ def _build_parser() -> tuple[_Parser, dict]:
     common(cmp_)
     cmp_.add_argument("--model", required=True, help="drift model JSON")
     cmp_.add_argument("--system", choices=systems.SYSTEM_NAMES, required=True)
-    cmp_.add_argument("--cells", type=int, default=5, help="lorenz96 cell count")
     cmp_.add_argument("--horizon", type=float, default=10.0, help="time units to integrate")
     cmp_.add_argument("--dt", type=float, default=0.01)
     cmp_.add_argument("--x0", default=None, help="comma-separated start state")
@@ -110,49 +86,17 @@ def _build_parser() -> tuple[_Parser, dict]:
     sweep.add_argument("--centers", type=int, default=fit.n_centers)
     sweep.add_argument("--n", type=int, default=None,
                        help="override the per-system sample counts")
-    return parser, {"simulate": sim, "estimate": est, "compare": cmp_, "sweep": sweep}
-
-
-def _parse_args(argv):
-    """Parse argv with config-file values applied as defaults (flags win)."""
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
-    parser, subparsers = _build_parser()
-    if config_path is not None:
-        values = _read_config_file(config_path)
-        command = next((a for a in argv if not a.startswith("-")), None)
-        target = subparsers.get(command)
-        if target is None:
-            raise ValueError("--config requires a known subcommand")
-        unknown = set(values) - set(target.options)
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        for dest in values:
-            target.options[dest].required = False
-        # string defaults are converted by the option's type at parse time
-        target.set_defaults(**values)
     return parser.parse_args(argv)
 
 
-def _spec_from_args(args) -> systems.SystemSpec:
-    overrides = {}
-    if args.system == "lorenz96":
-        overrides["N"] = args.cells
-    return systems.make_spec(args.system, sigma_noise=getattr(args, "noise", 0.0),
-                             **overrides)
-
-
 def _echo_config(args, out_dir: Path) -> None:
-    echo = {k: v for k, v in sorted(vars(args).items()) if k != "config"}
-    (out_dir / "config.json").write_text(json.dumps(echo, sort_keys=True, indent=2) + "\n")
+    (out_dir / "config.json").write_text(
+        json.dumps(vars(args), sort_keys=True, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
-    spec = _spec_from_args(args)
+    cells = {"N": args.cells} if args.system == "lorenz96" else {}
+    spec = systems.make_spec(args.system, sigma_noise=args.noise, **cells)
     n = args.n if args.n is not None else DEFAULT_SAMPLES[args.system]
     traj = systems.simulate(spec, systems.default_initial_state(spec), n_samples=n,
                             dt=args.dt, seed=args.seed, burn_in=args.burn_in,
@@ -168,19 +112,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _stencil_from_args(args, d: int) -> drift.Stencil:
-    if args.stencil_offsets is not None:
-        offsets = tuple(int(v) for v in args.stencil_offsets.split(","))
-        return drift.Stencil.cyclic(d, offsets)
-    if args.stencil_width is None:
-        raise ValueError("sparse estimator requires --stencil-width or --stencil-offsets")
-    width = args.stencil_width
-    if width < 1 or width > d:
-        raise ValueError(f"stencil width must lie in 1..{d}, got {width}")
-    offsets = tuple(range(-(width - 2), 2)) if width >= 2 else (0,)
-    return drift.Stencil.cyclic(d, offsets)
-
-
 def cmd_estimate(args) -> int:
     traj, meta = systems.load_trajectory(args.traj)
     if "system" not in meta:
@@ -190,12 +121,12 @@ def cmd_estimate(args) -> int:
 
     params = condexp.CondExpParams(eta1=args.eta1, eta2=args.eta2, eta3=args.eta3,
                                    delta=args.delta, n_centers=args.centers)
-    if args.estimator == "sparse":
-        stencil = _stencil_from_args(args, traj.d)
-        snapshots = drift.extract_snapshots(traj, stencil)
-        model = drift.estimate_drift_sparse(snapshots, params)
-    else:
+    if args.stencil_offsets is None:
         model = drift.estimate_drift(traj, params)
+    else:
+        offsets = tuple(int(v) for v in args.stencil_offsets.split(","))
+        snapshots = drift.extract_snapshots(traj, drift.Stencil.cyclic(traj.d, offsets))
+        model = drift.estimate_drift_sparse(snapshots, params)
 
     # held-out test cloud: same generator, next seed, same burn-in
     seed = meta.get("seed") or 0
@@ -214,7 +145,8 @@ def cmd_estimate(args) -> int:
     evaluation.save_pointwise_errors(out_dir / "pointwise_errors.csv",
                                      held_out.points, np.abs(diff))
     _echo_config(args, out_dir)
-    print(f"estimate: {args.estimator} on {args.traj} -> relative_l2="
+    estimator = "dense" if model.stencil is None else "sparse"
+    print(f"estimate: {estimator} on {args.traj} -> relative_l2="
           f"{report.relative_l2:.6g} extrapolated={report.extrapolated_fraction:.3g} "
           f"({model_path})")
     return 0
@@ -222,7 +154,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_compare(args) -> int:
     model = drift.load_drift_model(args.model)
-    spec = _spec_from_args(args)
+    cells = {"N": model.d} if args.system == "lorenz96" else {}
+    spec = systems.make_spec(args.system, **cells)
     if model.d != spec.dimension:
         raise ValueError(f"model dimension {model.d} != system dimension {spec.dimension}")
     if args.x0 is not None:
@@ -259,7 +192,7 @@ def cmd_sweep(args) -> int:
             cmd_simulate(_parse_args([
                 "simulate", f"--out={cell_dir}", f"--system={name}", f"--noise={noise}",
                 f"--dt={args.dt}", f"--seed={args.seed}", *n]))
-            stencil = ["--estimator=sparse", "--stencil-width=4"] if name == "lorenz96" else []
+            stencil = ["--stencil-offsets=-2,-1,0,1"] if name == "lorenz96" else []
             cmd_estimate(_parse_args([
                 "estimate", f"--out={cell_dir}", f"--traj={cell_dir / 'trajectory.csv'}",
                 f"--centers={args.centers}", *stencil]))

@@ -154,10 +154,15 @@ class Stencil:
     left: tuple
 
     def __post_init__(self):
-        # integers only: a float m or index is a TypeError, never truncated
-        object.__setattr__(self, "m", operator.index(self.m))
-        object.__setattr__(self, "left",
-                           tuple(tuple(operator.index(j) for j in row) for row in self.left))
+        # integers only: a float m or index is a TypeError, never truncated,
+        # and a bool (a JSON true) is a ValueError, never read as 1
+        def index(value):
+            if isinstance(value, bool):
+                raise ValueError(f"stencil width and indices must be integers, got {value}")
+            return operator.index(value)
+
+        object.__setattr__(self, "m", index(self.m))
+        object.__setattr__(self, "left", tuple(tuple(index(j) for j in row) for row in self.left))
         d = len(self.left)
         for i, row in enumerate(self.left):
             if len(row) != self.m or len(set(row)) != self.m:

@@ -233,7 +233,7 @@ def markov_apply(rows, cols, epsilon: float, values,
 
 
 def _check_kernel(epsilon: float, theta_zero: float) -> None:
-    if not epsilon > 0:
+    if isinstance(epsilon, bool) or not epsilon > 0:  # a JSON true is no bandwidth of 1
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0 < theta_zero < 1:
         raise ValueError(f"theta_zero must lie in (0, 1), got {theta_zero}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -47,7 +48,7 @@ class SystemSpec:
         the cyclic four-point dependence pattern is well defined).
     sigma_noise
         Scale of the diagonal diffusion term; 0 means a deterministic ODE.
-        It and every system constant must be finite.
+        It and every system constant must be a finite number, never a bool.
     """
 
     name: str
@@ -66,13 +67,16 @@ class SystemSpec:
                 f"bad parameters for {self.name}: unknown {unknown}, missing {missing}"
             )
         for key, value in sorted(self.params.items()):
-            if not math.isfinite(value):
-                raise ValueError(f"{self.name} parameter {key} must be finite, got {value}")
+            # a JSON true is a bool, and so an int: no constant of 1
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
+                raise ValueError(f"{self.name} parameter {key} must be a finite number, "
+                                 f"got {value!r}")
         if self.name == "lorenz96":
             n = self.params["N"]
             if int(n) != n or int(n) < 4:
                 raise ValueError(f"lorenz96 cell count N must be an integer >= 4, got {n}")
-        if not 0 <= self.sigma_noise < math.inf:
+        if isinstance(self.sigma_noise, bool) or not 0 <= self.sigma_noise < math.inf:
             raise ValueError(f"sigma_noise must be nonnegative and finite, "
                              f"got {self.sigma_noise}")
 

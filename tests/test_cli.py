@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from kerneldrift import CondExpParams, load_trajectory
 from kerneldrift.cli import main
-from kerneldrift.drift import load_drift_model
+from kerneldrift.drift import Stencil, estimate_drift_sparse, extract_snapshots, load_drift_model
 from kerneldrift.evaluation import load_error_report, relative_l2_error, system_field
 from kerneldrift.systems import spec_from_meta
 
@@ -101,12 +102,6 @@ def test_report_roundtrips_with_model(hopf_run):
     assert abs(again.relative_l2 - report.relative_l2) < 1e-12
 
 
-def test_sparse_requires_stencil(hopf_run):
-    code = run("estimate", "--traj", str(hopf_run / "trajectory.csv"),
-               "--estimator", "sparse", "--out", str(hopf_run))
-    assert code == 1
-
-
 def test_estimate_one_center_is_usage_error(hopf_run, tmp_path, capsys):
     # named as the fit's n_centers, not as a bandwidth check on one point
     out = tmp_path / "out"
@@ -154,17 +149,18 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("dt", None, "entry 'dt'"),
-    ("burn_in", None, "entry 'burn_in'"),
-    ("substeps", "x", "entry 'substeps'"),
-    ("seed", "abc", "entry 'seed'"),
-    (None, [], "is not a JSON object"),
-    ("params", {"p": "1.0"}, "wrong type"),
+    ("dt", None, "metadata sidecar entry 'dt'"),
+    ("burn_in", None, "metadata sidecar entry 'burn_in'"),
+    ("substeps", "x", "metadata sidecar entry 'substeps'"),
+    ("seed", "abc", "metadata sidecar entry 'seed'"),
+    (None, [], "metadata sidecar .* is not a JSON object"),
+    ("params", {"p": "1.0"}, "hopf parameter p must be a finite number, got '1.0'"),
 ], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param"])
 def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, key, value,
                                                     message):
-    # a wrong-typed sidecar entry (key), or a sidecar that is no JSON object,
-    # is named in a usage error, with no traceback and no output directory
+    # a wrong-typed sidecar entry or system constant (by its key), or a
+    # sidecar that is no JSON object, is named in a usage error, with no
+    # traceback and no output directory
     traj = tmp_path / "trajectory.csv"
     traj.write_text((hopf_run / "trajectory.csv").read_text())
     meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
@@ -172,8 +168,7 @@ def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, 
     (tmp_path / "trajectory.meta.json").write_text(json.dumps(sidecar))
     out = tmp_path / "out"
     assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert "usage error: metadata sidecar" in err and message in err
+    assert re.search(f"usage error: {message}", capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -223,23 +218,41 @@ def test_numerical_failure_exit_two(tmp_path):
     assert code == 2
 
 
-def test_config_file_defaults_and_override(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("system = hopf\nnoise = 0.1\nn = 150\nseed = 2\n# comment\n")
-    out = tmp_path / "fromcfg"
-    assert run("simulate", "--config", str(config), "--noise", "0.3",
+@pytest.fixture(scope="module")
+def l96_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("l96_run")
+    assert run("simulate", "--system", "lorenz96", "--cells", "6", "--n", "600",
                "--out", str(out)) == 0
-    meta = json.loads((out / "trajectory.meta.json").read_text())
-    assert meta["sigma_noise"] == 0.3  # flag wins
-    assert meta["seed"] == 2  # config supplies the rest
-    assert len(load_trajectory(out / "trajectory.csv")[0]) == 150
+    assert run("estimate", "--traj", str(out / "trajectory.csv"),
+               "--stencil-offsets=-2,-1,0,1", "--centers", "100", "--out", str(out)) == 0
+    return out
 
 
-def test_config_unknown_key_rejected(tmp_path):
-    config = tmp_path / "bad.cfg"
-    config.write_text("wibble = 3\n")
-    assert run("simulate", "--config", str(config), "--system", "hopf",
-               "--out", str(tmp_path)) == 1
+def test_stencil_offsets_fit_the_sparse_estimator(l96_run):
+    # the offsets alone select the pooled fit: the library's, bit for bit
+    traj, _ = load_trajectory(l96_run / "trajectory.csv")
+    expected = estimate_drift_sparse(extract_snapshots(traj, Stencil.cyclic(6)),
+                                     CondExpParams(n_centers=100))
+    model = load_drift_model(l96_run / "model.json")
+    assert model.stencil == expected.stencil
+    assert np.array_equal(model.coefficients, expected.coefficients)
+
+
+def test_compare_takes_lorenz96_cells_from_model(l96_run, tmp_path):
+    out = tmp_path / "cmp"
+    assert run("compare", "--model", str(l96_run / "model.json"), "--system", "lorenz96",
+               "--horizon", "1", "--out", str(out)) == 0
+    header = (out / "orbits.csv").read_text().splitlines()[0].split(",")
+    assert [c for c in header if c.startswith("true_x")] == [f"true_x{i}" for i in range(6)]
+
+
+def test_duplicate_stencil_offsets_are_usage_error(l96_run, tmp_path, capsys):
+    # offsets 0 and 6 name one and the same cell of the 6-cell lattice
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(l96_run / "trajectory.csv"),
+               "--stencil-offsets=0,6", "--out", str(out)) == 1
+    assert "usage error: Left(0) must hold exactly 2 distinct indices" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_small_grid(tmp_path):
@@ -258,7 +271,7 @@ def test_sweep_small_grid(tmp_path):
     fit = CondExpParams()
     assert json.loads((cell / "config.json").read_text()) == {
         "command": "estimate", "out": str(cell), "traj": str(cell / "trajectory.csv"),
-        "estimator": "dense", "stencil_width": None, "stencil_offsets": None,
+        "stencil_offsets": None,
         "eta1": fit.eta1, "eta2": fit.eta2, "eta3": fit.eta3, "delta": fit.delta,
         "centers": 100,
     }

@@ -401,22 +401,31 @@ def test_bad_centers_rejected_on_load(hopf_fit, tmp_path, edit, message):
         load_drift_model(path)
 
 
-@pytest.mark.parametrize("fit, edit", [
-    ("hopf_fit", lambda p: p["kernel"].update(epsilon=None)),
-    ("hopf_fit", lambda p: p.update(kernel=[])),
-    ("hopf_fit", lambda p: p.update(stencil={"m": 2, "left": 5})),
-    ("hopf_fit", lambda p: p["kernel"].update(epsilon="0.5")),
-    ("hopf_fit", lambda p: []),
+_WRONG_TYPE = "{path}: drift model file has an entry of the wrong type"
+
+
+@pytest.mark.parametrize("fit, edit, message", [
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon=None), _WRONG_TYPE),
+    ("hopf_fit", lambda p: p.update(kernel=[]), _WRONG_TYPE),
+    ("hopf_fit", lambda p: p.update(stencil={"m": 2, "left": 5}), _WRONG_TYPE),
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon="0.5"), _WRONG_TYPE),
+    ("hopf_fit", lambda p: [], _WRONG_TYPE),
     # a fractional stencil index or width is rejected, not truncated
-    ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, 3.99)),
-    ("l96_sparse_fit", lambda p: p["stencil"].update(m=4.9)),
+    ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, 3.99), _WRONG_TYPE),
+    ("l96_sparse_fit", lambda p: p["stencil"].update(m=4.9), _WRONG_TYPE),
+    # a JSON true is no bandwidth, stencil width or index of 1
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon=True), "epsilon must be positive, got True"),
+    ("l96_sparse_fit", lambda p: p["stencil"].update(m=True),
+     "stencil width and indices must be integers, got True"),
+    ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, True),
+     "stencil width and indices must be integers, got True"),
 ], ids=["null-epsilon", "list-kernel", "int-stencil-left", "str-epsilon", "list-file",
-        "float-stencil-index", "float-stencil-m"])
-def test_wrong_typed_entry_rejected_on_load(request, tmp_path, fit, edit):
+        "float-stencil-index", "float-stencil-m", "bool-epsilon", "bool-stencil-m",
+        "bool-stencil-index"])
+def test_wrong_typed_entry_rejected_on_load(request, tmp_path, fit, edit, message):
     # the model is the last entry of either fixture
     path = _edited_model_file(request.getfixturevalue(fit)[-1], tmp_path / "model.json", edit)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: drift model file has an entry "
-                                                   "of the wrong type")):
+    with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
         load_drift_model(path)
 
 

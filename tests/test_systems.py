@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kerneldrift import (
     save_trajectory,
     simulate,
 )
-from kerneldrift.systems import Trajectory, spec_from_meta
+from kerneldrift.systems import DEFAULT_PARAMS, Trajectory, spec_from_meta
 
 
 def reference_path(spec, x0, n_samples, dt, seed, burn_in, substeps):
@@ -196,20 +197,28 @@ def test_non_finite_or_zero_dt_rejected(dt):
         Trajectory(dt=dt, points=np.zeros((5, 2)))
 
 
-@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, False, True])
 def test_non_finite_or_negative_noise_rejected(sigma):
+    # a JSON false or true is a bool, and so an int, but no noise level
     with pytest.raises(ValueError, match="sigma_noise must be nonnegative and finite"):
         make_spec("hopf", sigma_noise=sigma)
+    with pytest.raises(ValueError, match="sigma_noise must be nonnegative and finite"):
+        spec_from_meta({"system": "hopf", "params": {"p": 1.0}, "sigma_noise": sigma})
 
 
 @pytest.mark.parametrize("name, overrides", [
     ("hopf", {"p": np.nan}), ("lorenz63", {"rho": np.inf}),
     ("lorenz96", {"F": -np.inf}), ("lorenz96", {"N": np.inf}),
+    # a JSON true is no constant of 1, and a string constant is not coerced
+    ("hopf", {"p": True}), ("lorenz96", {"N": True}), ("hopf", {"p": "1.0"}),
 ])
 def test_non_finite_system_constant_rejected(name, overrides):
     (key, value), = overrides.items()
-    with pytest.raises(ValueError, match=f"{name} parameter {key} must be finite"):
+    message = re.escape(f"{name} parameter {key} must be a finite number, got {value!r}")
+    with pytest.raises(ValueError, match=message):
         make_spec(name, **overrides)
+    with pytest.raises(ValueError, match=message):
+        spec_from_meta({"system": name, "params": {**DEFAULT_PARAMS[name], **overrides}})
 
 
 def test_trajectory_validation():
