@@ -25,7 +25,6 @@ from .drift import (
 from .errors import (
     BlowUpError,
     DegenerateBandwidthError,
-    IsolatedPointError,
     NumericalError,
     SolverError,
 )

@@ -36,6 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_args(argv):
+    # argparse takes "-2,-1,0,1" for an option unless "=" joins it to one
+    if "--stencil-offsets" in argv[:-1]:
+        k = argv.index("--stencil-offsets")
+        argv = [*argv[:k], "=".join(argv[k:k + 2]), *argv[k + 2:]]
     parser = _Parser(prog="kerneldrift",
                      description="SDE drift estimation from sampled trajectories")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -58,9 +62,9 @@ def _parse_args(argv):
     common(est)
     est.add_argument("--traj", required=True, help="trajectory CSV (with .meta.json sidecar)")
     est.add_argument("--stencil-offsets", default=None,
-                     help="comma-separated cyclic stencil offsets, e.g. "
-                          "--stencil-offsets=-2,-1,0,1: fit the sparse estimator "
-                          "through them (default: the dense estimator)")
+                     help="comma-separated cyclic stencil offsets, e.g. -2,-1,0,1: "
+                          "fit the sparse estimator through them (default: the "
+                          "dense estimator)")
     fit = condexp.CondExpParams()  # the fit's defaults are the options' defaults
     est.add_argument("--eta1", type=float, default=fit.eta1)
     est.add_argument("--eta2", type=float, default=fit.eta2)
@@ -114,10 +118,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     traj, meta = systems.load_trajectory(args.traj)
-    if "system" not in meta:
-        raise ValueError(f"{args.traj}: metadata sidecar with the generating system "
-                         "is required to evaluate against the true field")
-    spec = systems.spec_from_meta(meta)
+    try:
+        spec = systems.spec_from_meta(meta)
+    except ValueError as err:  # named by the sidecar's path, as a model file is
+        raise ValueError(f"{systems._meta_path(args.traj)}: {err}") from err
 
     params = condexp.CondExpParams(eta1=args.eta1, eta2=args.eta2, eta3=args.eta3,
                                    delta=args.delta, n_centers=args.centers)

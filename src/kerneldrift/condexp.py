@@ -89,10 +89,10 @@ def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
 
     Uses the regularized normal equations with a Cholesky factorization;
     for ``delta = 0`` falls back to a minimum-norm least-squares solve.
-    ``B`` is a dense or a CSR array, ``g`` dense.  The normal matrix
-    ``B^T B``, the right-hand side ``B^T g`` and the residuals
-    ``B a - g`` come from ``B`` as given: a CSR ``B`` gives them as sparse
-    products, and only the (M, M) normal matrix is densified.
+    ``B`` is a dense or a CSR array, ``g`` a dense (N, k) array.  The
+    normal matrix ``B^T B``, the right-hand side ``B^T g`` and the
+    residuals ``B a - g`` come from ``B`` as given: a CSR ``B`` gives them
+    as sparse products, and only the (M, M) normal matrix is densified.
     Returns ``(coefficients, residual_norms, condition)`` with one column /
     entry per target column and the condition number of the (regularized)
     normal matrix.  The condition is ``lambda_max / lambda_min`` of that
@@ -100,8 +100,7 @@ def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
     number ``np.linalg.cond`` computes by an SVD to rounding; it is ``inf``
     when ``lambda_min <= 0``, as for a rank-deficient ``B`` at ``delta = 0``.
     """
-    b = smoothed_sections
-    g = smoothed_targets if smoothed_targets.ndim == 2 else smoothed_targets[:, None]
+    b, g = smoothed_sections, smoothed_targets
     normal = b.T @ b
     if sp.issparse(normal):
         normal = normal.toarray()
@@ -121,8 +120,6 @@ def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
     eigenvalues = np.linalg.eigvalsh(normal)
     condition = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else np.inf
     residuals = np.linalg.norm(b @ coef - g, axis=0)
-    if smoothed_targets.ndim == 1:
-        return coef[:, 0], residuals, condition
     return coef, residuals, condition
 
 

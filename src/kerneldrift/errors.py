@@ -27,17 +27,5 @@ class DegenerateBandwidthError(NumericalError):
     """Bandwidth selection found a zero distance quantile (coincident points)."""
 
 
-class IsolatedPointError(NumericalError):
-    """A kernel matrix row has no entry above the zero threshold.
-
-    ``row`` identifies the offending point; enlarging the bandwidth usually
-    resolves it.
-    """
-
-    def __init__(self, row):
-        self.row = row
-        super().__init__(f"row {row} has no kernel value above the zero threshold")
-
-
 class SolverError(NumericalError):
     """The least-squares solve failed or produced a non-finite solution."""

@@ -3,19 +3,17 @@
 Two operators are built from the squared-exponential kernel
 ``g(x, y) = exp(-|x - y|^2 / epsilon)``, with raw values below a zero
 threshold ``theta_zero`` dropped before any normalization.  The raw values
-against a given point set come from one ``cdist`` block of squared
-distances (:func:`_gaussian_block`); only a cloud with itself takes them
-from the radius neighbours a k-d tree lists (:func:`_gaussian_pairs`),
-since ``g >= theta_zero`` exactly when
-``|x - y|^2 <= epsilon * ln(1 / theta_zero)``.  Either way the threshold
-test keeps exactly the entries a dense evaluation keeps:
+of a cloud with itself come from the radius neighbours a k-d tree lists
+(:func:`_gaussian_pairs`), since ``g >= theta_zero`` exactly when
+``|x - y|^2 <= epsilon * ln(1 / theta_zero)``; those against another point
+set from one ``cdist`` block of squared distances (:func:`_gaussian_block`).
+Either way the threshold test keeps exactly the entries a dense evaluation
+keeps:
 
-* the Markov smoothing operator (:func:`markov_apply`) -- ``g`` with each
-  row divided by its sum, a row-stochastic matrix between two point clouds,
-  assembled as a canonical CSR matrix and applied to dense columns, giving
-  a dense result, or to sparse columns, giving a CSR result.  Two clouds
-  go one block of rows at a time; a cloud with itself lists each pair once
-  and keys both orientations and the diagonal from it;
+* the Markov smoothing operator (:func:`markov_apply`) -- ``g`` over one
+  point cloud, the sample's own empirical measure, with each row divided
+  by its sum: a row-stochastic CSR matrix applied to dense columns, giving
+  a dense result, or to sparse columns, giving a CSR result;
 * the diffusion kernel (:class:`KernelModel`) over a few hundred centers --
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
   ``deg_r(x) = mean_j g(x, c_j)`` and left degree
@@ -49,7 +47,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DegenerateBandwidthError, IsolatedPointError
+from .errors import DegenerateBandwidthError
 
 DEFAULT_THETA_ZERO = 1e-14
 
@@ -166,29 +164,28 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
 
 def markov_apply(rows, cols, epsilon: float, values,
                  theta_zero: float = DEFAULT_THETA_ZERO) -> np.ndarray | sp.csr_array:
-    """Apply the row-stochastic Gaussian kernel matrix to columns of ``values``.
+    """Apply the row-stochastic Gaussian kernel matrix of one point cloud to
+    the columns of ``values``.
 
-    Entry (i, j) of the matrix is ``g(r_i, c_j) / sum_j' g(r_i, c_j')``
-    over the raw values at or above ``theta_zero``: from ``cdist`` blocks
-    of ``_BLOCK_ROWS`` rows (:func:`_gaussian_block`), or from the radius
-    neighbours of :func:`_gaussian_pairs` when ``rows is cols``.  Either way
-    each CSR row is in column order, and the result is the same, bit for
-    bit, as for a copy of the cloud.  Dense ``values`` give a dense result;
-    a 2-d ``scipy.sparse`` array gives a CSR array, the sparse product with
-    each stored entry divided by its row sum, whose ``toarray()`` is the
-    dense result.
+    ``rows`` is the (N, d) cloud; ``cols`` must hold the same points (the
+    same array or an equal one) and stays because ``perfbench``'s
+    ``markov_pass`` hook binds both names.  Entry (i, j) is
+    ``g(x_i, x_j) / sum_j' g(x_i, x_j')`` over the raw values at or above
+    ``theta_zero`` (:func:`_gaussian_pairs`), each CSR row in column order.
+    A row keeps its own point with ``g = 1``, so no row sum is zero: a
+    point beyond the cutoff from all others keeps its own value.  Dense
+    (N, k) ``values`` give a dense result; a 2-d ``scipy.sparse`` array
+    gives CSR, each stored entry of the sparse product divided by its row
+    sum, whose ``toarray()`` is the dense result.
 
     Raises
     ------
     ValueError
-        If ``epsilon`` is not positive, if ``theta_zero`` is not in
-        (0, 1), if a row or column point is not finite or so far out that
-        squared distances overflow, or if ``values`` is not finite.
-    IsolatedPointError
-        If some row has no surviving entry.
+        If ``epsilon`` or ``theta_zero`` is out of range, ``values`` is not
+        a finite (N, k) array, ``cols`` holds other points, or a point is
+        not finite or so far out that squared distances overflow.
     """
-    rows = np.asarray(rows, dtype=float)
-    cols = np.asarray(cols, dtype=float)
+    points = np.asarray(rows, dtype=float)
     if sp.issparse(values):
         values = sp.csr_array(values, dtype=float)
         finite = np.isfinite(values.data).all()
@@ -196,40 +193,35 @@ def markov_apply(rows, cols, epsilon: float, values,
         values = np.asarray(values, dtype=float)
         finite = np.isfinite(values).all()
     _check_kernel(epsilon, theta_zero)
-    if rows.ndim != 2 or cols.ndim != 2 or rows.shape[1] != cols.shape[1]:
-        raise ValueError(
-            f"rows {rows.shape} and cols {cols.shape} must be (n, d) arrays of one d"
-        )
-    single = values.ndim == 1
-    v = values[:, None] if single else values
-    if v.shape[0] != len(cols):
-        raise ValueError(f"{v.shape[0]} value rows for {len(cols)} column points")
+    if points.ndim != 2 or values.ndim != 2 or values.shape[0] != len(points):
+        raise ValueError(f"rows {points.shape} and values {values.shape} must be "
+                         "(N, d) and (N, k) arrays")
+    n = len(points)
     if not finite:
         raise ValueError("values must be finite")
-    _check_markov_points(rows, cols)
+    # the tree's radius query fails if the box's diagonal overflows; only
+    # then are points checked one by one, against their median, to name one
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.square(np.ptp(points, axis=0)).sum() if n else 0.0
+    if not spread < np.inf:
+        median = np.median(points, axis=0)
+        _check_points(points, median, median, "row", "the other points")
+        raise ValueError("the points spread so far apart that squared distances overflow")
+    if not (cols is rows or np.array_equal(cols, points)):
+        raise ValueError("cols must hold the same points as rows")
 
-    if rows is cols:
-        i, j, g = _gaussian_pairs(rows, epsilon, theta_zero)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(i, minlength=len(rows)), out=indptr[1:])
-        kernel = sp.csr_array((g, j, indptr), shape=(len(rows), len(cols)))
-    else:
-        # an empty row cloud is one empty block
-        kernel = sp.vstack([
-            sp.csr_array(_gaussian_block(rows[s:s + _BLOCK_ROWS], cols, epsilon, theta_zero)[1])
-            for s in range(0, len(rows) or 1, _BLOCK_ROWS)], format="csr")
-
+    i, j, g = _gaussian_pairs(points, epsilon, theta_zero)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+    kernel = sp.csr_array((g, j, indptr), shape=(n, n))
     sums = kernel.sum(axis=1)
-    dead = np.flatnonzero(sums == 0.0)
-    if dead.size:
-        raise IsolatedPointError(row=int(dead[0]))
-    out = kernel @ v
+    out = kernel @ values
     if sp.issparse(out):
         # the same division of every stored entry as of the dense result
         out.data /= sums.repeat(np.diff(out.indptr))
     else:
         out /= sums[:, None]
-    return out[:, 0] if single else out
+    return out
 
 
 def _check_kernel(epsilon: float, theta_zero: float) -> None:
@@ -326,27 +318,6 @@ def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,
                          f"(squared distances overflow): {points[bad].tolist()}")
 
 
-def _check_markov_points(rows: np.ndarray, cols: np.ndarray) -> None:
-    """Reject points whose squared distances may overflow: over one cloud
-    the tree query fails, and between two ``cdist`` gives ``inf``, which
-    reads as a far pair.  Neither can happen unless the squared distance
-    between the far corners of the two bounding boxes overflows; only then
-    are points looked at one by one, each cloud against the coordinate-wise
-    median of the other."""
-    if not (len(rows) and len(cols)):
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        far = np.maximum(rows.max(axis=0) - cols.min(axis=0),
-                         cols.max(axis=0) - rows.min(axis=0))
-        if (far * far).sum() < np.inf:
-            return
-    median_r, median_c = np.median(rows, axis=0), np.median(cols, axis=0)
-    _check_points(rows, median_c, median_c, "row", "the column points")
-    _check_points(cols, median_r, median_r, "column", "the row points")
-    raise ValueError("the row and column points spread so far apart that "
-                     "squared distances between them overflow")
-
-
 def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
                     ) -> KernelModel:
     """Fit the degree-normalized diffusion kernel with ``data`` as centers.
@@ -410,11 +381,7 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         If a query point has the wrong dimension, is not finite, or lies so
         far out that its squared distances to the centers overflow.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 0:
-        points = points.reshape(1, 1)
-    elif points.ndim == 1:
-        points = points[None, :]
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != model.dimension:
         raise ValueError(
             f"query dimension {points.shape[1]} != center dimension {model.dimension}"

@@ -144,7 +144,8 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
         out = tmp_path / f"out_{key}"
         assert run("estimate", "--traj", str(traj), "--centers", "150",
                    "--out", str(out)) == 1
-        assert "usage error: metadata sidecar" in capsys.readouterr().err
+        sidecar = tmp_path / "trajectory.meta.json"
+        assert f"usage error: {sidecar}: metadata sidecar" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -154,7 +155,9 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
     ("substeps", "x", "metadata sidecar entry 'substeps'"),
     ("seed", "abc", "metadata sidecar entry 'seed'"),
     (None, [], "metadata sidecar .* is not a JSON object"),
-    ("params", {"p": "1.0"}, "hopf parameter p must be a finite number, got '1.0'"),
+    # a value the system rejects is named by the sidecar's path
+    ("params", {"p": "1.0"},
+     r"\S*trajectory\.meta\.json: hopf parameter p must be a finite number, got '1.0'"),
 ], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param"])
 def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, key, value,
                                                     message):
@@ -244,6 +247,19 @@ def test_compare_takes_lorenz96_cells_from_model(l96_run, tmp_path):
                "--horizon", "1", "--out", str(out)) == 0
     header = (out / "orbits.csv").read_text().splitlines()[0].split(",")
     assert [c for c in header if c.startswith("true_x")] == [f"true_x{i}" for i in range(6)]
+
+
+def test_stencil_offsets_take_a_spaced_value(l96_run, tmp_path, capsys):
+    # "--stencil-offsets -2,-1,0,1" fits what "--stencil-offsets=-2,-1,0,1"
+    # does, though its value starts with "-"; 0,6 is still rejected
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(l96_run / "trajectory.csv"),
+               "--stencil-offsets", "-2,-1,0,1", "--centers", "100", "--out", str(out)) == 0
+    assert (out / "model.json").read_bytes() == (l96_run / "model.json").read_bytes()
+    assert run("estimate", "--traj", str(l96_run / "trajectory.csv"),
+               "--stencil-offsets", "0,6", "--out", str(tmp_path / "bad")) == 1
+    assert "usage error: Left(0) must hold exactly 2 distinct indices" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_duplicate_stencil_offsets_are_usage_error(l96_run, tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_identity_smoothing_limit_interpolates():
     pts = rng.uniform(-1, 1, size=(60, 1))
     kernel = diffusion_model(pts, epsilon=0.05)
     sections, _ = section_matrix(kernel, pts)
-    y = np.sin(pts[:, 0])
+    y = np.sin(pts)
     a, residuals, _ = solve_regularized(sections, y, delta=0.0)
     assert residuals[0] < 1e-6
     np.testing.assert_allclose(sections @ a, y, atol=1e-6)
@@ -199,21 +199,21 @@ def test_solver_failure_raises():
     b = np.ones((4, 2))
     b[0, 0] = np.nan
     with pytest.raises(SolverError):
-        solve_regularized(b, np.ones(4), delta=0.1)
+        solve_regularized(b, np.ones((4, 1)), delta=0.1)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1])
 def test_condition_matches_svd(delta):
     rng = np.random.default_rng(12)
     b = rng.normal(size=(60, 8)) * np.logspace(0, 2, 8)
-    _, _, condition = solve_regularized(b, rng.normal(size=60), delta)
+    _, _, condition = solve_regularized(b, rng.normal(size=(60, 1)), delta)
     expected = np.linalg.cond(b.T @ b + delta * np.eye(8))
     np.testing.assert_allclose(condition, expected, rtol=1e-8)
 
 
 def test_condition_infinite_for_rank_deficient():
     b = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    coef, _, condition = solve_regularized(b, np.ones(3), delta=0.0)
+    coef, _, condition = solve_regularized(b, np.ones((3, 1)), delta=0.0)
     assert condition == np.inf
     assert np.isfinite(coef).all()
 
@@ -256,7 +256,7 @@ def test_csr_design_matches_dense(delta, monkeypatch):
 
 def test_csr_design_rank_deficient_zero_ridge():
     b = sp.csr_array(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]))
-    coef, _, condition = solve_regularized(b, np.ones(3), delta=0.0)
+    coef, _, condition = solve_regularized(b, np.ones((3, 1)), delta=0.0)
     assert condition == np.inf
     assert np.isfinite(coef).all()
 
@@ -264,7 +264,7 @@ def test_csr_design_rank_deficient_zero_ridge():
 def test_csr_design_failure_raises():
     b = sp.csr_array(np.array([[np.nan, 1.0], [1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(SolverError):
-        solve_regularized(b, np.ones(3), delta=0.1)
+        solve_regularized(b, np.ones((3, 1)), delta=0.1)
 
 
 def test_blocked_sections_feed_eps3_pass(monkeypatch):

@@ -4,10 +4,10 @@ Clouds with duplicate points, a constant coordinate, one dimension, as
 many centers as inputs, a handful of points and bandwidths from 1e-300 to
 1e300: every case gives finite values or a documented ``NumericalError``
 or ``ValueError``, from the kernels up to a drift fit and its predictions.
-Section rows also match the dense ``cdist`` oracle bit for bit, a Markov
-pass over one cloud (its self-pair query) matches the ball queries over a
-copy of it, and a fit's coefficients solve the dense normal
-equations of its own ``B`` and ``g`` to rounding.
+Section rows match the dense ``cdist`` oracle bit for bit, the raw pairs
+of a Markov pass over one cloud carry the oracle's pattern and bits and
+the pass itself is the oracle's to rounding, and a fit's coefficients
+solve the dense normal equations of its own ``B`` and ``g`` to rounding.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ from kerneldrift import (  # noqa: E402
 from kerneldrift.condexp import fit_targets  # noqa: E402
 from kerneldrift.kernels import markov_apply  # noqa: E402
 from kerneldrift.systems import Trajectory  # noqa: E402
-from test_kernels import section_oracle  # noqa: E402
+from test_kernels import assert_markov_matches_oracle, section_oracle  # noqa: E402
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -79,20 +79,21 @@ def test_section_rows_fuzz(cloud_pair, epsilon):
 @FUZZ
 @given(clouds(), bandwidths, st.booleans())
 def test_markov_self_pairs_fuzz(points, epsilon, sparse):
-    # rows is cols (one self-pair query) against a copy of the cloud (one
-    # ball query per row): the same result bit for bit
+    # the self-pair query keeps the dense oracle's pattern and g bits
+    # exactly, and the Markov pass is the oracle's to rounding
     dense = np.random.default_rng(len(points)).normal(size=(len(points), 3))
     dense[::2, 0] = 0.0
     values = sp.csr_array(dense) if sparse else dense
     got = markov_apply(points, points, epsilon, values)
-    copied = markov_apply(points, points.copy(), epsilon, values)
     if sparse:
         # sparse values give CSR, whose dense form is the dense-values result
-        assert isinstance(got, sp.csr_array) and isinstance(copied, sp.csr_array)
-        got, copied = got.toarray(), copied.toarray()
+        assert isinstance(got, sp.csr_array)
+        got = got.toarray()
         np.testing.assert_array_equal(got, markov_apply(points, points, epsilon, dense))
     assert np.isfinite(got).all()
-    np.testing.assert_array_equal(got, copied)
+    raw = assert_markov_matches_oracle(points, epsilon)
+    np.testing.assert_allclose(got, (raw / raw.sum(axis=1, keepdims=True)) @ dense,
+                               rtol=1e-12, atol=1e-12)
 
 
 @st.composite

@@ -9,14 +9,13 @@ from scipy.spatial.distance import cdist
 from kerneldrift import (
     DegenerateBandwidthError,
     DriftModel,
-    IsolatedPointError,
     KernelModel,
     diffusion_model,
     section_matrix,
     select_bandwidth,
 )
 from kerneldrift.drift import load_drift_model, save_drift_model
-from kerneldrift.kernels import _BLOCK_ROWS, markov_apply
+from kerneldrift.kernels import _gaussian_pairs, markov_apply
 
 
 def cloud(n=60, d=2, seed=0, scale=1.0):
@@ -31,15 +30,34 @@ def dense_gaussian(xs, ys, eps):
     return out
 
 
-def markov_dense(rows, cols, eps):
+def markov_dense(points, eps):
     """The Markov matrix itself: its action on the identity."""
-    return markov_apply(rows, cols, eps, np.eye(len(cols)))
+    return markov_apply(points, points, eps, np.eye(len(points)))
 
 
 def thresholded_oracle(rows, cols, eps, theta_zero=1e-14):
     """Dense evaluation of the raw kernel with sub-threshold values zeroed."""
     raw = np.exp(-cdist(rows, cols, "sqeuclidean") / eps)
     raw[raw < theta_zero] = 0.0
+    return raw
+
+
+def assert_markov_matches_oracle(points, eps, theta_zero=1e-14):
+    """The raw pairs of one cloud carry the dense oracle's stored pattern and
+    g bits exactly; the Markov matrix, assembled from them, is the oracle
+    with each row divided by its sum, to rounding.  Returns the raw oracle."""
+    raw = thresholded_oracle(points, points, eps, theta_zero)
+    i, j, g = _gaussian_pairs(points, eps, theta_zero)
+    pairs = np.zeros_like(raw)
+    pairs[i, j] = g
+    np.testing.assert_array_equal(pairs, raw)
+    matrix = markov_apply(points, points, eps, sp.eye_array(len(points), format="csr"),
+                          theta_zero)
+    stored = np.zeros(raw.shape, dtype=bool)
+    stored[np.arange(len(points)).repeat(np.diff(matrix.indptr)), matrix.indices] = True
+    np.testing.assert_array_equal(stored, raw != 0.0)
+    np.testing.assert_allclose(matrix.toarray(), raw / raw.sum(axis=1, keepdims=True),
+                               rtol=1e-12, atol=1e-15)
     return raw
 
 
@@ -147,47 +165,46 @@ class TestSelectBandwidth:
 
 class TestMarkovMatrix:
     def test_single_column(self):
-        rows = cloud(n=10, seed=0)
-        mm = markov_dense(rows, rows[:1], eps=0.5)
-        np.testing.assert_allclose(mm, np.ones((10, 1)), rtol=1e-12)
+        # one value column: a constant one is kept, and a one-point cloud
+        # keeps its own value
+        points = cloud(n=10, seed=0)
+        got = markov_apply(points, points, 0.5, np.full((10, 1), 2.5))
+        np.testing.assert_allclose(got, 2.5, rtol=1e-12)
+        one = points[:1]
+        np.testing.assert_array_equal(markov_apply(one, one, 0.5, [[3.0]]), [[3.0]])
 
     def test_equidistant_rows_uniform(self):
-        # rows equidistant from every column get the uniform distribution
-        cols = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-        centroid = cols.mean(axis=0)
-        rows = np.vstack([centroid, centroid])
-        mm = markov_dense(rows, cols, eps=1.0)
-        np.testing.assert_allclose(mm, np.full((2, 3), 1 / 3), atol=1e-15)
+        # the corners of an equilateral triangle are equidistant: each row
+        # spreads the same weight uniformly over the two other corners
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+        off = math.exp(-1.0)
+        expected = np.full((3, 3), off / (1.0 + 2.0 * off))
+        np.fill_diagonal(expected, 1.0 / (1.0 + 2.0 * off))
+        np.testing.assert_allclose(markov_dense(points, eps=1.0), expected, rtol=1e-12)
 
     def test_matches_dense_oracle(self):
-        rows = cloud(n=10, seed=3)
-        cols = cloud(n=10, seed=4)
+        points = cloud(n=10, seed=3)
         eps = 0.8
-        dense = dense_gaussian(rows, cols, eps)
+        dense = dense_gaussian(points, points, eps)
         dense[dense < 1e-14] = 0.0
         expected = dense / dense.sum(axis=1, keepdims=True)
-        got = markov_dense(rows, cols, eps)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
+        np.testing.assert_allclose(markov_dense(points, eps), expected, atol=1e-12)
+        assert_markov_matches_oracle(points, eps)
 
-    @pytest.mark.parametrize("case", ["d1", "d3_rows_ne_cols", "duplicates"])
+    @pytest.mark.parametrize("case", ["d1", "d3", "duplicates"])
     def test_radius_assembly_matches_dense_oracle(self, case):
         if case == "d1":
-            rows = cols = cloud(n=120, d=1, seed=30, scale=3.0)
+            points = cloud(n=120, d=1, seed=30, scale=3.0)
             eps = 0.01
-        elif case == "d3_rows_ne_cols":
-            rows = cloud(n=90, d=3, seed=31)
-            cols = cloud(n=70, d=3, seed=32)
+        elif case == "d3":
+            points = cloud(n=90, d=3, seed=31)
             eps = 0.1
         else:
             base = cloud(n=50, seed=33, scale=2.0)
-            rows = cols = np.vstack([base, base[:20], base[:5]])
+            points = np.vstack([base, base[:20], base[:5]])
             eps = 0.05
-        raw = thresholded_oracle(rows, cols, eps)
+        raw = assert_markov_matches_oracle(points, eps)
         assert (raw == 0.0).any()  # the threshold drops some entries
-        expected = raw / raw.sum(axis=1, keepdims=True)
-        got = markov_dense(rows, cols, eps)
-        np.testing.assert_array_equal(got != 0.0, raw != 0.0)
-        assert np.abs(got - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("far, theta_zero", [
         ((3.0, 4.0), 1e-14),
@@ -195,19 +212,17 @@ class TestMarkovMatrix:
         ((1.0, 0.0), 0.22),
     ])
     def test_threshold_boundary_matches_oracle(self, far, theta_zero):
-        # the squared distance to `far` is exact, so only the threshold
-        # test decides; bandwidths a few ulps either side of the boundary
-        rows = np.zeros((1, 2))
-        cols = np.array([[0.0, 0.0], far])
+        # the squared distances from the origin to `far` and `-far` are
+        # exact, so only the threshold test decides; bandwidths a few ulps
+        # either side of the boundary
+        points = np.array([[0.0, 0.0], far, [-far[0], -far[1]]])
         sq = far[0] ** 2 + far[1] ** 2
         base = sq / math.log(1.0 / theta_zero)
         decisions = set()
         for ulps in range(-4, 5):
             eps = base * (1.0 + ulps * 2.0**-52)
-            kept = bool(thresholded_oracle(rows, cols, eps, theta_zero)[0, 1] > 0.0)
-            got = markov_apply(rows, cols, eps, np.eye(2), theta_zero)
-            assert (got[0, 1] != 0.0) == kept, ulps
-            decisions.add(kept)
+            raw = assert_markov_matches_oracle(points, eps, theta_zero)
+            decisions.add(bool(raw[0, 1] > 0.0))
         assert decisions == {False, True}
 
     @pytest.mark.parametrize("far, theta_zero", [
@@ -232,8 +247,8 @@ class TestMarkovMatrix:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("sparse", [False, True])
     def test_self_pairs_match_copied_cloud(self, d, sparse):
-        # rows is cols takes the self-pair query; a copy of the same cloud
-        # takes the two-cloud cdist blocks: the results agree bit for bit
+        # a copy of the cloud passed as cols is accepted and gives the same
+        # result bit for bit; both are the dense oracle's to rounding
         base = cloud(n=150, d=d, seed=50 + d, scale=2.0)
         data = np.vstack([base, base[:20], base[:5]])  # duplicate points
         eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
@@ -249,61 +264,45 @@ class TestMarkovMatrix:
             np.testing.assert_array_equal(got, markov_apply(data, data, eps, dense))
         assert (got == 0.0).any() and (got != 0.0).any()
         np.testing.assert_array_equal(got, copied)
+        raw = assert_markov_matches_oracle(data, eps)
+        np.testing.assert_allclose(got, (raw / raw.sum(axis=1, keepdims=True)) @ dense,
+                                   rtol=1e-12, atol=1e-14)
 
-    def test_two_cloud_rows_in_column_order(self):
-        # the two-cloud result, from cdist blocks, matches the self-pair
-        # one, from sorted pair keys, stored entry for stored entry: both
-        # keep each row in column order
+    def test_rows_in_column_order(self):
+        # the raw pairs come once each, by row and then by column, so the
+        # kernel is canonical CSR; a sparse result stores exactly the
+        # nonzeros of the dense one, with their bits
         data = cloud(n=400, d=2, seed=60, scale=2.0)
         eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
+        i, j, _ = _gaussian_pairs(data, eps, 1e-14)
+        assert (np.diff(i * len(data) + j) > 0).all()
         rng = np.random.default_rng(61)
         dense = rng.normal(size=(400, 5)) * (rng.random((400, 5)) < 0.3)
-        got = markov_apply(data, data.copy(), eps, sp.csr_array(dense))
-        expected = markov_apply(data, data, eps, sp.csr_array(dense))
+        got = markov_apply(data, data, eps, sp.csr_array(dense))
+        got.sort_indices()
+        expected = sp.csr_array(markov_apply(data, data, eps, dense))
         for name in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
-        np.testing.assert_array_equal(markov_apply(data, data.copy(), eps, dense),
-                                      markov_apply(data, data, eps, dense))
-
-    def test_two_clouds_across_row_blocks(self):
-        # two clouds go _BLOCK_ROWS rows at a time: the stored pattern is the
-        # dense oracle's, a row next to a block boundary is the row computed
-        # alone, and an isolated row is named by its index in the whole cloud
-        assert _BLOCK_ROWS == 512
-        rows = cloud(n=1100, d=2, seed=70, scale=2.0)
-        cols = cloud(n=300, d=2, seed=71, scale=2.0)
-        eps = select_bandwidth(cols, eta=0.3, subsample_fraction=1.0)
-        matrix = markov_apply(rows, cols, eps, sp.eye_array(300, format="csr"))
-        stored = np.zeros((1100, 300), dtype=bool)
-        stored[np.arange(1100).repeat(np.diff(matrix.indptr)), matrix.indices] = True
-        kept = thresholded_oracle(rows, cols, eps) >= 1e-14
-        assert kept.any() and not kept.all()
-        np.testing.assert_array_equal(stored, kept)
-        values = np.random.default_rng(72).normal(size=(300, 4))
-        dense = markov_apply(rows, cols, eps, values)
-        for row in (511, 512, 1023, 1024):
-            np.testing.assert_array_equal(markov_apply(rows[row:row + 1], cols, eps, values),
-                                          dense[row:row + 1])
-        rows[1050] = [50.0, 50.0]
-        with pytest.raises(IsolatedPointError) as info:
-            markov_apply(rows, cols, eps, values)
-        assert info.value.row == 1050
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            markov_apply(cloud(n=5, d=2), cloud(n=5, d=3), 1.0, np.ones(5))
+        # cols must hold the points of rows: another dimension, or other
+        # points of the same shape, is rejected
+        points = cloud(n=5, d=2)
+        for cols in (cloud(n=5, d=3), cloud(n=5, d=2, seed=1)):
+            with pytest.raises(ValueError, match="cols must hold the same points"):
+                markov_apply(points, cols, 1.0, np.ones((5, 1)))
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
     def test_bad_epsilon_rejected(self, eps):
         data = cloud(n=8, seed=45)
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            markov_apply(data, data, eps, np.ones(8))
+            markov_apply(data, data, eps, np.ones((8, 1)))
 
     @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0])
     def test_bad_theta_zero_rejected(self, theta_zero):
         data = cloud(n=50, seed=47)
         with pytest.raises(ValueError, match="theta_zero must lie in"):
-            markov_apply(data, data, 0.5, np.ones(50), theta_zero)
+            markov_apply(data, data, 0.5, np.ones((50, 1)), theta_zero)
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
     def test_sparse_values_match_dense(self, fmt):
@@ -319,26 +318,27 @@ class TestMarkovMatrix:
     @pytest.mark.parametrize("where, bad, message", [
         ("rows", np.nan, "row point 2 is not finite"),
         ("rows", -np.inf, "row point 2 is not finite"),
-        ("cols", np.inf, "column point 2 is not finite"),
-        # a NaN column leaves the median the rows are checked against NaN
-        ("cols", np.nan, "column point 2 is not finite"),
         ("rows", 1e160, "row point 2 is too far"),
-        ("cols", -1e160, "column point 2 is too far"),
+        # cols a copy: the point is named before the copy is compared, so a
+        # NaN, which compares unequal, is named too
+        ("copy", np.inf, "row point 2 is not finite"),
+        ("copy", np.nan, "row point 2 is not finite"),
+        ("copy", -1e160, "row point 2 is too far"),
     ])
     def test_bad_point_named(self, where, bad, message):
-        rows, cols = cloud(n=6, seed=42), cloud(n=5, seed=43)
-        (rows if where == "rows" else cols)[2, 1] = bad
+        points = cloud(n=6, seed=42)
+        points[2, 1] = bad
+        cols = points if where == "rows" else points.copy()
         with pytest.raises(ValueError, match=message):
-            markov_apply(rows, cols, 0.5, np.ones(5))
+            markov_apply(points, cols, 0.5, np.ones((6, 1)))
 
     def test_boxes_too_far_apart(self):
-        # no single point is out of range, but the distance between the
-        # far corners of the two bounding boxes overflows
+        # no point is far from the cloud's median, but the diagonal of its
+        # bounding box overflows, which would make the k-d tree fail
         a = 5.5e153
-        rows = np.array([[a, 0.0], [0.0, a]])
-        cols = np.array([[-a, 0.0], [0.0, -a]])
-        with pytest.raises(ValueError, match="spread so far apart"):
-            markov_apply(rows, cols, 1.0, np.ones(2))
+        points = np.array([[a, 0.0], [-a, 0.0], [0.0, a], [0.0, -a]])
+        with pytest.raises(ValueError, match="points spread so far apart"):
+            markov_apply(points, points, 1.0, np.ones((4, 1)))
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_nonfinite_values_rejected(self, sparse):
@@ -351,31 +351,37 @@ class TestMarkovMatrix:
     def test_rows_sum_to_one(self):
         data = cloud(n=150, seed=5)
         eps = select_bandwidth(data, eta=0.3, subsample_fraction=1.0)
-        sums = markov_dense(data, data, eps).sum(axis=1)
+        sums = markov_dense(data, eps).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
     def test_entries_positive_and_thresholded(self):
         data = cloud(n=80, seed=6, scale=4.0)
         eps = 0.05
-        mm = markov_dense(data, data, eps)
+        mm = markov_dense(data, eps)
         assert (mm >= 0).all()
         # stored pattern = entries of the raw kernel at or above the threshold
         raw = dense_gaussian(data, data, eps)
         np.testing.assert_array_equal(mm != 0, raw >= 1e-14)
 
     def test_isolated_row(self):
-        rows = np.array([[0.0, 0.0], [100.0, 100.0]])
-        cols = np.array([[0.0, 0.0], [0.1, 0.0]])
-        with pytest.raises(IsolatedPointError) as info:
-            markov_dense(rows, cols, eps=1e-3)
-        assert info.value.row == 1
+        # a point beyond the cutoff from every other one keeps only its own
+        # entry, g = 1: its row is e_i, and it gets its own values back
+        points = np.array([[0.0, 0.0], [0.1, 0.0], [100.0, 100.0]])
+        values = np.array([[1.0, -2.0], [3.0, 0.0], [5.0, 7.0]])
+        eps = 1e-3
+        matrix = markov_dense(points, eps)
+        assert (matrix[:2, :2] > 0.0).all()
+        np.testing.assert_array_equal(matrix[2], [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(markov_apply(points, points, eps, values)[2], values[2])
+        csr = markov_apply(points, points, eps, sp.csr_array(values))
+        np.testing.assert_array_equal(csr.toarray()[2], values[2])
 
     def test_sparsification_consistency(self):
         # densify + renormalize differs from the no-threshold oracle by at
         # most n * theta_zero per row (dropped mass is below the threshold)
         data = cloud(n=120, seed=8, scale=3.0)
         eps = 0.1
-        sparse = markov_dense(data, data, eps)
+        sparse = markov_dense(data, eps)
         dense = dense_gaussian(data, data, eps)
         dense = dense / dense.sum(axis=1, keepdims=True)
         row_gap = np.abs(sparse - dense).sum(axis=1)
@@ -390,9 +396,9 @@ class TestMarkovMatrix:
         expected = (raw / raw.sum(axis=1, keepdims=True)) @ values
         np.testing.assert_allclose(markov_apply(data, data, eps, values), expected,
                                    rtol=1e-12, atol=1e-14)
-        vec = values[:, 0]
-        np.testing.assert_allclose(markov_apply(data, data, eps, vec),
-                                   expected[:, 0], rtol=1e-12, atol=1e-14)
+        # values are (N, k) columns; a 1-d vector is no shortcut for one
+        with pytest.raises(ValueError, match=r"\(N, k\) arrays"):
+            markov_apply(data, data, eps, values[:, 0])
 
 
 class TestDiffusionModel:
