@@ -31,6 +31,11 @@ DEFAULT_SAMPLES = {"lorenz63": 10_000, "hopf": 10_000, "lorenz96": 2_000}
 
 
 class _Parser(argparse.ArgumentParser):
+    # every option is spelled in full: a prefix such as --stencil would not
+    # take the spaced "-2,-1,0,1" that _parse_args joins to --stencil-offsets
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ValueError(message)
 

@@ -104,9 +104,10 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     estimated-field orbit records where the nearest-center fallback fired
     (the source of spurious fixed points far from the data), and its
     fallback steps read their section rows from the model's table of
-    center rows.  The true orbit steps on Python floats, as
-    :func:`~kerneldrift.systems.simulate` does: the same IEEE operations
-    as :func:`~kerneldrift.systems.eval_drift` on arrays, so the same bits.
+    center rows.  The true orbit steps on Python floats through the
+    system's drift closure, as :func:`~kerneldrift.systems.simulate` does:
+    the same IEEE operations as :func:`~kerneldrift.systems.eval_drift` on
+    arrays, so the same bits.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
@@ -125,6 +126,7 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     flags = np.zeros(n_steps + 1, dtype=bool)
     true_points[0] = x0
     est_points[0] = x0
+    true_drift = systems_mod._drift(spec)
     xt = x0.tolist()
     xe = x0.copy()
     for k in range(1, n_steps + 1):
@@ -132,7 +134,7 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
         # from before the true field overflows there
         value, flag = _evaluate(model, xe[None, :])
         xe = xe + value[0] * dt
-        xt = [xi + vi * dt for xi, vi in zip(xt, systems_mod._drift_terms(spec, xt))]
+        xt = [xi + vi * dt for xi, vi in zip(xt, true_drift(*xt))]
         # a diverging step overflows to inf or nan (float arithmetic does not raise)
         if not (all(map(math.isfinite, xt)) and np.isfinite(xe).all()):
             raise BlowUpError(index=k)

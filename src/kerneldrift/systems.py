@@ -147,8 +147,9 @@ class Trajectory:
         return len(self.points)
 
 
-def _drift_terms(spec: SystemSpec, xs: list) -> list:
-    """The drift components V_i for state components ``xs``.
+def _drift(spec: SystemSpec):
+    """The drift field of ``spec`` with its constants bound:
+    ``V(x1, ..., xd) -> (V1, ..., Vd)``.
 
     The components may be Python floats (one state, as in the simulator
     loop) or numpy arrays (a batch); both run the same IEEE-754 double
@@ -156,19 +157,28 @@ def _drift_terms(spec: SystemSpec, xs: list) -> list:
     """
     p = spec.params
     if spec.name == "lorenz63":
-        x1, x2, x3 = xs
-        return [
-            p["sigma"] * (x2 - x1),
-            x1 * (p["rho"] - x3) - x2,
-            x1 * x2 - p["beta"] * x3,
-        ]
+        sigma, rho, beta = p["sigma"], p["rho"], p["beta"]
+
+        def lorenz63(x1, x2, x3):
+            return sigma * (x2 - x1), x1 * (rho - x3) - x2, x1 * x2 - beta * x3
+
+        return lorenz63
     if spec.name == "hopf":
-        x1, x2 = xs
-        shrink = p["p"] - (x1 * x1 + x2 * x2)
-        return [-x2 + x1 * shrink, x1 + x2 * shrink]
+        mu = p["p"]
+
+        def hopf(x1, x2):
+            shrink = mu - (x1 * x1 + x2 * x2)
+            return -x2 + x1 * shrink, x1 + x2 * shrink
+
+        return hopf
     # lorenz96: dx_n/dt = (x_{n+1} - x_{n-2}) x_{n-1} - x_n + F, cyclic
-    n, forcing = len(xs), p["F"]
-    return [(xs[(i + 1) % n] - xs[i - 2]) * xs[i - 1] - xs[i] + forcing for i in range(n)]
+    n, forcing = spec.dimension, p["F"]
+    cells = [((i + 1) % n, i - 2, i - 1, i) for i in range(n)]
+
+    def lorenz96(*xs):
+        return [(xs[a] - xs[b]) * xs[c] - xs[i] + forcing for a, b, c, i in cells]
+
+    return lorenz96
 
 
 def eval_drift(spec: SystemSpec, x) -> np.ndarray:
@@ -180,7 +190,39 @@ def eval_drift(spec: SystemSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != spec.dimension:
         raise ValueError(f"state has dimension {x.shape[-1]}, system expects {spec.dimension}")
-    return np.stack(_drift_terms(spec, [x[..., i] for i in range(spec.dimension)]), axis=-1)
+    return np.stack(_drift(spec)(*(x[..., i] for i in range(spec.dimension))), axis=-1)
+
+
+def _euler_maruyama(spec: SystemSpec, h: float, sigma: float):
+    """``advance(x, kicks) -> x`` for :func:`simulate`: the state, as Python
+    floats, after one substep ``x + v*h + (sigma*v)*kick`` per noise kick.
+    For d = 2 and 3 the update is spelled out per component, so a substep
+    builds no list; Lorenz 96 (any N) runs it as a comprehension."""
+    drift = _drift(spec)
+    if spec.dimension == 2:
+        def advance(x, kicks):
+            x1, x2 = x
+            for k1, k2 in kicks:
+                v1, v2 = drift(x1, x2)
+                x1 = x1 + v1 * h + (sigma * v1) * k1
+                x2 = x2 + v2 * h + (sigma * v2) * k2
+            return x1, x2
+    elif spec.dimension == 3:
+        def advance(x, kicks):
+            x1, x2, x3 = x
+            for k1, k2, k3 in kicks:
+                v1, v2, v3 = drift(x1, x2, x3)
+                x1 = x1 + v1 * h + (sigma * v1) * k1
+                x2 = x2 + v2 * h + (sigma * v2) * k2
+                x3 = x3 + v3 * h + (sigma * v3) * k3
+            return x1, x2, x3
+    else:
+        def advance(x, kicks):
+            for kick in kicks:
+                x = [xi + vi * h + (sigma * vi) * ki
+                     for xi, vi, ki in zip(x, drift(*x), kick)]
+            return x
+    return advance
 
 
 def simulate(
@@ -212,11 +254,14 @@ def simulate(
     the first ``burn_in`` recorded states are discarded (a cheap
     approximation to sampling from the stationary regime).
 
-    The loop runs on Python floats: each substep evaluates the drift once
-    and reuses it for the diffusion, and the ``substeps`` noise vectors
-    between two recorded samples are drawn in one block.  The generator
-    yields the same normal stream either way, so identical inputs give
-    bit-identical output, equal to a per-substep numpy step.
+    The loop runs on Python floats through the system's drift closure,
+    built once per call with its constants bound: each substep evaluates
+    the drift once and reuses it for the diffusion, with the update spelled
+    out per component for Hopf and Lorenz 63 and a comprehension for
+    Lorenz 96.  The ``substeps`` noise vectors between two recorded
+    samples are drawn in one block; the generator yields the same normal
+    stream as per-substep draws, so identical inputs give bit-identical
+    output, equal to a per-substep numpy step.
 
     Raises
     ------
@@ -242,16 +287,14 @@ def simulate(
 
     rng = np.random.default_rng(seed)
     h = float(dt / substeps)
-    sigma = float(spec.sigma_noise)
     d = spec.dimension
     total = burn_in + n_samples
     out = np.empty((total, d))
     out[0] = x0
+    advance = _euler_maruyama(spec, h, float(spec.sigma_noise))
     x = x0.tolist()
     for k in range(1, total):
-        for kick in (h * rng.standard_normal((substeps, d))).tolist():
-            v = _drift_terms(spec, x)
-            x = [xi + vi * h + (sigma * vi) * ki for xi, vi, ki in zip(x, v, kick)]
+        x = advance(x, (h * rng.standard_normal((substeps, d))).tolist())
         # a diverging step overflows to inf or nan (float arithmetic does not raise)
         if not all(map(math.isfinite, x)):
             raise BlowUpError(index=k)
@@ -304,8 +347,8 @@ def save_trajectory(traj: Trajectory, csv_path, spec: Optional[SystemSpec] = Non
 
 def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
     """Load a trajectory CSV plus its metadata sidecar (``{}`` if absent); a
-    sidecar that is no JSON object, or a number in it of the wrong JSON
-    type, is a ValueError."""
+    sidecar that is no valid JSON, no JSON object, or holds a number of the
+    wrong JSON type, is a ValueError named by the sidecar's path."""
     csv_path = Path(csv_path)
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
@@ -313,14 +356,18 @@ def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
     meta = {}
     mp = _meta_path(csv_path)
     if mp.exists():
-        meta = json.loads(mp.read_text())
+        try:
+            meta = json.loads(mp.read_text())
+        except ValueError as err:  # undecodable bytes or JSON
+            raise ValueError(f"{mp}: metadata sidecar is not valid JSON: {err}") from err
     if not isinstance(meta, dict):
-        raise ValueError(f"metadata sidecar {mp} is not a JSON object")
+        raise ValueError(f"{mp}: metadata sidecar is not a JSON object")
     for key, types in (("dt", (int, float)), ("seed", (int, type(None))),
                        ("burn_in", int), ("substeps", int)):
         value = meta.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"metadata sidecar entry {key!r} has the wrong type: {value!r}")
+            raise ValueError(f"{mp}: metadata sidecar entry {key!r} has the wrong type: "
+                             f"{value!r}")
     if "dt" in meta:
         dt = float(meta["dt"])
     elif len(data) > 1:

@@ -1,5 +1,4 @@
 import json
-import re
 
 import numpy as np
 import pytest
@@ -150,20 +149,18 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("dt", None, "metadata sidecar entry 'dt'"),
-    ("burn_in", None, "metadata sidecar entry 'burn_in'"),
-    ("substeps", "x", "metadata sidecar entry 'substeps'"),
-    ("seed", "abc", "metadata sidecar entry 'seed'"),
-    (None, [], "metadata sidecar .* is not a JSON object"),
-    # a value the system rejects is named by the sidecar's path
-    ("params", {"p": "1.0"},
-     r"\S*trajectory\.meta\.json: hopf parameter p must be a finite number, got '1.0'"),
+    ("dt", None, "metadata sidecar entry 'dt' has the wrong type: None"),
+    ("burn_in", None, "metadata sidecar entry 'burn_in' has the wrong type: None"),
+    ("substeps", "x", "metadata sidecar entry 'substeps' has the wrong type: 'x'"),
+    ("seed", "abc", "metadata sidecar entry 'seed' has the wrong type: 'abc'"),
+    (None, [], "metadata sidecar is not a JSON object"),
+    ("params", {"p": "1.0"}, "hopf parameter p must be a finite number, got '1.0'"),
 ], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param"])
 def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, key, value,
                                                     message):
     # a wrong-typed sidecar entry or system constant (by its key), or a
-    # sidecar that is no JSON object, is named in a usage error, with no
-    # traceback and no output directory
+    # sidecar that is no JSON object, is a usage error that names the
+    # sidecar's path, with no traceback and no output directory
     traj = tmp_path / "trajectory.csv"
     traj.write_text((hopf_run / "trajectory.csv").read_text())
     meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
@@ -171,7 +168,8 @@ def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, 
     (tmp_path / "trajectory.meta.json").write_text(json.dumps(sidecar))
     out = tmp_path / "out"
     assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    assert re.search(f"usage error: {message}", capsys.readouterr().err)
+    meta_path = tmp_path / "trajectory.meta.json"
+    assert f"usage error: {meta_path}: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -260,6 +258,18 @@ def test_stencil_offsets_take_a_spaced_value(l96_run, tmp_path, capsys):
                "--stencil-offsets", "0,6", "--out", str(tmp_path / "bad")) == 1
     assert "usage error: Left(0) must hold exactly 2 distinct indices" in capsys.readouterr().err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("option", [("--stencil", "-2,-1,0,1"), ("--stencil=-2,-1,0,1",),
+                                    ("--stencil-offsets", "-2,-1,0,1", "--cent", "100")])
+def test_abbreviated_options_are_usage_error(l96_run, tmp_path, capsys, option):
+    # an option is spelled in full: the prefix --stencil would not take a
+    # spaced value that starts with "-", so no prefix is accepted
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(l96_run / "trajectory.csv"), *option,
+               "--out", str(out)) == 1
+    assert "usage error: unrecognized arguments: --" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_duplicate_stencil_offsets_are_usage_error(l96_run, tmp_path, capsys):

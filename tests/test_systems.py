@@ -15,7 +15,7 @@ from kerneldrift import (
     save_trajectory,
     simulate,
 )
-from kerneldrift.systems import DEFAULT_PARAMS, Trajectory, spec_from_meta
+from kerneldrift.systems import DEFAULT_PARAMS, Trajectory, _drift, spec_from_meta
 
 
 def reference_path(spec, x0, n_samples, dt, seed, burn_in, substeps):
@@ -79,14 +79,20 @@ def test_hopf_radial_component():
 
 
 def test_eval_drift_batched_matches_single():
+    # a batch row, a single state and the simulator's closure on Python
+    # floats give the same bits
     specs = [make_spec("lorenz63"), make_spec("hopf"),
              make_spec("lorenz96", N=5), make_spec("lorenz96", N=10)]
     for spec in specs:
         pts = 3.0 * np.random.default_rng(0).normal(size=(10, spec.dimension))
         batch = eval_drift(spec, pts)
         assert batch.shape == pts.shape
+        drift = _drift(spec)
         for i, x in enumerate(pts):
             np.testing.assert_array_equal(batch[i], eval_drift(spec, x), err_msg=spec.name)
+            floats = drift(*x.tolist())
+            assert all(type(v) is float for v in floats), spec.name
+            assert np.array(floats).tobytes() == batch[i].tobytes(), spec.name
 
 
 @pytest.mark.parametrize("n", [4, 5, 10])
@@ -170,10 +176,12 @@ def test_simulate_matches_reference_loop(name, overrides):
                                               f"burn_in={burn_in}")
 
 
-def test_simulate_blowup_reports_index():
-    # huge dt makes the deterministic Euler step diverge immediately
-    spec = make_spec("lorenz63", sigma_noise=0.0)
-    args = (spec, [1.0, 1.0, 1.0], 100, 50.0, 0, 0, 1)
+@pytest.mark.parametrize("name", ["lorenz63", "hopf", "lorenz96"])
+def test_simulate_blowup_reports_index(name):
+    # huge dt makes the deterministic Euler step diverge within a few
+    # samples, in each system's own update loop
+    spec = make_spec(name, sigma_noise=0.0)
+    args = (spec, default_initial_state(spec), 100, 50.0, 0, 0, 1)
     with pytest.raises(BlowUpError) as expected:
         reference_path(*args)
     with pytest.raises(BlowUpError) as info:
@@ -251,6 +259,17 @@ def test_trajectory_roundtrip(tmp_path):
 
     sidecar = json.loads((tmp_path / "traj.meta.json").read_text())
     assert sidecar["system"] == "hopf"
+
+
+def test_undecodable_sidecar_is_named_by_path(tmp_path):
+    spec = make_spec("hopf")
+    path = tmp_path / "traj.csv"
+    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path, spec=spec)
+    sidecar = tmp_path / "traj.meta.json"
+    sidecar.write_text('{"dt": 0.01,')
+    with pytest.raises(ValueError, match=re.escape(f"{sidecar}: metadata sidecar is not "
+                                                   "valid JSON: Expecting")):
+        load_trajectory(path)
 
 
 def test_default_initial_states():
