@@ -22,12 +22,7 @@ from .drift import (
     predict_drift,
     predict_drift_many,
 )
-from .errors import (
-    BlowUpError,
-    DegenerateBandwidthError,
-    NumericalError,
-    SolverError,
-)
+from .errors import NumericalError
 from .evaluation import (
     ErrorReport,
     OrbitComparison,

@@ -205,8 +205,8 @@ def cmd_sweep(args) -> int:
             cmd_estimate(_parse_args([
                 "estimate", f"--out={cell_dir}", f"--traj={cell_dir / 'trajectory.csv'}",
                 f"--centers={args.centers}", *stencil]))
-            report = evaluation.load_error_report(cell_dir / "report.json")
-            results[f"{name}@{noise}"] = report.relative_l2
+            report = json.loads((cell_dir / "report.json").read_text())
+            results[f"{name}@{noise}"] = report["relative_l2"]
     print("sweep summary (relative L2):")
     for key, value in results.items():
         print(f"  {key}: {value:.4f}")

@@ -20,6 +20,7 @@ normal matrix and the (N, k) smoothed targets are dense.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SolverError
+from .errors import NumericalError
 from .kernels import (
     DEFAULT_THETA_ZERO,
     KernelModel,
@@ -72,14 +73,15 @@ class CondExpParams:
             raise ValueError(
                 f"subsample_fraction must lie in (0, 1], got {self.subsample_fraction}"
             )
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.n_centers < 1:
             raise ValueError(f"n_centers must be positive, got {self.n_centers}")
         for name in ("eps1", "eps2", "eps3"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive when given, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite when given, "
+                                 f"got {value}")
 
 
 def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
@@ -112,11 +114,11 @@ def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
         else:
             coef, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
     except (np.linalg.LinAlgError, ValueError) as err:
-        raise SolverError(f"least-squares solve failed: {err}") from err
+        raise NumericalError(f"least-squares solve failed: {err}") from err
     if not np.isfinite(coef).all():
         bad = np.flatnonzero(~np.isfinite(coef).all(axis=0))
-        raise SolverError(f"least-squares solve produced non-finite coefficients "
-                          f"for target column(s) {bad.tolist()}")
+        raise NumericalError(f"least-squares solve produced non-finite coefficients "
+                             f"for target column(s) {bad.tolist()}")
     eigenvalues = np.linalg.eigvalsh(normal)
     condition = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else np.inf
     residuals = np.linalg.norm(b @ coef - g, axis=0)

@@ -262,10 +262,12 @@ def load_drift_model(path) -> DriftModel:
     read.  Older files load too: their ``dt`` and ``type`` keys and kernel
     ``deg_r``, ``deg_l`` and ``w`` entries are ignored, and a shared unit's
     1-D coefficient vector becomes one row.  Entries are passed on as read,
-    never coerced: the objects they build reject a wrong type or value.
+    never coerced: the objects they build reject a wrong type or value.  A
+    file that does not decode or that such an object rejects is a
+    ValueError named by the file's path.
     """
-    data = json.loads(Path(path).read_text())
     try:
+        data = json.loads(Path(path).read_text())
         kernel, st = data["kernel"], data.get("stencil")
         if kernel["kind"] != "diffusion":
             raise ValueError(f"unknown kernel kind {kernel['kind']!r}; expected 'diffusion'")
@@ -280,3 +282,5 @@ def load_drift_model(path) -> DriftModel:
     except TypeError as err:  # e.g. a null bandwidth, or a list for the kernel or file
         raise ValueError(f"{path}: drift model file has an entry of the wrong type: "
                          f"{err}") from err
+    except ValueError as err:  # undecodable bytes or JSON, or a rejected value
+        raise ValueError(f"{path}: {err}") from err

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import drift as drift_mod
 from . import systems as systems_mod
-from .errors import BlowUpError
+from .errors import NumericalError
 from .systems import SystemSpec, Trajectory
 
 
@@ -137,7 +137,7 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
         xt = [xi + vi * dt for xi, vi in zip(xt, true_drift(*xt))]
         # a diverging step overflows to inf or nan (float arithmetic does not raise)
         if not (all(map(math.isfinite, xt)) and np.isfinite(xe).all()):
-            raise BlowUpError(index=k)
+            raise NumericalError(f"non-finite state encountered at sample index {k}")
         true_points[k] = xt
         est_points[k] = xe
         flags[k] = False if flag is None else bool(flag[0])
@@ -159,16 +159,6 @@ def save_error_report(report: ErrorReport, path) -> None:
         "extrapolated_fraction": report.extrapolated_fraction,
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def load_error_report(path) -> ErrorReport:
-    data = json.loads(Path(path).read_text())
-    return ErrorReport(
-        relative_l2=float(data["relative_l2"]),
-        per_coordinate_rmse=np.asarray(data["per_coordinate_rmse"], dtype=float),
-        n_test=int(data["n_test"]),
-        extrapolated_fraction=float(data["extrapolated_fraction"]),
-    )
 
 
 def save_pointwise_errors(path, test_points, errors) -> None:

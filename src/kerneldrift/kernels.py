@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import DegenerateBandwidthError
+from .errors import NumericalError
 
 DEFAULT_THETA_ZERO = 1e-14
 
@@ -132,8 +132,8 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
     ValueError
         If a parameter is out of range, a data point is not finite, or
         ``q`` is not finite because squared distances overflow.
-    DegenerateBandwidthError
-        If ``q`` is zero.
+    NumericalError
+        If ``q`` is zero (coincident subsample points).
     """
     if not 0 < eta < 1:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -155,7 +155,7 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
         raise ValueError(f"the {eta}-quantile of pairwise squared distances is not "
                          "finite (squared distances overflow)")
     if quantile <= 0.0:
-        raise DegenerateBandwidthError(
+        raise NumericalError(
             f"the {eta}-quantile of pairwise squared distances is zero "
             "(coincident subsample points)"
         )
@@ -225,8 +225,9 @@ def markov_apply(rows, cols, epsilon: float, values,
 
 
 def _check_kernel(epsilon: float, theta_zero: float) -> None:
-    if isinstance(epsilon, bool) or not epsilon > 0:  # a JSON true is no bandwidth of 1
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    # a JSON true is no bandwidth of 1, and an infinite one keeps every pair
+    if isinstance(epsilon, bool) or not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < theta_zero < 1:
         raise ValueError(f"theta_zero must lie in (0, 1), got {theta_zero}")
 

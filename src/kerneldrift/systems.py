@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import NumericalError
 
 SYSTEM_NAMES = ("lorenz63", "hopf", "lorenz96")
 
@@ -93,15 +93,10 @@ def make_spec(name: str, sigma_noise: float = 0.0, **overrides) -> SystemSpec:
     """Build a :class:`SystemSpec` with standard parameter defaults.
 
     Keyword overrides replace individual defaults, e.g.
-    ``make_spec("lorenz96", N=10)``.
+    ``make_spec("lorenz96", N=10)``; SystemSpec rejects an unknown system
+    or override key.
     """
-    if name not in DEFAULT_PARAMS:
-        raise ValueError(f"unknown system {name!r}; expected one of {SYSTEM_NAMES}")
-    params = dict(DEFAULT_PARAMS[name])
-    for key, value in overrides.items():
-        if key not in params:
-            raise ValueError(f"unknown parameter {key!r} for system {name}")
-        params[key] = value
+    params = {**DEFAULT_PARAMS.get(name, {}), **overrides}
     return SystemSpec(name=name, params=params, sigma_noise=sigma_noise)
 
 
@@ -267,8 +262,8 @@ def simulate(
     ------
     ValueError
         If an argument is out of range or ``x0`` is not finite.
-    BlowUpError
-        If a recorded state is non-finite; carries the index reached.
+    NumericalError
+        If a recorded state is non-finite; the message names its index.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -297,7 +292,7 @@ def simulate(
         x = advance(x, (h * rng.standard_normal((substeps, d))).tolist())
         # a diverging step overflows to inf or nan (float arithmetic does not raise)
         if not all(map(math.isfinite, x)):
-            raise BlowUpError(index=k)
+            raise NumericalError(f"non-finite state encountered at sample index {k}")
         out[k] = x
     return Trajectory(dt=dt, points=out[burn_in:], seed=seed)
 
@@ -346,13 +341,13 @@ def save_trajectory(traj: Trajectory, csv_path, spec: Optional[SystemSpec] = Non
 
 
 def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
-    """Load a trajectory CSV plus its metadata sidecar (``{}`` if absent); a
-    sidecar that is no valid JSON, no JSON object, or holds a number of the
-    wrong JSON type, is a ValueError named by the sidecar's path."""
+    """Load a trajectory CSV plus its metadata sidecar (``{}`` if absent).
+
+    A sidecar that is no valid JSON, no JSON object, or holds a number of
+    the wrong JSON type or a ``dt`` that is not positive and finite, is a
+    ValueError named by the sidecar's path; a CSV that does not parse or
+    holds no valid trajectory, one named by the CSV's path."""
     csv_path = Path(csv_path)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{csv_path}: expected columns t,x0,... got shape {data.shape}")
     meta = {}
     mp = _meta_path(csv_path)
     if mp.exists():
@@ -368,14 +363,20 @@ def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"{mp}: metadata sidecar entry {key!r} has the wrong type: "
                              f"{value!r}")
-    if "dt" in meta:
-        dt = float(meta["dt"])
-    elif len(data) > 1:
-        dt = float(data[1, 0] - data[0, 0])
-    else:
-        raise ValueError(f"{csv_path}: cannot infer dt from a single row without metadata")
-    traj = Trajectory(dt=dt, points=data[:, 1:], seed=meta.get("seed"))
-    return traj, meta
+    dt = meta.get("dt")
+    if dt is not None and not 0 < dt < math.inf:
+        raise ValueError(f"{mp}: dt must be positive and finite, got {dt}")
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] < 2:
+            raise ValueError(f"expected columns t,x0,... got shape {data.shape}")
+        if dt is None:
+            if len(data) < 2:
+                raise ValueError("cannot infer dt from a single row without metadata")
+            dt = data[1, 0] - data[0, 0]
+        return Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed")), meta
+    except ValueError as err:  # unparsable text, or points Trajectory rejects
+        raise ValueError(f"{csv_path}: {err}") from err
 
 
 def spec_from_meta(meta: dict) -> SystemSpec:

@@ -6,7 +6,7 @@ import pytest
 from kerneldrift import CondExpParams, load_trajectory
 from kerneldrift.cli import main
 from kerneldrift.drift import Stencil, estimate_drift_sparse, extract_snapshots, load_drift_model
-from kerneldrift.evaluation import load_error_report, relative_l2_error, system_field
+from kerneldrift.evaluation import relative_l2_error, system_field
 from kerneldrift.systems import spec_from_meta
 
 
@@ -78,8 +78,8 @@ def hopf_run(tmp_path_factory):
 
 
 def test_estimate_outputs(hopf_run):
-    report = load_error_report(hopf_run / "report.json")
-    assert report.relative_l2 < 0.5
+    report = json.loads((hopf_run / "report.json").read_text())
+    assert report["relative_l2"] < 0.5
     assert (hopf_run / "model.json").exists()
     header = (hopf_run / "pointwise_errors.csv").read_text().splitlines()[0]
     assert header == "x0,x1,err0,err1"
@@ -87,7 +87,7 @@ def test_estimate_outputs(hopf_run):
 
 def test_report_roundtrips_with_model(hopf_run):
     # re-evaluating the stored model on the held-out cloud reproduces the report
-    report = load_error_report(hopf_run / "report.json")
+    report = json.loads((hopf_run / "report.json").read_text())
     model = load_drift_model(hopf_run / "model.json")
     meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
     spec = spec_from_meta(meta)
@@ -98,7 +98,7 @@ def test_report_roundtrips_with_model(hopf_run):
                     seed=meta["seed"] + 1, burn_in=meta["burn_in"],
                     substeps=meta["substeps"])
     again = relative_l2_error(model, system_field(spec), held.points)
-    assert abs(again.relative_l2 - report.relative_l2) < 1e-12
+    assert abs(again.relative_l2 - report["relative_l2"]) < 1e-12
 
 
 def test_estimate_one_center_is_usage_error(hopf_run, tmp_path, capsys):
@@ -155,7 +155,8 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
     ("seed", "abc", "metadata sidecar entry 'seed' has the wrong type: 'abc'"),
     (None, [], "metadata sidecar is not a JSON object"),
     ("params", {"p": "1.0"}, "hopf parameter p must be a finite number, got '1.0'"),
-], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param"])
+    ("dt", float("inf"), "dt must be positive and finite, got inf"),
+], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param", "inf-dt"])
 def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, key, value,
                                                     message):
     # a wrong-typed sidecar entry or system constant (by its key), or a
@@ -170,6 +171,27 @@ def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, 
     assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
     meta_path = tmp_path / "trajectory.meta.json"
     assert f"usage error: {meta_path}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[:2] + ["0.02,abc,0.0"] + rows[3:],
+     "could not convert string 'abc' to float"),
+    (lambda rows: rows[:2] + ["0.02,1.0"] + rows[3:], "the number of columns changed from 3 to 2"),
+    (lambda rows: rows[:2] + ["0.02,nan,0.0"] + rows[3:],
+     "trajectory contains non-finite points\n"),
+    (lambda rows: rows[:4], "trajectory needs at least 4 samples, got 3\n"),
+], ids=["non-numeric", "ragged", "nan", "three-rows"])
+def test_estimate_bad_trajectory_csv_is_usage_error(hopf_run, tmp_path, capsys, edit, message):
+    # a CSV that does not parse or holds no valid trajectory is a usage error
+    # that names the CSV's path, with no traceback and no output directory
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text("\n".join(edit((hopf_run / "trajectory.csv").read_text().splitlines())))
+    (tmp_path / "trajectory.meta.json").write_text(
+        (hopf_run / "trajectory.meta.json").read_text())
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
+    assert f"usage error: {traj}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kerneldrift import CondExpParams, SolverError, condexp, diffusion_model, section_matrix
+from kerneldrift import CondExpParams, NumericalError, condexp, diffusion_model, section_matrix
 from kerneldrift.condexp import fit_targets, solve_regularized
 from kerneldrift.kernels import _BLOCK_ROWS
 
@@ -46,9 +46,11 @@ def test_params_reject_threshold_and_subsample_out_of_range(field, value):
 @pytest.mark.parametrize("field", ["eta1", "delta", "eps1", "eps2", "eps3", "theta_zero",
                                    "subsample_fraction"])
 def test_params_reject_nan(field):
-    # a NaN passes every comparison-based range check written as `value < 0`
-    with pytest.raises(ValueError, match=field):
-        CondExpParams(**{field: float("nan")})
+    # a NaN passes every comparison-based range check written as `value < 0`,
+    # and an infinite ridge or bandwidth passes one written as `value > 0`
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=field):
+            CondExpParams(**{field: value})
 
 
 def test_fit_targets_centers_strided():
@@ -198,7 +200,7 @@ def test_fit_rejects_bad_inputs():
 def test_solver_failure_raises():
     b = np.ones((4, 2))
     b[0, 0] = np.nan
-    with pytest.raises(SolverError):
+    with pytest.raises(NumericalError, match="least-squares solve failed: "):
         solve_regularized(b, np.ones((4, 1)), delta=0.1)
 
 
@@ -263,7 +265,7 @@ def test_csr_design_rank_deficient_zero_ridge():
 
 def test_csr_design_failure_raises():
     b = sp.csr_array(np.array([[np.nan, 1.0], [1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(SolverError):
+    with pytest.raises(NumericalError, match="least-squares solve failed: "):
         solve_regularized(b, np.ones((3, 1)), delta=0.1)
 
 

@@ -359,11 +359,14 @@ def test_parent_format_files_load(hopf_fit, l96_sparse_fit, tmp_path):
 
 def _edited_model_file(model, path, edit):
     """Save ``model`` to ``path``, then rewrite its JSON payload with ``edit``,
-    which changes it in place or returns a replacement."""
+    which changes it in place or returns a replacement (raw bytes as given)."""
     save_drift_model(model, path)
     payload = json.loads(path.read_text())
     replaced = edit(payload)
-    path.write_text(json.dumps(payload if replaced is None else replaced))
+    if isinstance(replaced, bytes):
+        path.write_bytes(replaced)
+    else:
+        path.write_text(json.dumps(payload if replaced is None else replaced))
     return path
 
 
@@ -414,14 +417,27 @@ _WRONG_TYPE = "{path}: drift model file has an entry of the wrong type"
     ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, 3.99), _WRONG_TYPE),
     ("l96_sparse_fit", lambda p: p["stencil"].update(m=4.9), _WRONG_TYPE),
     # a JSON true is no bandwidth, stencil width or index of 1
-    ("hopf_fit", lambda p: p["kernel"].update(epsilon=True), "epsilon must be positive, got True"),
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon=True),
+     "{path}: epsilon must be positive and finite, got True"),
     ("l96_sparse_fit", lambda p: p["stencil"].update(m=True),
-     "stencil width and indices must be integers, got True"),
+     "{path}: stencil width and indices must be integers, got True"),
     ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, True),
-     "stencil width and indices must be integers, got True"),
+     "{path}: stencil width and indices must be integers, got True"),
+    # a file that does not decode, or a value the model rejects, is named too
+    ("hopf_fit", lambda p: b"\xff" + json.dumps(p).encode(), "{path}: 'utf-8' codec can't decode"),
+    ("hopf_fit", lambda p: json.dumps(p)[:-20].encode(), "{path}: Expecting"),
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon=-1),
+     "{path}: epsilon must be positive and finite, got -1"),
+    ("hopf_fit", lambda p: p["kernel"].update(epsilon=float("inf")),
+     "{path}: epsilon must be positive and finite, got inf"),
+    ("hopf_fit", lambda p: p["coefficients"][1].__setitem__(7, float("nan")),
+     "{path}: coefficient (1, 7) is not finite"),
+    ("hopf_fit", lambda p: p["kernel"].update(kind="gaussian"),
+     "{path}: unknown kernel kind 'gaussian'; expected 'diffusion'"),
 ], ids=["null-epsilon", "list-kernel", "int-stencil-left", "str-epsilon", "list-file",
         "float-stencil-index", "float-stencil-m", "bool-epsilon", "bool-stencil-m",
-        "bool-stencil-index"])
+        "bool-stencil-index", "undecodable", "truncated", "negative-epsilon", "inf-epsilon",
+        "nan-coefficient", "other-kind"])
 def test_wrong_typed_entry_rejected_on_load(request, tmp_path, fit, edit, message):
     # the model is the last entry of either fixture
     path = _edited_model_file(request.getfixturevalue(fit)[-1], tmp_path / "model.json", edit)

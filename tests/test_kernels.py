@@ -7,9 +7,9 @@ import scipy.sparse as sp
 from scipy.spatial.distance import cdist
 
 from kerneldrift import (
-    DegenerateBandwidthError,
     DriftModel,
     KernelModel,
+    NumericalError,
     diffusion_model,
     section_matrix,
     select_bandwidth,
@@ -134,7 +134,8 @@ class TestSelectBandwidth:
 
     def test_coincident_points_degenerate(self):
         data = np.zeros((10, 2))
-        with pytest.raises(DegenerateBandwidthError):
+        with pytest.raises(NumericalError, match="quantile of pairwise squared distances "
+                                                 r"is zero \(coincident subsample points\)"):
             select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
 
     def test_policy_validation(self):
@@ -292,7 +293,7 @@ class TestMarkovMatrix:
             with pytest.raises(ValueError, match="cols must hold the same points"):
                 markov_apply(points, cols, 1.0, np.ones((5, 1)))
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
     def test_bad_epsilon_rejected(self, eps):
         data = cloud(n=8, seed=45)
         with pytest.raises(ValueError, match="epsilon must be positive"):
@@ -402,7 +403,7 @@ class TestMarkovMatrix:
 
 
 class TestDiffusionModel:
-    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan])
+    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
     def test_bad_epsilon_rejected(self, eps):
         # checked by the model itself, also when it is loaded
         with pytest.raises(ValueError, match="epsilon must be positive"):
