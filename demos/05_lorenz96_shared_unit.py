@@ -55,7 +55,6 @@ print(f"with only 400 samples: pooled {rs.relative_l2:.4f} vs "
       f"dense {rd.relative_l2:.4f} (pooling shares samples across coordinates)")
 
 x = held.points[500]
-values, _ = kd.predict_drift(model, x)
-shifted, _ = kd.predict_drift(model, np.roll(x, 1))
+(values, shifted), _ = kd.predict_drift_many(model, [x, np.roll(x, 1)])
 print("cyclic equivariance check (exact):",
       bool(np.all(shifted == np.roll(values, 1))))

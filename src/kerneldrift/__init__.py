@@ -19,7 +19,6 @@ from .drift import (
     estimate_drift_sparse,
     extract_snapshots,
     increment_targets,
-    predict_drift,
     predict_drift_many,
 )
 from .errors import NumericalError

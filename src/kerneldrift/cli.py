@@ -122,11 +122,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    traj, meta = systems.load_trajectory(args.traj)
-    try:
-        spec = systems.spec_from_meta(meta)
-    except ValueError as err:  # named by the sidecar's path, as a model file is
-        raise ValueError(f"{systems._meta_path(args.traj)}: {err}") from err
+    traj, spec, meta = systems.load_trajectory(args.traj)
+    # the held-out path repeats the recorded run with the next seed
+    for key in ("system", "seed", "burn_in", "substeps"):
+        if meta.get(key) is None:
+            raise ValueError(f"{args.traj}: its metadata sidecar records no {key!r}")
 
     params = condexp.CondExpParams(eta1=args.eta1, eta2=args.eta2, eta3=args.eta3,
                                    delta=args.delta, n_centers=args.centers)
@@ -137,12 +137,9 @@ def cmd_estimate(args) -> int:
         snapshots = drift.extract_snapshots(traj, drift.Stencil.cyclic(traj.d, offsets))
         model = drift.estimate_drift_sparse(snapshots, params)
 
-    # held-out test cloud: same generator, next seed, same burn-in
-    seed = meta.get("seed") or 0
     held_out = systems.simulate(spec, systems.default_initial_state(spec),
-                                n_samples=len(traj), dt=traj.dt, seed=seed + 1,
-                                burn_in=meta.get("burn_in", 100),
-                                substeps=meta.get("substeps", 10))
+                                n_samples=len(traj), dt=traj.dt, seed=meta["seed"] + 1,
+                                burn_in=meta["burn_in"], substeps=meta["substeps"])
     # one prediction of the held-out cloud scores it and gives its errors
     report, diff = evaluation._score(model, evaluation.system_field(spec), held_out.points)
 

@@ -50,7 +50,8 @@ class CondExpParams:
     0.3% / 1% / 1%), with squared distances measured on a strided
     subsample of relative size ``subsample_fraction``.  Explicit ``eps*``
     values bypass auto-selection.  ``n_centers`` is the number of kernel
-    centers, every (N // M)-th input.
+    centers, every (N // M)-th input.  Every Gaussian of the fit drops
+    values below the one zero threshold ``kernels.DEFAULT_THETA_ZERO``.
     """
 
     eta1: float = 0.003
@@ -58,14 +59,13 @@ class CondExpParams:
     eta3: float = 0.01
     delta: float = 0.1
     n_centers: int = 500
-    theta_zero: float = DEFAULT_THETA_ZERO
     subsample_fraction: float = 0.1
     eps1: Optional[float] = None
     eps2: Optional[float] = None
     eps3: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("eta1", "eta2", "eta3", "theta_zero"):
+        for name in ("eta1", "eta2", "eta3"):
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
@@ -132,7 +132,8 @@ def fit_targets(inputs, targets, params: CondExpParams
     ``inputs`` has shape (N, d) and ``targets`` (N,) or (N, k); all columns
     share the bandwidth selection, smoothing matrices, centers (every
     (N // M)-th input; ``M < 2`` or ``M > N`` raises ``ValueError``) and the
-    factorization of the normal equations.  Returns
+    factorization of the normal equations.  Every Gaussian is thresholded
+    at ``DEFAULT_THETA_ZERO``, which the kernel model records.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -154,13 +155,13 @@ def fit_targets(inputs, targets, params: CondExpParams
     def bandwidth(explicit, eta):
         if explicit is not None:
             return explicit
-        return select_bandwidth(inputs, eta, params.theta_zero, params.subsample_fraction)
+        return select_bandwidth(inputs, eta, DEFAULT_THETA_ZERO, params.subsample_fraction)
 
     eps1 = bandwidth(params.eps1, params.eta1)
     eps3 = bandwidth(params.eps3, params.eta3)
     eps2 = bandwidth(params.eps2, params.eta2)
 
-    kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2, params.theta_zero)
+    kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2, DEFAULT_THETA_ZERO)
     # the sections keep about 1% of their entries: they are evaluated one
     # row block at a time and kept as CSR
     sections = sp.vstack([sp.csr_array(section_matrix(kernel, inputs[rows])[0])
@@ -169,10 +170,10 @@ def fit_targets(inputs, targets, params: CondExpParams
     # one eps3 pass applies the Markov matrix to the kernel sections and
     # the smoothed targets together, as a sparse product that stays CSR;
     # only the k target columns are densified
-    smoothed_y = markov_apply(inputs, inputs, eps1, y, params.theta_zero)
+    smoothed_y = markov_apply(inputs, inputs, eps1, y, DEFAULT_THETA_ZERO)
     stacked = markov_apply(inputs, inputs, eps3,
                            sp.hstack([sections, sp.csr_array(smoothed_y)], format="csr"),
-                           params.theta_zero)
+                           DEFAULT_THETA_ZERO)
     b = stacked[:, : kernel.n_centers]
     g = stacked[:, kernel.n_centers :].toarray()
     coef, residuals, condition = solve_regularized(b, g, params.delta)

@@ -116,7 +116,7 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
         points = points[:, np.array(model.stencil.left)].reshape(n * d, model.stencil.m)
     # row-wise reduction (not a BLAS product) so identical section rows give
     # bitwise-identical values regardless of row position: a batch matches
-    # single-point calls, and cyclic shifts of the state permute a stencil
+    # batches of one, and cyclic shifts of the state permute a stencil
     # prediction exactly; one row block of sections at a time keeps the
     # (rows, k, M) products at the size of k blocks
     values = np.empty((len(points), len(model.coefficients)))
@@ -132,15 +132,6 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
 # The benchmark harness (perfbench/bench.py) times predictions by wrapping
 # this name as well; it stays as an alias so that instrumentation binds.
 predict_drift_sparse_many = predict_drift_many
-
-
-def predict_drift(model: DriftModel, x) -> tuple[np.ndarray, bool]:
-    """Evaluate the estimated field at one point: ``(vector, extrapolated)``."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"point has shape {x.shape}, model expects ({model.d},)")
-    values, flags = predict_drift_many(model, x[None, :])
-    return values[0], bool(flags[0])
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -273,6 +274,8 @@ def simulate(
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    if seed < 0:  # numpy's own message names neither the seed nor its value
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dimension,):
@@ -340,53 +343,60 @@ def save_trajectory(traj: Trajectory, csv_path, spec: Optional[SystemSpec] = Non
     _meta_path(csv_path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
-def load_trajectory(csv_path) -> tuple[Trajectory, dict]:
-    """Load a trajectory CSV plus its metadata sidecar (``{}`` if absent).
+def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
+    """Load a trajectory CSV and its metadata sidecar: ``(trajectory, spec, meta)``.
 
-    A sidecar that is no valid JSON, no JSON object, or holds a number of
-    the wrong JSON type or a ``dt`` that is not positive and finite, is a
-    ValueError named by the sidecar's path; a CSV that does not parse or
-    holds no valid trajectory, one named by the CSV's path."""
+    ``meta`` is the sidecar as read (``{}`` if absent: ``dt`` then comes
+    from the ``t`` column) and ``spec`` the system it names, or None.  A
+    sidecar that is no JSON object, or holds an entry of the wrong JSON
+    type, out of range (``dt`` positive and finite, ``seed`` at least 0 or
+    null, ``burn_in`` at least 0, ``substeps`` at least 1) or rejected by
+    SystemSpec, is a ValueError named by the sidecar's path; a CSV that does
+    not parse or holds no valid trajectory, one named by the CSV's path."""
     csv_path = Path(csv_path)
-    meta = {}
-    mp = _meta_path(csv_path)
-    if mp.exists():
-        try:
-            meta = json.loads(mp.read_text())
-        except ValueError as err:  # undecodable bytes or JSON
-            raise ValueError(f"{mp}: metadata sidecar is not valid JSON: {err}") from err
-    if not isinstance(meta, dict):
-        raise ValueError(f"{mp}: metadata sidecar is not a JSON object")
-    for key, types in (("dt", (int, float)), ("seed", (int, type(None))),
-                       ("burn_in", int), ("substeps", int)):
-        value = meta.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"{mp}: metadata sidecar entry {key!r} has the wrong type: "
-                             f"{value!r}")
-    dt = meta.get("dt")
-    if dt is not None and not 0 < dt < math.inf:
-        raise ValueError(f"{mp}: dt must be positive and finite, got {dt}")
+    mp, meta, spec = _meta_path(csv_path), {}, None
     try:
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        if mp.exists():
+            try:
+                meta = json.loads(mp.read_text())
+            except ValueError as err:  # undecodable bytes or JSON
+                raise ValueError(f"metadata sidecar is not valid JSON: {err}") from err
+        if not isinstance(meta, dict):
+            raise ValueError("metadata sidecar is not a JSON object")
+        for key, types, least in (("dt", (int, float), None), ("seed", (int, type(None)), 0),
+                                  ("burn_in", int, 0), ("substeps", int, 1)):
+            value = meta.get(key)  # a missing entry is no wrong one
+            if key in meta and (isinstance(value, bool) or not isinstance(value, types)):
+                raise ValueError(f"metadata sidecar entry {key!r} has the wrong type: {value!r}")
+            if None not in (least, value) and value < least:
+                raise ValueError(f"metadata sidecar entry {key!r} must be at least {least}, "
+                                 f"got {value}")
+        dt = meta.get("dt")
+        if dt is not None and not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if "system" in meta:  # passed on as read, never coerced: SystemSpec checks them
+            try:
+                spec = SystemSpec(name=meta["system"], params=meta["params"],
+                                  sigma_noise=meta.get("sigma_noise", 0.0))
+            except KeyError as err:
+                raise ValueError(f"metadata sidecar lacks the {err.args[0]!r} entry") from err
+            except (TypeError, AttributeError) as err:  # e.g. "sigma_noise": null
+                raise ValueError(f"metadata sidecar has an entry of the wrong type: "
+                                 f"{err}") from err
+    except ValueError as err:  # every sidecar error is named by the sidecar's path
+        raise ValueError(f"{mp}: {err}") from err
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is reported by its shape below, not by numpy
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] < 2:
             raise ValueError(f"expected columns t,x0,... got shape {data.shape}")
         if dt is None:
             if len(data) < 2:
                 raise ValueError("cannot infer dt from a single row without metadata")
             dt = data[1, 0] - data[0, 0]
-        return Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed")), meta
+        traj = Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed"))
     except ValueError as err:  # unparsable text, or points Trajectory rejects
         raise ValueError(f"{csv_path}: {err}") from err
-
-
-def spec_from_meta(meta: dict) -> SystemSpec:
-    """Rebuild the generating SystemSpec from a metadata sidecar; a missing
-    entry or one of the wrong type (``"sigma_noise": null``) is a ValueError.
-    Entries are passed on as read, never coerced: SystemSpec checks them."""
-    try:
-        return SystemSpec(name=meta["system"], params=meta["params"],
-                          sigma_noise=meta.get("sigma_noise", 0.0))
-    except KeyError as err:
-        raise ValueError(f"metadata sidecar lacks the {err.args[0]!r} entry") from err
-    except (TypeError, AttributeError) as err:
-        raise ValueError(f"metadata sidecar has an entry of the wrong type: {err}") from err
+    return traj, spec, meta

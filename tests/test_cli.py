@@ -1,13 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from kerneldrift import CondExpParams, load_trajectory
+from kerneldrift import drift
 from kerneldrift.cli import main
 from kerneldrift.drift import Stencil, estimate_drift_sparse, extract_snapshots, load_drift_model
 from kerneldrift.evaluation import relative_l2_error, system_field
-from kerneldrift.systems import spec_from_meta
 
 
 def run(*argv):
@@ -40,7 +41,7 @@ def test_simulate_zero_noise_deterministic_orbit(tmp_path):
     out = tmp_path / "det"
     assert run("simulate", "--system", "lorenz63", "--noise", "0", "--n", "100",
                "--seed", "1", "--out", str(out)) == 0
-    traj, meta = load_trajectory(out / "trajectory.csv")
+    traj, _, meta = load_trajectory(out / "trajectory.csv")
     assert meta["sigma_noise"] == 0.0
     assert np.isfinite(traj.points).all()
 
@@ -56,10 +57,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     (("--dt", "inf"), "dt must be positive and finite"),
     (("--noise", "nan"), "sigma_noise must be nonnegative and finite"),
     (("--noise", "inf"), "sigma_noise must be nonnegative and finite"),
+    (("--seed", "-1"), "seed must be nonnegative, got -1"),
 ])
 def test_simulate_non_finite_step_or_noise_is_usage_error(tmp_path, capsys, option, message):
-    # rejected up front instead of failing as a blow-up at sample index 1,
-    # and before the output directory is made
+    # rejected up front instead of failing as a blow-up at sample index 1
+    # (or, for a negative seed, with numpy's bare text), and before the
+    # output directory is made
     out = tmp_path / "out"
     code = run("simulate", "--system", "hopf", "--n", "50", *option, "--out", str(out))
     assert code == 1
@@ -89,8 +92,7 @@ def test_report_roundtrips_with_model(hopf_run):
     # re-evaluating the stored model on the held-out cloud reproduces the report
     report = json.loads((hopf_run / "report.json").read_text())
     model = load_drift_model(hopf_run / "model.json")
-    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
-    spec = spec_from_meta(meta)
+    _, spec, meta = load_trajectory(hopf_run / "trajectory.csv")
     from kerneldrift import simulate
     from kerneldrift.systems import default_initial_state
 
@@ -131,7 +133,15 @@ def test_compare_model_without_coefficients_is_usage_error(hopf_run, tmp_path):
                "--out", str(tmp_path)) == 1
 
 
-def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, capsys):
+@pytest.fixture
+def no_fit(monkeypatch):
+    """Fail the test if ``estimate`` reaches the fit."""
+    def fit(*args):
+        raise AssertionError("estimate_drift was called")
+    monkeypatch.setattr(drift, "estimate_drift", fit)
+
+
+def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, capsys, no_fit):
     # a sidecar without params, or with a null noise level (float(None)
     # raises TypeError), is a usage error and leaves no output directory
     traj = tmp_path / "trajectory.csv"
@@ -156,12 +166,17 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
     (None, [], "metadata sidecar is not a JSON object"),
     ("params", {"p": "1.0"}, "hopf parameter p must be a finite number, got '1.0'"),
     ("dt", float("inf"), "dt must be positive and finite, got inf"),
-], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param", "inf-dt"])
-def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, key, value,
-                                                    message):
-    # a wrong-typed sidecar entry or system constant (by its key), or a
-    # sidecar that is no JSON object, is a usage error that names the
-    # sidecar's path, with no traceback and no output directory
+    ("seed", -5, "metadata sidecar entry 'seed' must be at least 0, got -5"),
+    ("burn_in", -1, "metadata sidecar entry 'burn_in' must be at least 0, got -1"),
+    ("substeps", 0, "metadata sidecar entry 'substeps' must be at least 1, got 0"),
+], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param", "inf-dt",
+        "negative-seed", "negative-burn_in", "zero-substeps"])
+def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, no_fit, key,
+                                                    value, message):
+    # a wrong-typed or out-of-range sidecar entry or system constant (by its
+    # key), or a sidecar that is no JSON object, is a usage error that names
+    # the sidecar's path, raised before the fit, with no traceback and no
+    # output directory
     traj = tmp_path / "trajectory.csv"
     traj.write_text((hopf_run / "trajectory.csv").read_text())
     meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
@@ -174,6 +189,30 @@ def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, edit", [
+    ("system", lambda meta: meta.pop("system")),
+    ("seed", lambda meta: meta.pop("seed")),
+    ("burn_in", lambda meta: meta.pop("burn_in")),
+    ("substeps", lambda meta: meta.pop("substeps")),
+    ("seed", lambda meta: meta.update(seed=None)),
+], ids=["system", "seed", "burn_in", "substeps", "null-seed"])
+def test_estimate_sidecar_without_held_out_setting_is_usage_error(hopf_run, tmp_path, capsys,
+                                                                  no_fit, key, edit):
+    # the held-out path repeats the recorded run with the next seed; a
+    # sidecar that does not record it is rejected before the fit, named by
+    # the trajectory's path, instead of scoring against a guessed run
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text((hopf_run / "trajectory.csv").read_text())
+    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
+    edit(meta)
+    (tmp_path / "trajectory.meta.json").write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: {traj}: its metadata sidecar records no {key!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[:2] + ["0.02,abc,0.0"] + rows[3:],
      "could not convert string 'abc' to float"),
@@ -181,17 +220,23 @@ def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, 
     (lambda rows: rows[:2] + ["0.02,nan,0.0"] + rows[3:],
      "trajectory contains non-finite points\n"),
     (lambda rows: rows[:4], "trajectory needs at least 4 samples, got 3\n"),
-], ids=["non-numeric", "ragged", "nan", "three-rows"])
+    (lambda rows: rows[:1], "expected columns t,x0,... got shape (0, 1)\n"),
+], ids=["non-numeric", "ragged", "nan", "three-rows", "header-only"])
 def test_estimate_bad_trajectory_csv_is_usage_error(hopf_run, tmp_path, capsys, edit, message):
     # a CSV that does not parse or holds no valid trajectory is a usage error
-    # that names the CSV's path, with no traceback and no output directory
+    # that names the CSV's path, with no traceback, no warning (numpy warns
+    # on a file with no data rows) and no output directory
     traj = tmp_path / "trajectory.csv"
     traj.write_text("\n".join(edit((hopf_run / "trajectory.csv").read_text().splitlines())))
     (tmp_path / "trajectory.meta.json").write_text(
         (hopf_run / "trajectory.meta.json").read_text())
     out = tmp_path / "out"
-    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    assert f"usage error: {traj}: {message}" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {traj}: {message}" in err
+    assert "Warning" not in err
     assert not out.exists()
 
 
@@ -253,7 +298,7 @@ def l96_run(tmp_path_factory):
 
 def test_stencil_offsets_fit_the_sparse_estimator(l96_run):
     # the offsets alone select the pooled fit: the library's, bit for bit
-    traj, _ = load_trajectory(l96_run / "trajectory.csv")
+    traj, _, _ = load_trajectory(l96_run / "trajectory.csv")
     expected = estimate_drift_sparse(extract_snapshots(traj, Stencil.cyclic(6)),
                                      CondExpParams(n_centers=100))
     model = load_drift_model(l96_run / "model.json")

@@ -31,9 +31,6 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("theta_zero", 0.0),
-    ("theta_zero", 1.0),
-    ("theta_zero", 2.0),
     ("subsample_fraction", 0.0),
     ("subsample_fraction", 1.5),
 ])
@@ -43,7 +40,7 @@ def test_params_reject_threshold_and_subsample_out_of_range(field, value):
         CondExpParams(n_centers=5, eps1=0.1, eps2=0.1, eps3=0.1, **{field: value})
 
 
-@pytest.mark.parametrize("field", ["eta1", "delta", "eps1", "eps2", "eps3", "theta_zero",
+@pytest.mark.parametrize("field", ["eta1", "delta", "eps1", "eps2", "eps3",
                                    "subsample_fraction"])
 def test_params_reject_nan(field):
     # a NaN passes every comparison-based range check written as `value < 0`,

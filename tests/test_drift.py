@@ -16,7 +16,6 @@ from kerneldrift import (
     extract_snapshots,
     increment_targets,
     make_spec,
-    predict_drift,
     predict_drift_many,
     simulate,
 )
@@ -144,26 +143,27 @@ def hopf_fit():
 class TestDenseEstimator:
     def test_hopf_accuracy_near_cycle(self, hopf_fit):
         spec, _, model = hopf_fit
-        value, flag = predict_drift(model, np.array([0.99, 0.0]))
+        (value,), (flag,) = predict_drift_many(model, [[0.99, 0.0]])
         assert not flag
         truth = eval_drift(spec, np.array([0.99, 0.0]))
         assert np.abs(value - truth).max() < 0.1
 
     def test_far_field_flagged(self, hopf_fit):
         _, _, model = hopf_fit
-        value, flag = predict_drift(model, np.array([500.0, 500.0]))
+        (value,), (flag,) = predict_drift_many(model, [[500.0, 500.0]])
         assert flag
         assert np.isfinite(value).all()
 
     def test_batch_matches_single(self, hopf_fit):
+        # bitwise: a batch equals its rows predicted as batches of one
         _, traj, model = hopf_fit
         pts = np.vstack([traj.points[:7], [[500.0, 500.0]]])
         batch, flags = predict_drift_many(model, pts)
         assert flags[-1]
-        for i, x in enumerate(pts):
-            v, f = predict_drift(model, x)
-            np.testing.assert_array_equal(batch[i], v)
-            assert flags[i] == f
+        for i in range(len(pts)):
+            v, f = predict_drift_many(model, pts[i:i + 1])
+            np.testing.assert_array_equal(batch[i:i + 1], v)
+            assert flags[i] == f[0]
 
     def test_matches_broadcast_reduction(self, hopf_fit):
         # one coefficient row at a time gives the bits of the reduction
@@ -179,7 +179,7 @@ class TestDenseEstimator:
     def test_dimension_mismatch(self, hopf_fit):
         _, _, model = hopf_fit
         with pytest.raises(ValueError):
-            predict_drift(model, np.array([1.0, 2.0, 3.0]))
+            predict_drift_many(model, [[1.0, 2.0, 3.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_query_rejected(self, hopf_fit, bad):
@@ -248,8 +248,8 @@ class TestSparseEstimator:
         _, traj, _, model = l96_sparse_fit
         x = traj.points[100]
         shifted = np.roll(x, 1)
-        v_x, _ = predict_drift(model, x)
-        v_s, _ = predict_drift(model, shifted)
+        (v_x,), _ = predict_drift_many(model, [x])
+        (v_s,), _ = predict_drift_many(model, [shifted])
         np.testing.assert_array_equal(v_s, np.roll(v_x, 1))
 
     def test_matches_componentwise_expansion(self, l96_sparse_fit):
@@ -257,7 +257,7 @@ class TestSparseEstimator:
         from kerneldrift.kernels import section_matrix
 
         x = traj.points[50]
-        values, _ = predict_drift(model, x)
+        (values,), _ = predict_drift_many(model, [x])
         for i, left in enumerate(model.stencil.left):
             row, _ = section_matrix(model.kernel, x[list(left)])
             assert values[i] == (row[0] * model.coefficients[0]).sum()
@@ -313,7 +313,7 @@ class TestSparseEstimator:
     def test_dimension_mismatch(self, l96_sparse_fit):
         _, _, _, model = l96_sparse_fit
         with pytest.raises(ValueError):
-            predict_drift(model, np.zeros(4))
+            predict_drift_many(model, np.zeros((1, 4)))
 
 
 def _parent_format_payload(model):
@@ -485,9 +485,9 @@ def test_loaded_model_first_call_extrapolates(hopf_fit, l96_sparse_fit, tmp_path
     }[which]
     path = tmp_path / "model.json"
     save_drift_model(model, path)
-    value, flag = predict_drift(load_drift_model(path), far)
+    (value,), (flag,) = predict_drift_many(load_drift_model(path), [far])
     assert flag
-    np.testing.assert_array_equal(value, predict_drift(model, far)[0])
+    np.testing.assert_array_equal(value, predict_drift_many(model, [far])[0][0])
     k = model.kernel
     points = far[None, :] if model.stencil is None else far[np.array(model.stencil.left)]
     nearest = k.centers[cdist(points, k.centers, "sqeuclidean").argmin(axis=1)]
@@ -517,8 +517,8 @@ def test_constant_trajectory_fit_predicts_zero():
     traj = Trajectory(dt=0.1, points=pts)
     params = CondExpParams(n_centers=10, eps1=1.0, eps2=1.0, eps3=1.0)
     model = estimate_drift(traj, params)
-    value, _ = predict_drift(model, np.array([1.0, 2.0]))
-    np.testing.assert_allclose(value, [0.0, 0.0], atol=1e-10)
+    value, _ = predict_drift_many(model, [[1.0, 2.0]])
+    np.testing.assert_allclose(value, [[0.0, 0.0]], atol=1e-10)
 
 
 def blocked_batch(traj, far, row):
@@ -548,10 +548,10 @@ def assert_blocks_match_single_and_oracle(model, pts, row):
     expected, expected_flags = broadcast_oracle(model, pts)
     np.testing.assert_array_equal(values, expected)
     np.testing.assert_array_equal(flags, expected_flags)
-    for i, x in enumerate(pts):
-        v, f = predict_drift(model, x)
-        np.testing.assert_array_equal(values[i], v)
-        assert flags[i] == f
+    for i in range(len(pts)):
+        v, f = predict_drift_many(model, pts[i:i + 1])
+        np.testing.assert_array_equal(values[i:i + 1], v)
+        assert flags[i] == f[0]
     return values
 
 

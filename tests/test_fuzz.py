@@ -129,7 +129,7 @@ def test_fit_targets_fuzz(case):
     # the coefficients solve them to rounding.  A minimum-norm solve at
     # delta = 0 drops directions below eps * M of the largest eigenvalue,
     # which leaves up to about sqrt(eps * M) of the scale.
-    theta = params.theta_zero
+    theta = kernel.theta_zero
     smoothed = markov_apply(inputs, inputs, diagnostics["eps1"], targets, theta)
     stacked = markov_apply(inputs, inputs, diagnostics["eps3"],
                            np.hstack([sections, smoothed]), theta)

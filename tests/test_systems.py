@@ -15,7 +15,17 @@ from kerneldrift import (
     save_trajectory,
     simulate,
 )
-from kerneldrift.systems import DEFAULT_PARAMS, Trajectory, _drift, spec_from_meta
+from kerneldrift.systems import DEFAULT_PARAMS, Trajectory, _drift
+
+
+def load_with_sidecar(tmp_path, **entries):
+    """load_trajectory on a short Hopf path whose sidecar has ``entries`` set."""
+    spec = make_spec("hopf")
+    path = tmp_path / "traj.csv"
+    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path, spec=spec)
+    sidecar = tmp_path / "traj.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **entries}))
+    return load_trajectory(path)
 
 
 def reference_path(spec, x0, n_samples, dt, seed, burn_in, substeps):
@@ -109,7 +119,7 @@ def test_dimension_mismatch_raises():
         eval_drift(spec, [1.0, 2.0, 3.0])
 
 
-def test_unknown_system_and_params():
+def test_unknown_system_and_params(tmp_path):
     with pytest.raises(ValueError):
         make_spec("lorenz64")
     with pytest.raises(ValueError):
@@ -122,7 +132,7 @@ def test_unknown_system_and_params():
         SystemSpec(name="hopf", params={"p": 1.0}, sigma_noise=-0.1)
     # a sidecar's fractional cell count is rejected, not truncated
     with pytest.raises(ValueError, match="cell count N must be an integer >= 4, got 5.5"):
-        spec_from_meta({"system": "lorenz96", "params": {"F": 8.0, "N": 5.5}})
+        load_with_sidecar(tmp_path, system="lorenz96", params={"F": 8.0, "N": 5.5})
 
 
 def test_simulate_deterministic_repeatable():
@@ -207,12 +217,12 @@ def test_non_finite_or_zero_dt_rejected(dt):
 
 
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, False, True])
-def test_non_finite_or_negative_noise_rejected(sigma):
+def test_non_finite_or_negative_noise_rejected(tmp_path, sigma):
     # a JSON false or true is a bool, and so an int, but no noise level
     with pytest.raises(ValueError, match="sigma_noise must be nonnegative and finite"):
         make_spec("hopf", sigma_noise=sigma)
     with pytest.raises(ValueError, match="sigma_noise must be nonnegative and finite"):
-        spec_from_meta({"system": "hopf", "params": {"p": 1.0}, "sigma_noise": sigma})
+        load_with_sidecar(tmp_path, sigma_noise=sigma)
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -221,13 +231,13 @@ def test_non_finite_or_negative_noise_rejected(sigma):
     # a JSON true is no constant of 1, and a string constant is not coerced
     ("hopf", {"p": True}), ("lorenz96", {"N": True}), ("hopf", {"p": "1.0"}),
 ])
-def test_non_finite_system_constant_rejected(name, overrides):
+def test_non_finite_system_constant_rejected(tmp_path, name, overrides):
     (key, value), = overrides.items()
     message = re.escape(f"{name} parameter {key} must be a finite number, got {value!r}")
     with pytest.raises(ValueError, match=message):
         make_spec(name, **overrides)
     with pytest.raises(ValueError, match=message):
-        spec_from_meta({"system": name, "params": {**DEFAULT_PARAMS[name], **overrides}})
+        load_with_sidecar(tmp_path, system=name, params={**DEFAULT_PARAMS[name], **overrides})
 
 
 def test_trajectory_validation():
@@ -250,16 +260,31 @@ def test_trajectory_roundtrip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "t,x0,x1"
 
-    loaded, meta = load_trajectory(path)
+    loaded, rebuilt, meta = load_trajectory(path)
     np.testing.assert_array_equal(loaded.points, traj.points)
     assert loaded.dt == traj.dt
     assert meta["seed"] == 9
     assert meta["burn_in"] == 5
-    rebuilt = spec_from_meta(meta)
     assert rebuilt == spec
 
     sidecar = json.loads((tmp_path / "traj.meta.json").read_text())
     assert sidecar["system"] == "hopf"
+
+
+def test_csv_without_sidecar_infers_dt(tmp_path):
+    # without a sidecar, dt is read off the t column and no system is named;
+    # a single row gives no spacing to read
+    traj = Trajectory(dt=0.25, points=np.arange(12.0).reshape(6, 2))
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, path)
+    (tmp_path / "traj.meta.json").unlink()
+    loaded, spec, meta = load_trajectory(path)
+    np.testing.assert_array_equal(loaded.points, traj.points)
+    assert (loaded.dt, loaded.seed, spec, meta) == (0.25, None, None, {})
+    path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: cannot infer dt from a single row without metadata")):
+        load_trajectory(path)
 
 
 def test_undecodable_sidecar_is_named_by_path(tmp_path):
