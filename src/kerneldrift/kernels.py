@@ -57,6 +57,9 @@ _SAFE_GAP = 1e150
 # rows of a cdist block evaluated at a time (about 2 MB against M = 500 centers)
 _BLOCK_ROWS = 512
 
+# pairs whose g is computed at a time (about 2 MB of index and gap buffers)
+_PAIR_CHUNK = 1 << 16
+
 
 @dataclass
 class KernelModel:
@@ -178,12 +181,18 @@ def markov_apply(rows, cols, epsilon: float, values,
     gives CSR, each stored entry of the sparse product divided by its row
     sum, whose ``toarray()`` is the dense result.
 
+    The kernel's CSR holds the pairs' int32 columns and float64 values
+    uncopied, with an int32 ``indptr`` while fewer than 2**31 pairs are
+    kept, and the row indices are dropped once ``indptr`` is found: 12 bytes
+    per kept pair, after a peak of about 19 (:func:`_gaussian_pairs`).
+
     Raises
     ------
     ValueError
         If ``epsilon`` or ``theta_zero`` is out of range, ``values`` is not
-        a finite (N, k) array, ``cols`` holds other points, or a point is
-        not finite or so far out that squared distances overflow.
+        a finite (N, k) array, ``cols`` holds other points, a point is not
+        finite or so far out that squared distances overflow, or N is 2**31
+        or more.
     """
     points = np.asarray(rows, dtype=float)
     if sp.issparse(values):
@@ -211,8 +220,11 @@ def markov_apply(rows, cols, epsilon: float, values,
         raise ValueError("cols must hold the same points as rows")
 
     i, j, g = _gaussian_pairs(points, epsilon, theta_zero)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+    # row r starts at the first pair whose i is at least r; an int32 indptr,
+    # while the pair count fits, lets the CSR keep the int32 j uncopied
+    indptr = np.empty(n + 1, dtype=np.int32 if len(i) < 2**31 else np.int64)
+    indptr[:n], indptr[n] = np.searchsorted(i, np.arange(n, dtype=i.dtype)), len(i)
+    del i
     kernel = sp.csr_array((g, j, indptr), shape=(n, n))
     sums = kernel.sum(axis=1)
     out = kernel @ values
@@ -233,10 +245,12 @@ def _check_kernel(epsilon: float, theta_zero: float) -> None:
 
 
 def _gaussian(sq: np.ndarray, epsilon: float, theta_zero: float) -> np.ndarray:
-    """``exp(-sq / epsilon)`` of squared distances, zero below ``theta_zero``."""
-    g = np.exp(sq / -epsilon)  # the same bits as exp(-sq / epsilon)
-    g[g < theta_zero] = 0.0
-    return g
+    """``exp(-sq / epsilon)`` of squared distances, zero below ``theta_zero``,
+    written over ``sq`` and returned."""
+    sq /= -epsilon  # the same bits as exp(-sq / epsilon)
+    np.exp(sq, out=sq)
+    sq[sq < theta_zero] = 0.0
+    return sq
 
 
 def _cutoff(epsilon: float, theta_zero: float) -> float:
@@ -264,9 +278,9 @@ def _gaussian_block(points: np.ndarray, others: np.ndarray, epsilon: float,
 
 def _gaussian_pairs(points: np.ndarray, epsilon: float, theta_zero: float
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate pairs ``(i, j, g)`` of a cloud with itself, in canonical CSR
-    order, with ``g = g(points[i], points[j])`` where it is at or above
-    ``theta_zero`` and 0 where it is not.
+    """Candidate pairs ``(i, j, g)`` of a cloud of ``n < 2**31`` points with
+    itself, in canonical CSR order, with ``g = g(points[i], points[j])``
+    where it is at or above ``theta_zero`` and 0 where it is not.
 
     One ``query_pairs`` over a k-d tree of the points, at :func:`_cutoff`'s
     radius, lists each unordered pair once; keyed in both orientations plus
@@ -276,22 +290,44 @@ def _gaussian_pairs(points: np.ndarray, epsilon: float, theta_zero: float
     exactly a dense evaluation's (a negated gap is exact: ``(j, i)`` gets the
     bits of ``(i, j)``).  The radius's pad keeps rounding in the tree from
     dropping a kept pair; the candidates it adds get a zero.
+
+    Memory per returned entry: the tree's pair list and the int64 keys (8
+    bytes each) coexist only while the keys are filled; the keys sort in
+    place, split into int32 ``i`` and ``j`` and are freed, and the float64
+    ``g`` is filled ``_PAIR_CHUNK`` entries at a time.  So the peak is 16
+    bytes plus fixed chunk buffers, and the result 16.  ``n < 2**31`` keeps
+    the keys below ``2**62`` and the indices in int32; a larger cloud is a
+    ValueError.
     """
     n, radius = len(points), _cutoff(epsilon, theta_zero)
-    lo, hi = cKDTree(points).query_pairs(radius, output_type="ndarray").astype(np.int64).T
-    keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
-    del lo, hi  # free the pair list before the distances are computed
+    if n >= 2**31:
+        raise ValueError(f"a cloud of {n} points has indices beyond int32 (n < 2**31)")
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    m = len(pairs)
+    keys = np.empty(2 * m + n, dtype=np.int64)
+    for rows, lo, hi in ((slice(0, m), 0, 1), (slice(m, 2 * m), 1, 0)):
+        np.multiply(pairs[:, lo], n, out=keys[rows], dtype=np.int64)
+        keys[rows] += pairs[:, hi]
+    del pairs  # free the pair list before the keys sort
+    np.multiply(np.arange(n, dtype=np.int64), n + 1, out=keys[2 * m:])
     keys.sort()
-    i, j = np.divmod(keys, n, out=(keys, np.empty_like(keys)))
-    # coordinate by coordinate, so the temporaries stay the size of one
-    # column; adding the first square to zero is exact
-    sq = np.zeros(len(i))
-    for k in range(points.shape[1]):
-        gap = points[:, k].take(i)
-        gap -= points[:, k].take(j)
-        gap *= gap
-        sq += gap
-    return i, j, _gaussian(sq, epsilon, theta_zero)
+    i, j = np.empty(len(keys), dtype=np.int32), np.empty(len(keys), dtype=np.int32)
+    np.divmod(keys, n, out=(i, j))
+    del keys
+    # a chunk at a time and coordinate by coordinate, so the temporaries stay
+    # the size of one chunk's column; adding the first square to zero is exact
+    columns = np.ascontiguousarray(points.T)
+    g = np.zeros(len(i))
+    for start in range(0, len(i), _PAIR_CHUNK):
+        rows = slice(start, start + _PAIR_CHUNK)
+        left, right, sq = i[rows].astype(np.intp), j[rows].astype(np.intp), g[rows]
+        for column in columns:
+            gap = column.take(left)
+            gap -= column.take(right)
+            gap *= gap
+            sq += gap
+        _gaussian(sq, epsilon, theta_zero)
+    return i, j, g
 
 
 def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,

@@ -350,9 +350,12 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
     from the ``t`` column) and ``spec`` the system it names, or None.  A
     sidecar that is no JSON object, or holds an entry of the wrong JSON
     type, out of range (``dt`` positive and finite, ``seed`` at least 0 or
-    null, ``burn_in`` at least 0, ``substeps`` at least 1) or rejected by
-    SystemSpec, is a ValueError named by the sidecar's path; a CSV that does
-    not parse or holds no valid trajectory, one named by the CSV's path."""
+    null, ``burn_in`` at least 0, ``substeps``, ``d`` and ``n_samples`` at
+    least 1) or rejected by SystemSpec, is a ValueError named by the
+    sidecar's path; a CSV that does not parse or holds no valid trajectory,
+    one named by the CSV's path.  So is a sidecar whose ``d``,
+    ``n_samples`` or system's dimension disagrees with the CSV, named by
+    the sidecar's path."""
     csv_path = Path(csv_path)
     mp, meta, spec = _meta_path(csv_path), {}, None
     try:
@@ -364,7 +367,8 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
         if not isinstance(meta, dict):
             raise ValueError("metadata sidecar is not a JSON object")
         for key, types, least in (("dt", (int, float), None), ("seed", (int, type(None)), 0),
-                                  ("burn_in", int, 0), ("substeps", int, 1)):
+                                  ("burn_in", int, 0), ("substeps", int, 1), ("d", int, 1),
+                                  ("n_samples", int, 1)):
             value = meta.get(key)  # a missing entry is no wrong one
             if key in meta and (isinstance(value, bool) or not isinstance(value, types)):
                 raise ValueError(f"metadata sidecar entry {key!r} has the wrong type: {value!r}")
@@ -399,4 +403,11 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
         traj = Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed"))
     except ValueError as err:  # unparsable text, or points Trajectory rejects
         raise ValueError(f"{csv_path}: {err}") from err
+    for key, held in (("d", traj.d), ("n_samples", len(traj))):
+        if meta.get(key, held) != held:
+            raise ValueError(f"{mp}: metadata sidecar entry {key!r} is {meta[key]}, but "
+                             f"{csv_path} holds {held}")
+    if spec is not None and spec.dimension != traj.d:
+        raise ValueError(f"{mp}: system {spec.name!r} has dimension {spec.dimension}, but "
+                         f"{csv_path} holds {traj.d} coordinates")
     return traj, spec, meta

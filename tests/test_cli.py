@@ -213,6 +213,23 @@ def test_estimate_sidecar_without_held_out_setting_is_usage_error(hopf_run, tmp_
     assert not out.exists()
 
 
+def test_estimate_sidecar_naming_another_system_is_usage_error(hopf_run, tmp_path, capsys,
+                                                                no_fit):
+    # a 2-column Hopf CSV whose sidecar names Lorenz 63 is rejected before
+    # the fit, named by the sidecar's path, not after it by the scorer
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text((hopf_run / "trajectory.csv").read_text())
+    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
+    meta.update(system="lorenz63", params={"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0})
+    sidecar = tmp_path / "trajectory.meta.json"
+    sidecar.write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"usage error: {sidecar}: system 'lorenz63' has "
+                                       f"dimension 3, but {traj} holds 2 coordinates\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[:2] + ["0.02,abc,0.0"] + rows[3:],
      "could not convert string 'abc' to float"),

@@ -1,9 +1,12 @@
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from kerneldrift import (
@@ -15,7 +18,7 @@ from kerneldrift import (
     select_bandwidth,
 )
 from kerneldrift.drift import load_drift_model, save_drift_model
-from kerneldrift.kernels import _gaussian_pairs, markov_apply
+from kerneldrift.kernels import _cutoff, _gaussian_pairs, markov_apply
 
 
 def cloud(n=60, d=2, seed=0, scale=1.0):
@@ -400,6 +403,57 @@ class TestMarkovMatrix:
         # values are (N, k) columns; a 1-d vector is no shortcut for one
         with pytest.raises(ValueError, match=r"\(N, k\) arrays"):
             markov_apply(data, data, eps, values[:, 0])
+
+
+class TestPairMemory:
+    def test_pairs_peak_and_result_per_entry(self):
+        # about 10^6 kept pairs: building them peaks at no more than 24 traced
+        # bytes per returned entry, and the entries take 16 (int32 i and j,
+        # float64 g); the default subsample keeps the bandwidth's own pdist
+        # small
+        points = cloud(n=10_000, d=2, seed=70)
+        eps = select_bandwidth(points, eta=0.01)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            i, j, g = _gaussian_pairs(points, eps, 1e-14)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(g) > 900_000
+        assert peak <= 24 * len(g)
+        assert i.nbytes + j.nbytes + g.nbytes <= 16 * len(g)
+
+    def test_large_indices_match_reference(self):
+        # n^2 > 2^31, so a key or index that overflowed its integer type
+        # would move a pair; the pairs are a reference's, listed by another
+        # tree query plus the diagonal and ordered by lexsort, with g from
+        # the one squared gap that is cdist's squared distance in 1-D
+        points, eps = cloud(n=50_000, d=1, seed=71), 1e-8
+        n = len(points)
+        i, j, g = _gaussian_pairs(points, eps, 1e-14)
+        tree = cKDTree(points)
+        near = tree.sparse_distance_matrix(tree, _cutoff(eps, 1e-14), output_type="ndarray")
+        near = near[near["i"] != near["j"]]
+        rows = np.concatenate([near["i"], np.arange(n)])
+        cols = np.concatenate([near["j"], np.arange(n)])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        assert n * n > 2**31 and len(rows) > 10 * n
+        np.testing.assert_array_equal(i, rows)
+        np.testing.assert_array_equal(j, cols)
+        expected = np.exp(-np.square(points[rows, 0] - points[cols, 0]) / eps)
+        expected[expected < 1e-14] = 0.0
+        np.testing.assert_array_equal(g, expected)
+        matrix = markov_apply(points, points, eps, sp.eye_array(n, format="csr"))
+        np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_too_many_points_rejected(self):
+        # 2^31 points (a broadcast view, so nothing is allocated) overflow
+        # the int32 indices and are rejected before a tree is built
+        points = np.broadcast_to(np.zeros((1, 1)), (2**31, 1))
+        with pytest.raises(ValueError, match=re.escape("n < 2**31")):
+            _gaussian_pairs(points, 1.0, 1e-14)
 
 
 class TestDiffusionModel:

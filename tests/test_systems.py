@@ -287,6 +287,24 @@ def test_csv_without_sidecar_infers_dt(tmp_path):
         load_trajectory(path)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({"d": 3}, "metadata sidecar entry 'd' is 3, but {csv} holds 2"),
+    ({"n_samples": 11}, "metadata sidecar entry 'n_samples' is 11, but {csv} holds 10"),
+    ({"system": "lorenz63", "params": DEFAULT_PARAMS["lorenz63"]},
+     "system 'lorenz63' has dimension 3, but {csv} holds 2 coordinates"),
+    ({"system": "lorenz96", "params": {"F": 8.0, "N": 4}},
+     "system 'lorenz96' has dimension 4, but {csv} holds 2 coordinates"),
+    ({"d": True}, "metadata sidecar entry 'd' has the wrong type: True"),
+    ({"n_samples": 0}, "metadata sidecar entry 'n_samples' must be at least 1, got 0"),
+], ids=["d", "n_samples", "lorenz63", "lorenz96", "bool-d", "zero-n_samples"])
+def test_sidecar_disagreeing_with_csv_is_named_by_path(tmp_path, entries, message):
+    # the 2-column, 10-row Hopf CSV is checked against its sidecar's d,
+    # n_samples and named system, and a mismatch names the sidecar's path
+    sidecar, csv = tmp_path / "traj.meta.json", tmp_path / "traj.csv"
+    with pytest.raises(ValueError, match=re.escape(f"{sidecar}: " + message.format(csv=csv))):
+        load_with_sidecar(tmp_path, **entries)
+
+
 def test_undecodable_sidecar_is_named_by_path(tmp_path):
     spec = make_spec("hopf")
     path = tmp_path / "traj.csv"
