@@ -71,10 +71,14 @@ def _parse_args(argv):
                           "fit the sparse estimator through them (default: the "
                           "dense estimator)")
     fit = condexp.CondExpParams()  # the fit's defaults are the options' defaults
-    est.add_argument("--eta1", type=float, default=fit.eta1)
-    est.add_argument("--eta2", type=float, default=fit.eta2)
-    est.add_argument("--eta3", type=float, default=fit.eta3)
-    est.add_argument("--delta", type=float, default=fit.delta)
+    est.add_argument("--eta1", type=float, default=fit.eta1,
+                     help="sparsity target of the smoothing operator P1's bandwidth")
+    est.add_argument("--eta2", type=float, default=fit.eta2,
+                     help="sparsity target of the expansion kernel K's bandwidth")
+    est.add_argument("--eta3", type=float, default=fit.eta3,
+                     help="sparsity target of the Markov operator P3's bandwidth")
+    est.add_argument("--delta", type=float, default=fit.delta,
+                     help="ridge of the regularized least-squares solve")
     est.add_argument("--centers", type=int, default=fit.n_centers,
                      help="number of kernel centers M")
 

@@ -10,7 +10,7 @@ least-squares problem
 
 where ``G`` and ``P`` are row-stochastic Gaussian smoothing matrices over
 the inputs and ``K`` is the matrix of kernel sections at the inputs.  All
-three bandwidths are tuned by sparsity targets unless given explicitly.
+three bandwidths are tuned by sparsity targets.
 :func:`fit_targets` is the one fit; the expansion is evaluated through
 the rows of :func:`~kerneldrift.kernels.section_matrix`.  The thresholded
 operators are sparse, and so is ``B = P K``: the fit keeps ``K``, ``B``
@@ -21,8 +21,8 @@ normal matrix and the (N, k) smoothed targets are dense.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,13 +44,13 @@ from .kernels import (
 class CondExpParams:
     """Tuning knobs for the conditional-expectation fit.
 
-    ``eta1``/``eta2``/``eta3`` are the sparsity targets used to auto-select
-    the bandwidths of the smoothing matrix, the expansion kernel and the
+    ``eta1``/``eta2``/``eta3`` are the sparsity targets that select the
+    bandwidths of the smoothing matrix, the expansion kernel and the
     Markov matrix respectively (defaults follow the benchmark tuning:
-    0.3% / 1% / 1%), with squared distances measured on a strided
-    subsample of relative size ``subsample_fraction``.  Explicit ``eps*``
-    values bypass auto-selection.  ``n_centers`` is the number of kernel
-    centers, every (N // M)-th input.  Every Gaussian of the fit drops
+    0.3% / 1% / 1%), each by :func:`~kerneldrift.kernels.select_bandwidth`
+    on its default strided subsample.  ``delta`` is the ridge.
+    ``n_centers`` is the number of kernel centers, every (N // M)-th
+    input: an integer of at least 2.  Every Gaussian of the fit drops
     values below the one zero threshold ``kernels.DEFAULT_THETA_ZERO``.
     """
 
@@ -59,29 +59,22 @@ class CondExpParams:
     eta3: float = 0.01
     delta: float = 0.1
     n_centers: int = 500
-    subsample_fraction: float = 0.1
-    eps1: Optional[float] = None
-    eps2: Optional[float] = None
-    eps3: Optional[float] = None
 
     def __post_init__(self):
         for name in ("eta1", "eta2", "eta3"):
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if not 0 < self.subsample_fraction <= 1:
-            raise ValueError(
-                f"subsample_fraction must lie in (0, 1], got {self.subsample_fraction}"
-            )
         if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
-        if self.n_centers < 1:
-            raise ValueError(f"n_centers must be positive, got {self.n_centers}")
-        for name in ("eps1", "eps2", "eps3"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite when given, "
-                                 f"got {value}")
+        # a float count is a TypeError, never truncated, and a bool (a JSON
+        # true) is a ValueError, never read as 1
+        if isinstance(self.n_centers, bool):
+            raise ValueError(f"n_centers must be an integer, got {self.n_centers}")
+        object.__setattr__(self, "n_centers", operator.index(self.n_centers))
+        if self.n_centers < 2:
+            raise ValueError(f"n_centers={self.n_centers}: a diffusion kernel needs at "
+                             "least 2 centers")
 
 
 def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
@@ -130,10 +123,10 @@ def fit_targets(inputs, targets, params: CondExpParams
     """Fit one kernel and one coefficient vector per target column.
 
     ``inputs`` has shape (N, d) and ``targets`` (N,) or (N, k); all columns
-    share the bandwidth selection, smoothing matrices, centers (every
-    (N // M)-th input; ``M < 2`` or ``M > N`` raises ``ValueError``) and the
-    factorization of the normal equations.  Every Gaussian is thresholded
-    at ``DEFAULT_THETA_ZERO``, which the kernel model records.  Returns
+    share the bandwidths, smoothing matrices, centers (every (N // M)-th
+    input; ``M > N`` raises ``ValueError``) and the factorization of the
+    normal equations.  Every Gaussian is thresholded at
+    ``DEFAULT_THETA_ZERO``, which the kernel model records.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -147,19 +140,12 @@ def fit_targets(inputs, targets, params: CondExpParams
     n, m = len(inputs), params.n_centers
     if m > n:
         raise ValueError(f"n_centers={m} exceeds the number of inputs {n}")
-    if m < 2:
-        raise ValueError(f"n_centers={m}: a diffusion kernel needs at least 2 centers")
     single = targets.ndim == 1
     y = targets[:, None] if single else targets
 
-    def bandwidth(explicit, eta):
-        if explicit is not None:
-            return explicit
-        return select_bandwidth(inputs, eta, DEFAULT_THETA_ZERO, params.subsample_fraction)
-
-    eps1 = bandwidth(params.eps1, params.eta1)
-    eps3 = bandwidth(params.eps3, params.eta3)
-    eps2 = bandwidth(params.eps2, params.eta2)
+    eps1 = select_bandwidth(inputs, params.eta1, DEFAULT_THETA_ZERO)
+    eps3 = select_bandwidth(inputs, params.eta3, DEFAULT_THETA_ZERO)
+    eps2 = select_bandwidth(inputs, params.eta2, DEFAULT_THETA_ZERO)
 
     kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2, DEFAULT_THETA_ZERO)
     # the sections keep about 1% of their entries: they are evaluated one

@@ -153,7 +153,8 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
     sq = pdist(_strided_subsample(data, subsample_fraction), "sqeuclidean")
     theta = 1.0 / np.log(1.0 / theta_zero)
     with np.errstate(invalid="ignore"):  # inf - inf between overflowed distances
-        quantile = float(np.quantile(sq, eta))
+        # partitioned in place: the distances are held once, not copied
+        quantile = float(np.quantile(sq, eta, overwrite_input=True))
     if not math.isfinite(quantile):
         raise ValueError(f"the {eta}-quantile of pairwise squared distances is not "
                          "finite (squared distances overflow)")

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from kerneldrift import CondExpParams, NumericalError, condexp, diffusion_model, section_matrix
 from kerneldrift.condexp import fit_targets, solve_regularized
-from kerneldrift.kernels import _BLOCK_ROWS
+from kerneldrift.kernels import _BLOCK_ROWS, select_bandwidth
 
 
 def fit_1d(x, y, params):
@@ -26,41 +26,49 @@ def test_params_validation():
         CondExpParams(delta=-1.0)
     with pytest.raises(ValueError):
         CondExpParams(n_centers=0)
-    with pytest.raises(ValueError):
-        CondExpParams(eps2=-0.5)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("subsample_fraction", 0.0),
-    ("subsample_fraction", 1.5),
-])
-def test_params_reject_threshold_and_subsample_out_of_range(field, value):
-    # checked when the parameters are built, also with explicit bandwidths
-    with pytest.raises(ValueError, match=field):
-        CondExpParams(n_centers=5, eps1=0.1, eps2=0.1, eps3=0.1, **{field: value})
-
-
-@pytest.mark.parametrize("field", ["eta1", "delta", "eps1", "eps2", "eps3",
-                                   "subsample_fraction"])
+@pytest.mark.parametrize("field", ["eta1", "delta"])
 def test_params_reject_nan(field):
     # a NaN passes every comparison-based range check written as `value < 0`,
-    # and an infinite ridge or bandwidth passes one written as `value > 0`
+    # and an infinite ridge passes one written as `value > 0`
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=field):
             CondExpParams(**{field: value})
 
 
+def test_params_reject_too_few_centers():
+    # the fit's own message, before any bandwidth is selected
+    with pytest.raises(ValueError, match="n_centers=1: a diffusion kernel needs at least 2"):
+        CondExpParams(n_centers=1)
+
+
+def test_params_reject_non_integer_centers():
+    # a float count is never truncated, and a bool is never read as a count
+    with pytest.raises(TypeError):
+        CondExpParams(n_centers=50.0)
+    with pytest.raises(ValueError, match="n_centers must be an integer"):
+        CondExpParams(n_centers=True)
+    assert type(CondExpParams(n_centers=np.int64(50)).n_centers) is int
+
+
 def test_fit_targets_centers_strided():
     # the kernel centers are every (N // M)-th input
     inputs = np.random.default_rng(2).normal(size=(20, 2))
-    params = CondExpParams(n_centers=5, eps1=1.0, eps2=1.0, eps3=1.0)
+    params = CondExpParams(n_centers=5)
     kernel, _, _ = fit_targets(inputs, inputs[:, 0], params)
     np.testing.assert_array_equal(kernel.centers, inputs[[0, 4, 8, 12, 16]])
     with pytest.raises(ValueError, match="n_centers=5 exceeds the number of inputs 4"):
         fit_targets(inputs[:4], inputs[:4, 0], params)
-    with pytest.raises(ValueError, match="n_centers=1: a diffusion kernel needs at least 2"):
-        fit_targets(inputs, inputs[:, 0], CondExpParams(n_centers=1, eps1=1.0, eps2=1.0,
-                                                        eps3=1.0))
+
+
+def test_bandwidths_are_the_sparsity_targets_quantiles():
+    # one rule for all three: select_bandwidth at the target's eta
+    inputs = np.random.default_rng(16).normal(size=(400, 2))
+    params = CondExpParams(eta1=0.02, eta2=0.05, eta3=0.1, n_centers=40)
+    _, _, diagnostics = fit_targets(inputs, inputs[:, 0], params)
+    for i, eta in ((1, 0.02), (2, 0.05), (3, 0.1)):
+        assert diagnostics[f"eps{i}"] == select_bandwidth(inputs, eta)
 
 
 def test_constant_target_recovery_zero_ridge():
@@ -112,15 +120,15 @@ def test_residual_monotone_in_ridge():
 
 
 def test_residual_rises_with_ridge_at_unit_scale():
-    # explicit bandwidths keep the normal matrix's eigenvalues near 1..1e3,
-    # where delta in [1e-3, 1] competes with them: the residual rises
+    # wide sparsity targets keep the normal matrix's eigenvalues near unit
+    # scale, where delta in [1e-3, 1] competes with them: the residual rises
     # visibly at every step, not just by rounding
     rng = np.random.default_rng(3)
     x = rng.uniform(-2, 2, size=60)
     y = np.sin(2 * x) + 0.3 * rng.standard_normal(60)
     residuals = []
     for delta in (0.0, 1e-3, 1e-1, 1.0):
-        params = CondExpParams(n_centers=20, delta=delta, eps1=0.025, eps2=0.1, eps3=0.025)
+        params = CondExpParams(n_centers=20, delta=delta, eta1=0.2, eta2=0.5, eta3=0.2)
         residuals.append(fit_1d(x, y, params)[2]["residual_norms"][0])
     assert all(a < b for a, b in zip(residuals, residuals[1:]))
     assert residuals[-1] > 1.01 * residuals[0]
@@ -130,11 +138,16 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(4)
     x = rng.uniform(-1, 1, size=(120, 1))
     y = np.cos(3 * x[:, 0])
-    # fixed bandwidths and all points as centers keep the model intrinsic
-    params = CondExpParams(n_centers=120, delta=0.1, eps1=0.05, eps2=0.1, eps3=0.1)
+    # the bandwidths' 10% subsample is every 10th row and the centers every
+    # 4th: permuting the other rows keeps both, so the model is intrinsic
+    params = CondExpParams(n_centers=30, delta=0.1)
     base = fit_targets(x, y, params)
-    perm = rng.permutation(120)
+    rest = np.array([i for i in range(120) if i % 10 and i % 4])
+    perm = np.arange(120)
+    perm[rest] = rest[rng.permutation(len(rest))]
     shuffled = fit_targets(x[perm], y[perm], params)
+    for name in ("eps1", "eps2", "eps3"):
+        assert base[2][name] == shuffled[2][name]
     probes = rng.uniform(-0.9, 0.9, size=(10, 1))
     v1, v2 = [(section_matrix(kernel, probes)[0] * coef[0]).sum(axis=1)
               for kernel, coef, _ in (base, shuffled)]
@@ -295,6 +308,6 @@ def test_far_input_past_first_block_named():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(_BLOCK_ROWS + 50, 1))
     x[_BLOCK_ROWS + 21] = 1e200
-    params = CondExpParams(n_centers=20, eps1=0.1, eps2=0.1, eps3=0.1)
+    params = CondExpParams(n_centers=20)
     with pytest.raises(ValueError, match=f"query point {_BLOCK_ROWS + 21} is too far"):
         fit_targets(x, np.zeros(len(x)), params)

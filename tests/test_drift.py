@@ -9,6 +9,7 @@ import re
 from kerneldrift import (
     CondExpParams,
     DriftModel,
+    NumericalError,
     Stencil,
     estimate_drift,
     estimate_drift_sparse,
@@ -275,14 +276,17 @@ class TestSparseEstimator:
 
     def test_exchangeability_of_records(self, l96_sparse_fit):
         _, _, snaps, _ = l96_sparse_fit
-        # permute only non-center records so the strided center set is fixed
+        # permute only records on neither the strided center set nor the
+        # bandwidths' strided 10% subsample, so both are fixed
         n = len(snaps)
-        params = CondExpParams(n_centers=300, eps1=0.05, eps2=0.1, eps3=0.1)
+        params = CondExpParams(n_centers=300)
         from kerneldrift.drift import SnapshotSet
 
-        # the fit's centers are every (N // M)-th record
+        # the fit's centers are every (N // M)-th record, the bandwidths'
+        # subsample every (N // round(N / 10))-th
         centers = set(range(0, 300 * (n // 300), n // 300))
-        rest = np.array([i for i in range(n) if i not in centers])
+        subsample = set(range(0, n, n // round(0.1 * n)))
+        rest = np.array([i for i in range(n) if i not in centers | subsample])
         perm = np.arange(n)
         perm[rest] = rest[np.random.default_rng(4).permutation(len(rest))]
         shuffled = SnapshotSet(inputs=snaps.inputs[perm],
@@ -510,15 +514,12 @@ def test_l96_orbit_divergence_is_reported_not_failed(l96_sparse_fit):
     assert len(comparison.true_orbit) == len(comparison.estimated_orbit) == 201
 
 
-def test_constant_trajectory_fit_predicts_zero():
-    # all states identical: explicit bandwidths keep the kernels defined,
-    # and the fitted field vanishes at the training point
-    pts = np.tile([1.0, 2.0], (50, 1))
-    traj = Trajectory(dt=0.1, points=pts)
-    params = CondExpParams(n_centers=10, eps1=1.0, eps2=1.0, eps3=1.0)
-    model = estimate_drift(traj, params)
-    value, _ = predict_drift_many(model, [[1.0, 2.0]])
-    np.testing.assert_allclose(value, [[0.0, 0.0]], atol=1e-10)
+def test_constant_trajectory_fit_raises_numerical_error():
+    # all states identical: every pairwise distance of the bandwidths'
+    # subsample is zero, so no bandwidth exists
+    traj = Trajectory(dt=0.1, points=np.tile([1.0, 2.0], (50, 1)))
+    with pytest.raises(NumericalError, match="coincident subsample points"):
+        estimate_drift(traj, CondExpParams(n_centers=10))
 
 
 def blocked_batch(traj, far, row):

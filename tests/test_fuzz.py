@@ -38,6 +38,8 @@ from test_kernels import assert_markov_matches_oracle, section_oracle  # noqa: E
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 bandwidths = st.integers(-300, 300).map(lambda e: 10.0**e)
+# sparsity targets, from a handful of pairs to nearly all of them
+etas = st.sampled_from([1e-3, 0.01, 0.1, 0.5, 0.99])
 
 
 @st.composite
@@ -102,12 +104,10 @@ def fit_cases(draw):
     n = len(inputs)
     targets = draw(hnp.arrays(np.float64, (n, draw(st.integers(1, 2))),
                               elements=st.floats(-10, 10)))
-    explicit = st.none() | bandwidths
     params = CondExpParams(
-        n_centers=draw(st.integers(max(1, n - 2), n)),
-        subsample_fraction=1.0,
+        n_centers=draw(st.integers(max(2, n - 2), n)),
         delta=draw(st.sampled_from([0.0, 1e-3, 0.1])),
-        eps1=draw(explicit), eps2=draw(explicit), eps3=draw(explicit),
+        eta1=draw(etas), eta2=draw(etas), eta3=draw(etas),
     )
     return inputs, targets, params
 
@@ -149,12 +149,10 @@ def drift_cases(draw):
     traj = Trajectory(dt=draw(st.sampled_from([1e-3, 0.01, 1.0])), points=points)
     stencil = Stencil.cyclic(d, offsets=(-1, 0)) if d > 1 and draw(st.booleans()) else None
     records = (n - 3) * (d if stencil else 1)
-    explicit = st.none() | bandwidths
     params = CondExpParams(
-        n_centers=draw(st.integers(max(1, records - 3), records)),
-        subsample_fraction=1.0,
+        n_centers=draw(st.integers(max(2, records - 3), records)),
         delta=draw(st.sampled_from([0.0, 1e-3, 0.1])),
-        eps1=draw(explicit), eps2=draw(explicit), eps3=draw(explicit),
+        eta1=draw(etas), eta2=draw(etas), eta3=draw(etas),
     )
     far = draw(st.sampled_from([0.0, 1e3, 1e9]))
     return traj, stencil, params, np.vstack([points, points[:1] + far])

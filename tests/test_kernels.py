@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from kerneldrift import (
     DriftModel,
@@ -121,8 +121,6 @@ class TestSelectBandwidth:
     def test_achieved_sparsity_fraction(self):
         data = cloud(n=200, seed=7)
         eps = select_bandwidth(data, eta=0.25, subsample_fraction=1.0)
-        from scipy.spatial.distance import pdist
-
         values = np.exp(-pdist(data, "sqeuclidean") / eps)
         frac = np.mean(values >= 1e-14)
         assert abs(frac - 0.25) <= 2.0 / len(values)
@@ -165,6 +163,24 @@ class TestSelectBandwidth:
         data[4, 1] = bad
         with pytest.raises(ValueError, match="data point 4 is not finite"):
             select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+
+    def test_distances_held_once(self):
+        # the quantile partitions the pdist temporary in place: the bits of
+        # the quantile of a copy, at a peak near one pdist, not two
+        data = cloud(n=2000, d=3, seed=72)
+        sq = pdist(data, "sqeuclidean")
+        theta = 1.0 / np.log(1.0 / 1e-14)
+        for eta in (0.003, 0.01, 0.5):
+            eps = select_bandwidth(data, eta, subsample_fraction=1.0)
+            assert eps == theta * float(np.quantile(sq.copy(), eta))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            select_bandwidth(data, 0.01, subsample_fraction=1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * sq.nbytes
 
 
 class TestMarkovMatrix:
