@@ -47,8 +47,8 @@ class CondExpParams:
     ``eta1``/``eta2``/``eta3`` are the sparsity targets that select the
     bandwidths of the smoothing matrix, the expansion kernel and the
     Markov matrix respectively (defaults follow the benchmark tuning:
-    0.3% / 1% / 1%), each by :func:`~kerneldrift.kernels.select_bandwidth`
-    on its default strided subsample.  ``delta`` is the ridge.
+    0.3% / 1% / 1%), all three from one strided subsample by
+    :func:`~kerneldrift.kernels.select_bandwidth`.  ``delta`` is the ridge.
     ``n_centers`` is the number of kernel centers, every (N // M)-th
     input: an integer of at least 2.  Every Gaussian of the fit drops
     values below the one zero threshold ``kernels.DEFAULT_THETA_ZERO``.
@@ -125,7 +125,8 @@ def fit_targets(inputs, targets, params: CondExpParams
     ``inputs`` has shape (N, d) and ``targets`` (N,) or (N, k); all columns
     share the bandwidths, smoothing matrices, centers (every (N // M)-th
     input; ``M > N`` raises ``ValueError``) and the factorization of the
-    normal equations.  Every Gaussian is thresholded at
+    normal equations; one ``select_bandwidth`` call on one distance sample
+    gives eps1, eps3 and eps2.  Every Gaussian is thresholded at
     ``DEFAULT_THETA_ZERO``, which the kernel model records.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
@@ -143,9 +144,7 @@ def fit_targets(inputs, targets, params: CondExpParams
     single = targets.ndim == 1
     y = targets[:, None] if single else targets
 
-    eps1 = select_bandwidth(inputs, params.eta1, DEFAULT_THETA_ZERO)
-    eps3 = select_bandwidth(inputs, params.eta3, DEFAULT_THETA_ZERO)
-    eps2 = select_bandwidth(inputs, params.eta2, DEFAULT_THETA_ZERO)
+    eps1, eps3, eps2 = select_bandwidth(inputs, (params.eta1, params.eta3, params.eta2))
 
     kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2, DEFAULT_THETA_ZERO)
     # the sections keep about 1% of their entries: they are evaluated one

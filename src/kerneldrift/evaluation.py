@@ -109,11 +109,7 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     the same IEEE operations as :func:`~kerneldrift.systems.eval_drift` on
     arrays, so the same bits.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.dimension,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({spec.dimension},)")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    x0 = systems_mod._start_state(spec, x0)
     if not (0 < dt < np.inf and np.isfinite(horizon)):
         raise ValueError(f"dt must be positive and finite and horizon finite, "
                          f"got dt={dt}, horizon={horizon}")

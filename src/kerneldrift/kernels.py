@@ -40,6 +40,7 @@ threshold.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,25 +111,21 @@ class KernelModel:
         return self.centers.shape[1]
 
 
-def _strided_subsample(data: np.ndarray, fraction: float) -> np.ndarray:
-    """A subsample spread evenly through the data (at least 2 points)."""
-    n = len(data)
-    n_sub = max(2, int(round(n * fraction)))
-    step = max(1, n // n_sub)
-    return data[::step]
-
-
-def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
-                     subsample_fraction: float = 0.1) -> float:
+def select_bandwidth(data, eta: float | Sequence[float],
+                     theta_zero: float = DEFAULT_THETA_ZERO,
+                     subsample_fraction: float = 0.1) -> float | np.ndarray:
     """Pick epsilon so that a fraction ``eta`` of pairwise kernel values
     on a subsample exceeds the zero threshold ``theta_zero``.
 
     Squared distances are measured on a strided subsample of the data of
-    relative size ``subsample_fraction``.  With
-    ``theta = 1 / ln(1 / theta_zero)`` the returned bandwidth is
+    relative size ``subsample_fraction`` (every step-th point, at least 2).
+    With ``theta = 1 / ln(1 / theta_zero)`` the returned bandwidth is
     ``theta * q``, where ``q`` is the eta-quantile of the subsample's
     pairwise squared distances: ``exp(-s / epsilon) >= theta_zero`` exactly
-    when ``s <= q``.
+    when ``s <= q``.  ``eta`` is one target or, as for ``np.quantile``, a
+    sequence of them: a sequence gives an array of bandwidths, each ``==``
+    its scalar call, from one subsample, one ``pdist`` and one partition;
+    an error names the first failing eta.
 
     Raises
     ------
@@ -138,8 +135,10 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
     NumericalError
         If ``q`` is zero (coincident subsample points).
     """
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    etas = list(eta) if np.ndim(eta) else [eta]
+    for e in etas:
+        if not 0 < e < 1:
+            raise ValueError(f"eta must lie in (0, 1), got {e}")
     if not 0 < theta_zero < 1:
         raise ValueError(f"theta_zero must lie in (0, 1), got {theta_zero}")
     if not 0 < subsample_fraction <= 1:
@@ -150,20 +149,20 @@ def select_bandwidth(data, eta: float, theta_zero: float = DEFAULT_THETA_ZERO,
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ValueError(f"data point {np.argmin(finite)} is not finite")
-    sq = pdist(_strided_subsample(data, subsample_fraction), "sqeuclidean")
+    step = max(1, len(data) // max(2, int(round(len(data) * subsample_fraction))))
+    sq = pdist(data[::step], "sqeuclidean")
     theta = 1.0 / np.log(1.0 / theta_zero)
     with np.errstate(invalid="ignore"):  # inf - inf between overflowed distances
         # partitioned in place: the distances are held once, not copied
-        quantile = float(np.quantile(sq, eta, overwrite_input=True))
-    if not math.isfinite(quantile):
-        raise ValueError(f"the {eta}-quantile of pairwise squared distances is not "
-                         "finite (squared distances overflow)")
-    if quantile <= 0.0:
-        raise NumericalError(
-            f"the {eta}-quantile of pairwise squared distances is zero "
-            "(coincident subsample points)"
-        )
-    return theta * quantile
+        quantiles = np.quantile(sq, eta, overwrite_input=True)
+    for e, quantile in zip(etas, np.ravel(quantiles)):
+        if not math.isfinite(quantile):
+            raise ValueError(f"the {e}-quantile of pairwise squared distances is not "
+                             "finite (squared distances overflow)")
+        if quantile <= 0.0:
+            raise NumericalError(f"the {e}-quantile of pairwise squared distances is zero "
+                                 "(coincident subsample points)")
+    return theta * quantiles
 
 
 def markov_apply(rows, cols, epsilon: float, values,

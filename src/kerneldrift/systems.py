@@ -221,6 +221,16 @@ def _euler_maruyama(spec: SystemSpec, h: float, sigma: float):
     return advance
 
 
+def _start_state(spec: SystemSpec, x0) -> np.ndarray:
+    """``x0`` as a float array, rejected unless it is one finite state of ``spec``."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (spec.dimension,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({spec.dimension},)")
+    if not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    return x0
+
+
 def simulate(
     spec: SystemSpec,
     x0,
@@ -277,12 +287,7 @@ def simulate(
     if seed < 0:  # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.dimension,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({spec.dimension},)")
-    if not np.isfinite(x0).all():
-        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-
+    x0 = _start_state(spec, x0)
     rng = np.random.default_rng(seed)
     h = float(dt / substeps)
     d = spec.dimension
@@ -347,15 +352,16 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
     """Load a trajectory CSV and its metadata sidecar: ``(trajectory, spec, meta)``.
 
     ``meta`` is the sidecar as read (``{}`` if absent: ``dt`` then comes
-    from the ``t`` column) and ``spec`` the system it names, or None.  A
-    sidecar that is no JSON object, or holds an entry of the wrong JSON
-    type, out of range (``dt`` positive and finite, ``seed`` at least 0 or
-    null, ``burn_in`` at least 0, ``substeps``, ``d`` and ``n_samples`` at
-    least 1) or rejected by SystemSpec, is a ValueError named by the
-    sidecar's path; a CSV that does not parse or holds no valid trajectory,
-    one named by the CSV's path.  So is a sidecar whose ``d``,
-    ``n_samples`` or system's dimension disagrees with the CSV, named by
-    the sidecar's path."""
+    from the ``t`` column's first gap) and ``spec`` the system it names,
+    or None.  A sidecar that is no JSON object, or holds an entry of the
+    wrong JSON type, out of range (``dt`` positive and finite, ``seed`` at
+    least 0 or null, ``burn_in`` at least 0, ``substeps``, ``d`` and
+    ``n_samples`` at least 1) or rejected by SystemSpec, is a ValueError
+    named by the sidecar's path; a CSV that does not parse, holds no valid
+    trajectory or has a gap of ``t`` off ``dt`` by more than a relative
+    1e-6, one named by the CSV's path (and the sidecar's, if ``dt`` came
+    from it).  So is a sidecar whose ``d``, ``n_samples`` or system's
+    dimension disagrees with the CSV, named by the sidecar's path."""
     csv_path = Path(csv_path)
     mp, meta, spec = _meta_path(csv_path), {}, None
     try:
@@ -403,6 +409,12 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
         traj = Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed"))
     except ValueError as err:  # unparsable text, or points Trajectory rejects
         raise ValueError(f"{csv_path}: {err}") from err
+    gaps = np.diff(data[:, 0])
+    bad = np.flatnonzero(~(np.abs(gaps - traj.dt) <= 1e-6 * traj.dt))  # a NaN gap too
+    if bad.size:
+        i, source = bad[0], f"from {mp}" if "dt" in meta else "from the first gap"
+        raise ValueError(f"{csv_path}: t steps by {gaps[i]} between samples {i} and {i + 1}, "
+                         f"not by dt = {traj.dt} {source}")
     for key, held in (("d", traj.d), ("n_samples", len(traj))):
         if meta.get(key, held) != held:
             raise ValueError(f"{mp}: metadata sidecar entry {key!r} is {meta[key]}, but "

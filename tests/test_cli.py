@@ -189,6 +189,23 @@ def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_estimate_t_column_off_dt_is_usage_error(hopf_run, tmp_path, capsys, no_fit):
+    # a t column stepping by twice the sidecar's dt is rejected before the
+    # fit, named by both paths, and leaves no output directory
+    traj = tmp_path / "trajectory.csv"
+    header, *rows = (hopf_run / "trajectory.csv").read_text().splitlines()
+    doubled = [",".join([repr(2 * float(row.split(",", 1)[0])), row.split(",", 1)[1]])
+               for row in rows]
+    traj.write_text("\n".join([header, *doubled]) + "\n")
+    meta_path = tmp_path / "trajectory.meta.json"
+    meta_path.write_text((hopf_run / "trajectory.meta.json").read_text())
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {traj}: t steps by ") and f"from {meta_path}\n" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, edit", [
     ("system", lambda meta: meta.pop("system")),
     ("seed", lambda meta: meta.pop("seed")),

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kerneldrift import CondExpParams, NumericalError, condexp, diffusion_model, section_matrix
+from kerneldrift import (CondExpParams, NumericalError, condexp, diffusion_model, kernels,
+                         section_matrix)
 from kerneldrift.condexp import fit_targets, solve_regularized
 from kerneldrift.kernels import _BLOCK_ROWS, select_bandwidth
 
@@ -69,6 +72,33 @@ def test_bandwidths_are_the_sparsity_targets_quantiles():
     _, _, diagnostics = fit_targets(inputs, inputs[:, 0], params)
     for i, eta in ((1, 0.02), (2, 0.05), (3, 0.1)):
         assert diagnostics[f"eps{i}"] == select_bandwidth(inputs, eta)
+
+
+def test_one_distance_sample_per_fit(monkeypatch):
+    # the three bandwidths come from one select_bandwidth call and one pdist,
+    # etas in the order eta1, eta3, eta2
+    calls, pdists = [], []
+    select, pdist = condexp.select_bandwidth, kernels.pdist
+
+    def select_spy(data, eta, *args, **kwargs):
+        calls.append(eta)
+        return select(data, eta, *args, **kwargs)
+
+    monkeypatch.setattr(condexp, "select_bandwidth", select_spy)
+    monkeypatch.setattr(kernels, "pdist", lambda *a, **k: pdists.append(1) or pdist(*a, **k))
+    inputs = np.random.default_rng(16).normal(size=(400, 2))
+    params = CondExpParams(eta1=0.02, eta2=0.05, eta3=0.1, n_centers=40)
+    fit_targets(inputs, inputs[:, 0], params)
+    assert calls == [(0.02, 0.1, 0.05)]
+    assert len(pdists) == 1
+
+
+def test_failing_bandwidth_names_first_eta():
+    # coincident inputs fail at eta1, the first bandwidth a fit selects
+    inputs = np.zeros((50, 2))
+    with pytest.raises(NumericalError, match=re.escape(
+            "the 0.02-quantile of pairwise squared distances is zero")):
+        fit_targets(inputs, inputs[:, 0], CondExpParams(eta1=0.02, eta3=0.1, n_centers=5))
 
 
 def test_constant_target_recovery_zero_ridge():

@@ -127,22 +127,46 @@ class TestSelectBandwidth:
 
     def test_monotone_in_eta(self):
         data = cloud(n=100, seed=2)
-        epss = [
-            select_bandwidth(data, eta=eta, subsample_fraction=1.0)
-            for eta in (0.05, 0.2, 0.5, 0.9)
-        ]
+        etas = (0.05, 0.2, 0.5, 0.9)
+        epss = [select_bandwidth(data, eta=eta, subsample_fraction=1.0) for eta in etas]
         assert all(a <= b for a, b in zip(epss, epss[1:]))
+        # the same four bandwidths from one sample
+        together = select_bandwidth(data, eta=etas, subsample_fraction=1.0)
+        assert together.tolist() == epss
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.37, 1.0])
+    def test_sequence_equals_scalar_calls(self, fraction):
+        # one subsample, pdist and partition for every eta, a repeated one
+        # included, each == its own scalar call
+        data = cloud(n=1200, d=3, seed=24)
+        etas = (0.003, 0.5, 0.01, 0.003, 1e-4, 0.999)
+        together = select_bandwidth(data, etas, subsample_fraction=fraction)
+        assert isinstance(together, np.ndarray) and together.shape == (6,)
+        for eta, eps in zip(etas, together):
+            assert eps == select_bandwidth(data, eta, subsample_fraction=fraction)
+        assert together[0] == together[3]
+        assert select_bandwidth(data, [0.01], subsample_fraction=fraction).shape == (1,)
 
     def test_coincident_points_degenerate(self):
         data = np.zeros((10, 2))
         with pytest.raises(NumericalError, match="quantile of pairwise squared distances "
                                                  r"is zero \(coincident subsample points\)"):
             select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+        # a sequence names its first eta, with the scalar call's message
+        with pytest.raises(NumericalError, match=re.escape(
+                "the 0.2-quantile of pairwise squared distances is zero (coincident "
+                "subsample points)")):
+            select_bandwidth(data, eta=(0.2, 0.5), subsample_fraction=1.0)
 
     def test_policy_validation(self):
         data = cloud(n=10, seed=1)
         with pytest.raises(ValueError, match="eta"):
             select_bandwidth(data, eta=1.5)
+        # one eta out of (0, 1) rejects the sequence, and is named
+        for etas, bad in (((0.1, 1.5, 0.2), "1.5"), ([0.1, 0.0], "0.0"),
+                          ((0.3, float("nan")), "nan")):
+            with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, 1), got {bad}")):
+                select_bandwidth(data, eta=etas)
         with pytest.raises(ValueError, match="theta_zero"):
             select_bandwidth(data, eta=0.5, theta_zero=2.0)
         with pytest.raises(ValueError, match="subsample_fraction"):
@@ -173,14 +197,16 @@ class TestSelectBandwidth:
         for eta in (0.003, 0.01, 0.5):
             eps = select_bandwidth(data, eta, subsample_fraction=1.0)
             assert eps == theta * float(np.quantile(sq.copy(), eta))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            select_bandwidth(data, 0.01, subsample_fraction=1.0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3 * sq.nbytes
+        # a scalar eta and a sequence of them alike
+        for eta in (0.01, (0.003, 0.01, 0.5)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                select_bandwidth(data, eta, subsample_fraction=1.0)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.3 * sq.nbytes
 
 
 class TestMarkovMatrix:

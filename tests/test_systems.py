@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,50 @@ def test_csv_without_sidecar_infers_dt(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: cannot infer dt from a single row without metadata")):
         load_trajectory(path)
+
+
+def test_t_column_stepping_other_than_dt_rejected(tmp_path):
+    # a t column whose spacing was doubled, against the sidecar's dt: both
+    # paths are named
+    spec = make_spec("hopf")
+    path = tmp_path / "traj.csv"
+    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path, spec=spec)
+    lines = path.read_text().splitlines()
+    rows = [",".join([repr(2 * float(line.split(",")[0])), *line.split(",")[1:]])
+            for line in lines[1:]]
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: t steps by 0.02 between samples 0 and 1, not by dt = 0.01 from "
+            f"{tmp_path / 'traj.meta.json'}")):
+        load_trajectory(path)
+    # without a sidecar, times 0.01 k^2 step by 0.01 first and 0.03 next
+    (tmp_path / "traj.meta.json").unlink()
+    t = 0.01 * np.arange(10.0) ** 2
+    path.write_text("t,x0,x1\n" + "".join(f"{v!r},1.0,2.0\n" for v in t.tolist()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: t steps by 0.03 between samples "
+                                                   "1 and 2, not by dt = 0.01 from the first")):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("csv", sorted(
+    p.with_name(p.name.replace(".meta.json", ".csv"))
+    for p in (Path(__file__).parents[1] / "demos" / "demo_output").glob("*.meta.json")),
+    ids=lambda p: p.name)
+def test_committed_trajectories_load(csv):
+    # every committed demo trajectory steps its t column by its sidecar's dt
+    traj, spec, meta = load_trajectory(csv)
+    assert traj.dt == meta["dt"] and spec is not None and len(traj) == meta["n_samples"]
+
+
+def test_long_saved_trajectory_loads(tmp_path):
+    # 10^5 rows of t = k * dt, each written as its shortest repr: the gaps'
+    # rounding stays far inside the relative 1e-6
+    traj = Trajectory(dt=0.003, points=np.zeros((100_000, 1)))
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, path)
+    assert load_trajectory(path)[0].dt == 0.003
+    (tmp_path / "traj.meta.json").unlink()  # dt read off the first gap
+    assert load_trajectory(path)[0].dt == 0.003
 
 
 @pytest.mark.parametrize("entries, message", [
