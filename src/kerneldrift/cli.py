@@ -75,8 +75,6 @@ def _parse_args(argv):
                      help="sparsity target of the smoothing operator P1's bandwidth")
     est.add_argument("--eta2", type=float, default=fit.eta2,
                      help="sparsity target of the expansion kernel K's bandwidth")
-    est.add_argument("--eta3", type=float, default=fit.eta3,
-                     help="sparsity target of the Markov operator P3's bandwidth")
     est.add_argument("--delta", type=float, default=fit.delta,
                      help="ridge of the regularized least-squares solve")
     est.add_argument("--centers", type=int, default=fit.n_centers,
@@ -132,8 +130,8 @@ def cmd_estimate(args) -> int:
         if meta.get(key) is None:
             raise ValueError(f"{args.traj}: its metadata sidecar records no {key!r}")
 
-    params = condexp.CondExpParams(eta1=args.eta1, eta2=args.eta2, eta3=args.eta3,
-                                   delta=args.delta, n_centers=args.centers)
+    params = condexp.CondExpParams(eta1=args.eta1, eta2=args.eta2, delta=args.delta,
+                                   n_centers=args.centers)
     if args.stencil_offsets is None:
         model = drift.estimate_drift(traj, params)
     else:

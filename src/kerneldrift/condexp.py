@@ -39,33 +39,32 @@ from .kernels import (
     select_bandwidth,
 )
 
+_ETA3 = 0.01  # P's sparsity target: the benchmark tuning, the one value any caller ran
+
 
 @dataclass(frozen=True)
 class CondExpParams:
     """Tuning knobs for the conditional-expectation fit.
 
-    ``eta1``/``eta2``/``eta3`` are the sparsity targets that select the
-    bandwidths of the smoothing matrix, the expansion kernel and the
-    Markov matrix respectively (defaults follow the benchmark tuning:
-    0.3% / 1% / 1%), all three from one strided subsample by
-    :func:`~kerneldrift.kernels.select_bandwidth`.  ``delta`` is the ridge.
-    ``n_centers`` is the number of kernel centers, every (N // M)-th
-    input: an integer of at least 2.  Every Gaussian of the fit drops
-    values below the one zero threshold ``kernels.DEFAULT_THETA_ZERO``.
+    ``eta1``/``eta2`` are the sparsity targets that select the bandwidths
+    of the smoothing matrix and the expansion kernel (defaults follow the
+    benchmark tuning: 0.3% / 1%); the Markov matrix keeps 1% of pairs.
+    ``delta`` is the ridge; ``n_centers``, an integer of at least 2, the
+    number of kernel centers, every (N // M)-th input.  Every Gaussian of
+    the fit drops values below the one zero threshold ``DEFAULT_THETA_ZERO``.
     """
 
     eta1: float = 0.003
     eta2: float = 0.01
-    eta3: float = 0.01
     delta: float = 0.1
     n_centers: int = 500
 
     def __post_init__(self):
-        for name in ("eta1", "eta2", "eta3"):
+        for name in ("eta1", "eta2"):
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if not 0 <= self.delta < math.inf:
+        if isinstance(self.delta, bool) or not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
         # a float count is a TypeError, never truncated, and a bool (a JSON
         # true) is a ValueError, never read as 1
@@ -126,8 +125,8 @@ def fit_targets(inputs, targets, params: CondExpParams
     share the bandwidths, smoothing matrices, centers (every (N // M)-th
     input; ``M > N`` raises ``ValueError``) and the factorization of the
     normal equations; one ``select_bandwidth`` call on one distance sample
-    gives eps1, eps3 and eps2.  Every Gaussian is thresholded at
-    ``DEFAULT_THETA_ZERO``, which the kernel model records.  Returns
+    gives eps1, eps3 at ``_ETA3`` and eps2.  Every Gaussian is thresholded
+    at ``DEFAULT_THETA_ZERO``, which the kernel model records.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -144,7 +143,7 @@ def fit_targets(inputs, targets, params: CondExpParams
     single = targets.ndim == 1
     y = targets[:, None] if single else targets
 
-    eps1, eps3, eps2 = select_bandwidth(inputs, (params.eta1, params.eta3, params.eta2))
+    eps1, eps3, eps2 = select_bandwidth(inputs, (params.eta1, _ETA3, params.eta2))
 
     kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2, DEFAULT_THETA_ZERO)
     # the sections keep about 1% of their entries: they are evaluated one

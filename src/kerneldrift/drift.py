@@ -245,6 +245,19 @@ def save_drift_model(model: DriftModel, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _numbers(entry, name):
+    """``entry`` as read, once every leaf of its nested lists is a JSON
+    number: a string, bool or null is a TypeError, never coerced."""
+    stack = [entry]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"the {name} hold {value!r}, which is no number")
+    return entry
+
+
 def load_drift_model(path) -> DriftModel:
     """Read a drift model written by :func:`save_drift_model`.
 
@@ -253,9 +266,10 @@ def load_drift_model(path) -> DriftModel:
     read.  Older files load too: their ``dt`` and ``type`` keys and kernel
     ``deg_r``, ``deg_l`` and ``w`` entries are ignored, and a shared unit's
     1-D coefficient vector becomes one row.  Entries are passed on as read,
-    never coerced: the objects they build reject a wrong type or value.  A
-    file that does not decode or that such an object rejects is a
-    ValueError named by the file's path.
+    never coerced: the coefficients and centers hold JSON numbers alone,
+    and the objects the entries build reject a wrong type or value.  A file
+    that does not decode, holds a string, bool or null among its numbers,
+    or that such an object rejects is a ValueError named by the file's path.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -264,8 +278,9 @@ def load_drift_model(path) -> DriftModel:
             raise ValueError(f"unknown kernel kind {kernel['kind']!r}; expected 'diffusion'")
         return DriftModel(
             kernel=KernelModel(epsilon=kernel["epsilon"], theta_zero=kernel["theta_zero"],
-                               centers=kernel["centers"]),
-            coefficients=np.atleast_2d(np.asarray(data["coefficients"], dtype=float)),
+                               centers=_numbers(kernel["centers"], "centers")),
+            coefficients=np.atleast_2d(np.asarray(_numbers(data["coefficients"],
+                                                           "coefficients"), dtype=float)),
             stencil=None if st is None else Stencil(m=st["m"], left=st["left"]),
         )
     except KeyError as err:

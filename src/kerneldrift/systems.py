@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,7 +131,7 @@ class Trajectory:
             raise ValueError("points must be a 2-d array (n_samples, d)")
         if len(self.points) < 4:
             raise ValueError(f"trajectory needs at least 4 samples, got {len(self.points)}")
-        if not 0 < self.dt < math.inf:
+        if isinstance(self.dt, bool) or not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.isfinite(self.points).all():
             raise ValueError("trajectory contains non-finite points")
@@ -221,6 +222,14 @@ def _euler_maruyama(spec: SystemSpec, h: float, sigma: float):
     return advance
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: a bool (a JSON true) is a ValueError, never
+    read as 1, and a non-integer a TypeError, never truncated."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return operator.index(value)
+
+
 def _start_state(spec: SystemSpec, x0) -> np.ndarray:
     """``x0`` as a float array, rejected unless it is one finite state of ``spec``."""
     x0 = np.asarray(x0, dtype=float)
@@ -272,11 +281,14 @@ def simulate(
     Raises
     ------
     ValueError
-        If an argument is out of range or ``x0`` is not finite.
+        If an argument is out of range, ``x0`` is not finite or ``seed`` is
+        a bool.
+    TypeError
+        If ``seed`` is not an integer.
     NumericalError
         If a recorded state is non-finite; the message names its index.
     """
-    if not 0 < dt < math.inf:
+    if isinstance(dt, bool) or not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_samples < 4:
         raise ValueError(f"n_samples must be at least 4, got {n_samples}")
@@ -284,6 +296,7 @@ def simulate(
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    seed = _integer("seed", seed)  # the path keeps a Python int, which JSON can write
     if seed < 0:  # numpy's own message names neither the seed nor its value
         raise ValueError(f"seed must be nonnegative, got {seed}")
 
@@ -331,21 +344,26 @@ def _meta_path(csv_path) -> Path:
 
 def save_trajectory(traj: Trajectory, csv_path, spec: Optional[SystemSpec] = None,
                     burn_in: Optional[int] = None, substeps: Optional[int] = None) -> None:
-    """Write the path as CSV (``t = k*dt``, then x0..x{d-1}) and its sidecar."""
-    d = traj.d
-    _write_csv(csv_path, ["t"] + [f"x{i}" for i in range(d)],
-               [np.arange(len(traj)) * traj.dt, *traj.points.T])
+    """Write the path as CSV (``t = k*dt``, then x0..x{d-1}) and its sidecar.
 
-    meta = {"dt": traj.dt, "d": d, "n_samples": len(traj), "seed": traj.seed}
+    The sidecar is encoded first, with a numpy ``seed``, ``burn_in`` or
+    ``substeps`` written as a JSON integer: a value it cannot write (a
+    bool or non-integer among those three, or a system constant JSON does
+    not know) raises before either file is written."""
+    d = traj.d
+    meta = {"dt": traj.dt, "d": d, "n_samples": len(traj),
+            "seed": None if traj.seed is None else _integer("seed", traj.seed)}
     if spec is not None:
         meta["system"] = spec.name
         meta["params"] = dict(spec.params)
         meta["sigma_noise"] = spec.sigma_noise
-    if burn_in is not None:
-        meta["burn_in"] = burn_in
-    if substeps is not None:
-        meta["substeps"] = substeps
-    _meta_path(csv_path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    for key, value in (("burn_in", burn_in), ("substeps", substeps)):
+        if value is not None:
+            meta[key] = _integer(key, value)
+    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    _write_csv(csv_path, ["t"] + [f"x{i}" for i in range(d)],
+               [np.arange(len(traj)) * traj.dt, *traj.points.T])
+    _meta_path(csv_path).write_text(text)
 
 
 def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:

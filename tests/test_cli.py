@@ -112,6 +112,15 @@ def test_estimate_one_center_is_usage_error(hopf_run, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_eta3_is_usage_error(hopf_run, tmp_path, capsys):
+    # the Markov operator keeps a fixed 1% of pairs: no option sets it
+    out = tmp_path / "out"
+    assert run("estimate", "--traj", str(hopf_run / "trajectory.csv"), "--eta3", "0.01",
+               "--out", str(out)) == 1
+    assert "usage error: unrecognized arguments: --eta3 0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_missing_file_is_usage_error(tmp_path):
     assert run("estimate", "--traj", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path)) == 1
@@ -399,7 +408,7 @@ def test_sweep_small_grid(tmp_path):
     assert json.loads((cell / "config.json").read_text()) == {
         "command": "estimate", "out": str(cell), "traj": str(cell / "trajectory.csv"),
         "stencil_offsets": None,
-        "eta1": fit.eta1, "eta2": fit.eta2, "eta3": fit.eta3, "delta": fit.delta,
+        "eta1": fit.eta1, "eta2": fit.eta2, "delta": fit.delta,
         "centers": 100,
     }
 

@@ -27,8 +27,14 @@ def test_params_validation():
         CondExpParams(eta1=0.0)
     with pytest.raises(ValueError):
         CondExpParams(delta=-1.0)
+    # a bool (a JSON true) is no ridge of 1
+    with pytest.raises(ValueError, match="delta must be nonnegative and finite, got True"):
+        CondExpParams(delta=True)
     with pytest.raises(ValueError):
         CondExpParams(n_centers=0)
+    # the Markov matrix's sparsity target is no knob
+    with pytest.raises(TypeError):
+        CondExpParams(eta3=0.01)
 
 
 @pytest.mark.parametrize("field", ["eta1", "delta"])
@@ -66,17 +72,18 @@ def test_fit_targets_centers_strided():
 
 
 def test_bandwidths_are_the_sparsity_targets_quantiles():
-    # one rule for all three: select_bandwidth at the target's eta
+    # one rule for all three: select_bandwidth at the target's eta; the
+    # Markov matrix's is a fixed 1%, whatever eta2 is
     inputs = np.random.default_rng(16).normal(size=(400, 2))
-    params = CondExpParams(eta1=0.02, eta2=0.05, eta3=0.1, n_centers=40)
+    params = CondExpParams(eta1=0.02, eta2=0.05, n_centers=40)
     _, _, diagnostics = fit_targets(inputs, inputs[:, 0], params)
-    for i, eta in ((1, 0.02), (2, 0.05), (3, 0.1)):
+    for i, eta in ((1, 0.02), (2, 0.05), (3, 0.01)):
         assert diagnostics[f"eps{i}"] == select_bandwidth(inputs, eta)
 
 
 def test_one_distance_sample_per_fit(monkeypatch):
     # the three bandwidths come from one select_bandwidth call and one pdist,
-    # etas in the order eta1, eta3, eta2
+    # etas in the order eta1, the Markov matrix's fixed 0.01, eta2
     calls, pdists = [], []
     select, pdist = condexp.select_bandwidth, kernels.pdist
 
@@ -87,9 +94,9 @@ def test_one_distance_sample_per_fit(monkeypatch):
     monkeypatch.setattr(condexp, "select_bandwidth", select_spy)
     monkeypatch.setattr(kernels, "pdist", lambda *a, **k: pdists.append(1) or pdist(*a, **k))
     inputs = np.random.default_rng(16).normal(size=(400, 2))
-    params = CondExpParams(eta1=0.02, eta2=0.05, eta3=0.1, n_centers=40)
+    params = CondExpParams(eta1=0.02, eta2=0.05, n_centers=40)
     fit_targets(inputs, inputs[:, 0], params)
-    assert calls == [(0.02, 0.1, 0.05)]
+    assert calls == [(0.02, 0.01, 0.05)]
     assert len(pdists) == 1
 
 
@@ -98,7 +105,7 @@ def test_failing_bandwidth_names_first_eta():
     inputs = np.zeros((50, 2))
     with pytest.raises(NumericalError, match=re.escape(
             "the 0.02-quantile of pairwise squared distances is zero")):
-        fit_targets(inputs, inputs[:, 0], CondExpParams(eta1=0.02, eta3=0.1, n_centers=5))
+        fit_targets(inputs, inputs[:, 0], CondExpParams(eta1=0.02, n_centers=5))
 
 
 def test_constant_target_recovery_zero_ridge():
@@ -158,7 +165,7 @@ def test_residual_rises_with_ridge_at_unit_scale():
     y = np.sin(2 * x) + 0.3 * rng.standard_normal(60)
     residuals = []
     for delta in (0.0, 1e-3, 1e-1, 1.0):
-        params = CondExpParams(n_centers=20, delta=delta, eta1=0.2, eta2=0.5, eta3=0.2)
+        params = CondExpParams(n_centers=20, delta=delta, eta1=0.2, eta2=0.5)
         residuals.append(fit_1d(x, y, params)[2]["residual_norms"][0])
     assert all(a < b for a, b in zip(residuals, residuals[1:]))
     assert residuals[-1] > 1.01 * residuals[0]

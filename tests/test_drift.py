@@ -195,6 +195,8 @@ class TestDenseEstimator:
         path = tmp_path / "model.json"
         save_drift_model(model, path)
         loaded = load_drift_model(path)
+        np.testing.assert_array_equal(loaded.coefficients, model.coefficients)
+        np.testing.assert_array_equal(loaded.kernel.centers, model.kernel.centers)
         pts = traj.points[:5]
         v1, f1 = predict_drift_many(model, pts)
         v2, f2 = predict_drift_many(loaded, pts)
@@ -309,6 +311,8 @@ class TestSparseEstimator:
         save_drift_model(model, path)
         loaded = load_drift_model(path)
         assert loaded.stencil == model.stencil
+        np.testing.assert_array_equal(loaded.coefficients, model.coefficients)
+        np.testing.assert_array_equal(loaded.kernel.centers, model.kernel.centers)
         v1, f1 = predict_drift_many(model, traj.points[:4])
         v2, f2 = predict_drift_many(loaded, traj.points[:4])
         np.testing.assert_array_equal(v1, v2)
@@ -438,10 +442,30 @@ _WRONG_TYPE = "{path}: drift model file has an entry of the wrong type"
      "{path}: coefficient (1, 7) is not finite"),
     ("hopf_fit", lambda p: p["kernel"].update(kind="gaussian"),
      "{path}: unknown kernel kind 'gaussian'; expected 'diffusion'"),
+    # a string, bool or null among the numbers is not coerced, not even a
+    # bool beside floats, which numpy would read as 1.0
+    ("hopf_fit", lambda p: p["coefficients"][0].__setitem__(0, "1.0"),
+     _WRONG_TYPE + ": the coefficients hold '1.0', which is no number"),
+    ("hopf_fit", lambda p: p.update(coefficients=[[True, False]] * 2),
+     _WRONG_TYPE + ": the coefficients hold False, which is no number"),
+    ("hopf_fit", lambda p: p["coefficients"][1].__setitem__(3, True),
+     _WRONG_TYPE + ": the coefficients hold True, which is no number"),
+    ("hopf_fit", lambda p: p["coefficients"][1].__setitem__(3, None),
+     _WRONG_TYPE + ": the coefficients hold None, which is no number"),
+    ("l96_sparse_fit", lambda p: p["coefficients"][0].__setitem__(5, True),
+     _WRONG_TYPE + ": the coefficients hold True, which is no number"),
+    ("hopf_fit", lambda p: p["kernel"]["centers"][4].__setitem__(1, "0.5"),
+     _WRONG_TYPE + ": the centers hold '0.5', which is no number"),
+    ("hopf_fit", lambda p: p["kernel"]["centers"][4].__setitem__(1, False),
+     _WRONG_TYPE + ": the centers hold False, which is no number"),
+    ("hopf_fit", lambda p: p["kernel"]["centers"][4].__setitem__(1, None),
+     _WRONG_TYPE + ": the centers hold None, which is no number"),
 ], ids=["null-epsilon", "list-kernel", "int-stencil-left", "str-epsilon", "list-file",
         "float-stencil-index", "float-stencil-m", "bool-epsilon", "bool-stencil-m",
         "bool-stencil-index", "undecodable", "truncated", "negative-epsilon", "inf-epsilon",
-        "nan-coefficient", "other-kind"])
+        "nan-coefficient", "other-kind", "str-coefficient", "bool-coefficients",
+        "bool-among-float-coefficients", "null-coefficient", "bool-stencil-coefficient",
+        "str-center", "bool-center", "null-center"])
 def test_wrong_typed_entry_rejected_on_load(request, tmp_path, fit, edit, message):
     # the model is the last entry of either fixture
     path = _edited_model_file(request.getfixturevalue(fit)[-1], tmp_path / "model.json", edit)

@@ -107,7 +107,7 @@ def fit_cases(draw):
     params = CondExpParams(
         n_centers=draw(st.integers(max(2, n - 2), n)),
         delta=draw(st.sampled_from([0.0, 1e-3, 0.1])),
-        eta1=draw(etas), eta2=draw(etas), eta3=draw(etas),
+        eta1=draw(etas), eta2=draw(etas),
     )
     return inputs, targets, params
 
@@ -152,7 +152,7 @@ def drift_cases(draw):
     params = CondExpParams(
         n_centers=draw(st.integers(max(2, records - 3), records)),
         delta=draw(st.sampled_from([0.0, 1e-3, 0.1])),
-        eta1=draw(etas), eta2=draw(etas), eta3=draw(etas),
+        eta1=draw(etas), eta2=draw(etas),
     )
     far = draw(st.sampled_from([0.0, 1e3, 1e9]))
     return traj, stencil, params, np.vstack([points, points[:1] + far])

@@ -207,13 +207,15 @@ def test_simulate_rejects_non_finite_start(x0):
         simulate(make_spec("hopf"), x0, 10, 0.01, 0, burn_in=0)
 
 
-@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0])
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, True])
 def test_non_finite_or_zero_dt_rejected(dt):
-    # a NaN passes a range check written as `dt <= 0`, and an infinite step
-    # only failed later as a blow-up at sample index 1
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
+    # a NaN passes a range check written as `dt <= 0`, an infinite step
+    # only failed later as a blow-up at sample index 1, and a bool (a JSON
+    # true) is no step of 1, which a sidecar could not record
+    message = re.escape(f"dt must be positive and finite, got {dt}")
+    with pytest.raises(ValueError, match=message):
         simulate(make_spec("hopf"), [2.0, 0.0], 10, dt, 0, burn_in=0)
-    with pytest.raises(ValueError, match="dt must be positive and finite"):
+    with pytest.raises(ValueError, match=message):
         Trajectory(dt=dt, points=np.zeros((5, 2)))
 
 
@@ -270,6 +272,46 @@ def test_trajectory_roundtrip(tmp_path):
 
     sidecar = json.loads((tmp_path / "traj.meta.json").read_text())
     assert sidecar["system"] == "hopf"
+
+
+def test_numpy_seed_roundtrips(tmp_path):
+    # the path keeps a Python int, and a numpy integer handed to the sidecar
+    # directly is written as a JSON integer too
+    spec = make_spec("hopf", sigma_noise=0.2)
+    traj = simulate(spec, [2.0, 0.0], n_samples=10, dt=0.01, seed=np.int64(3), burn_in=0)
+    assert type(traj.seed) is int
+    np.testing.assert_array_equal(
+        traj.points, simulate(spec, [2.0, 0.0], n_samples=10, dt=0.01, seed=3, burn_in=0).points)
+    path = tmp_path / "traj.csv"
+    save_trajectory(Trajectory(dt=0.01, points=traj.points, seed=np.int64(3)), path, spec=spec,
+                    burn_in=np.int64(0), substeps=np.int32(1))
+    loaded, _, meta = load_trajectory(path)
+    np.testing.assert_array_equal(loaded.points, traj.points)
+    assert (meta["seed"], meta["burn_in"], meta["substeps"]) == (3, 0, 1)
+
+
+def test_bool_or_fractional_seed_rejected():
+    # as for CondExpParams.n_centers: a bool is never read as 1, a float
+    # never truncated
+    spec = make_spec("hopf")
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):
+        simulate(spec, [2.0, 0.0], 10, 0.01, True, burn_in=0)
+    with pytest.raises(TypeError):
+        simulate(spec, [2.0, 0.0], 10, 0.01, 3.0, burn_in=0)
+
+
+@pytest.mark.parametrize("entries, error", [
+    ({"seed": True}, ValueError), ({"burn_in": 2.5}, TypeError),
+    ({"substeps": False}, ValueError), ({"N": np.int64(6)}, TypeError),
+], ids=["bool-seed", "float-burn-in", "bool-substeps", "numpy-constant"])
+def test_refused_save_writes_no_file(tmp_path, entries, error):
+    # the sidecar is encoded before either file is written, so a value it
+    # cannot write leaves neither the CSV nor a sidecar behind
+    spec = make_spec("lorenz96", N=entries.pop("N", 6))
+    traj = Trajectory(dt=0.01, points=np.zeros((5, 6)), seed=entries.pop("seed", 0))
+    with pytest.raises(error):
+        save_trajectory(traj, tmp_path / "traj.csv", spec=spec, **entries)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_without_sidecar_infers_dt(tmp_path):
