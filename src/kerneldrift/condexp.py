@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .errors import NumericalError
 from .kernels import (
@@ -81,18 +82,21 @@ def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
                       delta: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Ridge solution of ``min || B a - g ||^2 + delta ||a||^2`` per column.
 
-    Uses the regularized normal equations with a Cholesky factorization;
+    Uses the regularized normal equations with one Cholesky factorization;
     for ``delta = 0`` falls back to a minimum-norm least-squares solve.
     ``B`` is a dense or a CSR array, ``g`` a dense (N, k) array.  The
     normal matrix ``B^T B``, the right-hand side ``B^T g`` and the
     residuals ``B a - g`` come from ``B`` as given: a CSR ``B`` gives them
     as sparse products, and only the (M, M) normal matrix is densified.
     Returns ``(coefficients, residual_norms, condition)`` with one column /
-    entry per target column and the condition number of the (regularized)
-    normal matrix.  The condition is ``lambda_max / lambda_min`` of that
-    symmetric matrix's eigenvalues, which agrees with the 2-norm condition
-    number ``np.linalg.cond`` computes by an SVD to rounding; it is ``inf``
-    when ``lambda_min <= 0``, as for a rank-deficient ``B`` at ``delta = 0``.
+    entry per target column and the 1-norm condition number
+    ``||A||_1 ||A^-1||_1`` of the (regularized) normal matrix ``A``.  For
+    ``delta > 0``, ``A^-1`` is inverted from the solve's own Cholesky
+    factor (LAPACK ``potri``), so no eigendecomposition is made; for
+    ``delta = 0`` the condition is ``np.linalg.cond(A, 1)``, ``inf`` when
+    ``A`` is singular, as for a rank-deficient ``B``.  It bounds the
+    2-norm condition (the eigenvalue ratio) within a factor of M:
+    ``kappa_1 / M <= kappa_2 <= M kappa_1``.
     """
     b, g = smoothed_sections, smoothed_targets
     normal = b.T @ b
@@ -101,18 +105,30 @@ def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
     rhs = b.T @ g
     try:
         if delta > 0:
-            normal = normal + delta * np.eye(b.shape[1])
-            coef = cho_solve(cho_factor(normal), rhs)
+            # B^T B is exactly symmetric, so its transpose is the same matrix
+            # in the Fortran order LAPACK factors and inverts in place
+            normal = normal.T
+            normal[np.diag_indices_from(normal)] += delta
+            norm = np.linalg.norm(normal, 1)
+            factor = cho_factor(normal, overwrite_a=True)
+            coef = cho_solve(factor, rhs)
+            inverse, info = dpotri(factor[0], overwrite_c=True)
+            if info != 0:
+                raise NumericalError(f"inverting the Cholesky factor failed: potri info {info}")
+            # potri fills the upper triangle of the symmetric inverse: column
+            # j's sum is its upper part plus row j's part right of the diagonal
+            upper = np.triu(np.abs(inverse, out=inverse))
+            sums = upper.sum(axis=0) + upper.sum(axis=1) - upper.diagonal()
+            condition = float(norm * sums.max())
         else:
             coef, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
+            condition = float(np.linalg.cond(normal, 1))
     except (np.linalg.LinAlgError, ValueError) as err:
         raise NumericalError(f"least-squares solve failed: {err}") from err
     if not np.isfinite(coef).all():
         bad = np.flatnonzero(~np.isfinite(coef).all(axis=0))
         raise NumericalError(f"least-squares solve produced non-finite coefficients "
                              f"for target column(s) {bad.tolist()}")
-    eigenvalues = np.linalg.eigvalsh(normal)
-    condition = float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0 else np.inf
     residuals = np.linalg.norm(b @ coef - g, axis=0)
     return coef, residuals, condition
 

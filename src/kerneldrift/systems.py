@@ -119,6 +119,8 @@ class Trajectory:
 
     ``points`` has shape (n_samples, d); sample k sits at time ``k * dt``.
     At least 4 samples are required (the increment stencil needs them).
+    A ``seed``, when given, is kept as a Python int: a bool is a
+    ValueError and a non-integer a TypeError.
     """
 
     dt: float
@@ -135,6 +137,8 @@ class Trajectory:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.isfinite(self.points).all():
             raise ValueError("trajectory contains non-finite points")
+        if self.seed is not None:
+            self.seed = _integer("seed", self.seed)
 
     @property
     def d(self) -> int:
@@ -227,7 +231,10 @@ def _integer(name: str, value) -> int:
     read as 1, and a non-integer a TypeError, never truncated."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value}")
-    return operator.index(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _start_state(spec: SystemSpec, x0) -> np.ndarray:
@@ -281,19 +288,22 @@ def simulate(
     Raises
     ------
     ValueError
-        If an argument is out of range, ``x0`` is not finite or ``seed`` is
-        a bool.
+        If an argument is out of range, ``x0`` is not finite or one of
+        ``n_samples``, ``seed``, ``burn_in`` and ``substeps`` is a bool.
     TypeError
-        If ``seed`` is not an integer.
+        If one of those four is not an integer.
     NumericalError
         If a recorded state is non-finite; the message names its index.
     """
     if isinstance(dt, bool) or not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    n_samples = _integer("n_samples", n_samples)
     if n_samples < 4:
         raise ValueError(f"n_samples must be at least 4, got {n_samples}")
+    substeps = _integer("substeps", substeps)
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
+    burn_in = _integer("burn_in", burn_in)
     if burn_in < 0:
         raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
     seed = _integer("seed", seed)  # the path keeps a Python int, which JSON can write

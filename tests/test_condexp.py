@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from kerneldrift import (CondExpParams, NumericalError, condexp, diffusion_model, kernels,
@@ -251,13 +252,54 @@ def test_solver_failure_raises():
         solve_regularized(b, np.ones((4, 1)), delta=0.1)
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.1])
+@pytest.mark.parametrize("delta", [0.0, 0.1, 10.0])
 def test_condition_matches_svd(delta):
+    # the 1-norm condition, read off the Cholesky factor for delta > 0
     rng = np.random.default_rng(12)
     b = rng.normal(size=(60, 8)) * np.logspace(0, 2, 8)
     _, _, condition = solve_regularized(b, rng.normal(size=(60, 1)), delta)
-    expected = np.linalg.cond(b.T @ b + delta * np.eye(8))
+    expected = np.linalg.cond(b.T @ b + delta * np.eye(8), 1)
     np.testing.assert_allclose(condition, expected, rtol=1e-8)
+
+
+def raise_eigen(*args, **kwargs):
+    raise AssertionError("an eigendecomposition was computed")
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_no_eigendecomposition(delta, monkeypatch):
+    # the solve factors once; its condition needs no eigenvalues
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (scipy.linalg, "eigh")):
+        monkeypatch.setattr(module, name, raise_eigen)
+    inputs = np.random.default_rng(16).normal(size=(400, 2))
+    _, coef, diagnostics = fit_targets(inputs, inputs[:, 0], CondExpParams(n_centers=40,
+                                                                            delta=delta))
+    assert np.isfinite(coef).all() and diagnostics["normal_condition"] > 1
+    b, g = sparse_design()
+    coef, _, condition = solve_regularized(b, g, delta)
+    assert np.isfinite(coef).all() and np.isfinite(condition)
+
+
+def test_condition_bounds_eigenvalue_ratio(monkeypatch):
+    # on a real fit's normal matrix the 1-norm condition lies within a factor
+    # of M of the 2-norm one: kappa_1 / M <= kappa_2 <= M kappa_1
+    designs = []
+    solve = condexp.solve_regularized
+
+    def spy(b, g, delta):
+        designs.append(b)
+        return solve(b, g, delta)
+
+    monkeypatch.setattr(condexp, "solve_regularized", spy)
+    inputs = np.random.default_rng(17).normal(size=(2000, 2))
+    params = CondExpParams(n_centers=200)
+    _, _, diagnostics = fit_targets(inputs, np.sin(inputs), params)
+    normal = (designs[0].T @ designs[0]).toarray() + params.delta * np.eye(200)
+    eigenvalues = np.linalg.eigvalsh(normal)
+    ratio = eigenvalues[-1] / eigenvalues[0]
+    condition = diagnostics["normal_condition"]
+    assert ratio / 200 <= condition <= 200 * ratio
+    np.testing.assert_allclose(condition, np.linalg.cond(normal, 1), rtol=1e-8)
 
 
 def test_condition_infinite_for_rank_deficient():

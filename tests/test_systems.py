@@ -276,12 +276,13 @@ def test_trajectory_roundtrip(tmp_path):
 
 def test_numpy_seed_roundtrips(tmp_path):
     # the path keeps a Python int, and a numpy integer handed to the sidecar
-    # directly is written as a JSON integer too
+    # directly is written as a JSON integer too; numpy counts keep the bits
     spec = make_spec("hopf", sigma_noise=0.2)
-    traj = simulate(spec, [2.0, 0.0], n_samples=10, dt=0.01, seed=np.int64(3), burn_in=0)
+    traj = simulate(spec, [2.0, 0.0], n_samples=np.int32(10), dt=0.01, seed=np.int64(3),
+                    burn_in=np.int64(2), substeps=np.int32(3))
     assert type(traj.seed) is int
-    np.testing.assert_array_equal(
-        traj.points, simulate(spec, [2.0, 0.0], n_samples=10, dt=0.01, seed=3, burn_in=0).points)
+    np.testing.assert_array_equal(traj.points, simulate(spec, [2.0, 0.0], n_samples=10, dt=0.01,
+                                                        seed=3, burn_in=2, substeps=3).points)
     path = tmp_path / "traj.csv"
     save_trajectory(Trajectory(dt=0.01, points=traj.points, seed=np.int64(3)), path, spec=spec,
                     burn_in=np.int64(0), substeps=np.int32(1))
@@ -296,8 +297,27 @@ def test_bool_or_fractional_seed_rejected():
     spec = make_spec("hopf")
     with pytest.raises(ValueError, match="seed must be an integer, got True"):
         simulate(spec, [2.0, 0.0], 10, 0.01, True, burn_in=0)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=re.escape("seed must be an integer, got 3.0")):
         simulate(spec, [2.0, 0.0], 10, 0.01, 3.0, burn_in=0)
+    # a path keeps its seed as an int from the start, so no bool is saved later
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):
+        Trajectory(dt=0.01, points=np.zeros((5, 2)), seed=True)
+    with pytest.raises(TypeError, match=re.escape("seed must be an integer, got 3.0")):
+        Trajectory(dt=0.01, points=np.zeros((5, 2)), seed=3.0)
+    assert type(Trajectory(dt=0.01, points=np.zeros((5, 2)), seed=np.int64(3)).seed) is int
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("n_samples", True, ValueError), ("n_samples", 10.0, TypeError),
+    ("burn_in", True, ValueError), ("burn_in", 1.5, TypeError),
+    ("substeps", True, ValueError), ("substeps", 2.0, TypeError),
+])
+def test_bool_or_fractional_count_rejected(name, value, error):
+    # a bool is never read as 1 (burn_in=True would drop one sample) and a
+    # float never truncated; the message names the argument and its value
+    args = {"n_samples": 10, "burn_in": 0, "substeps": 1, name: value}
+    with pytest.raises(error, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        simulate(make_spec("hopf"), [2.0, 0.0], dt=0.01, seed=0, **args)
 
 
 @pytest.mark.parametrize("entries, error", [
@@ -308,7 +328,10 @@ def test_refused_save_writes_no_file(tmp_path, entries, error):
     # the sidecar is encoded before either file is written, so a value it
     # cannot write leaves neither the CSV nor a sidecar behind
     spec = make_spec("lorenz96", N=entries.pop("N", 6))
-    traj = Trajectory(dt=0.01, points=np.zeros((5, 6)), seed=entries.pop("seed", 0))
+    traj = Trajectory(dt=0.01, points=np.zeros((5, 6)), seed=0)
+    # a path refuses a bool seed when it is built; one set afterwards is
+    # refused when it is saved
+    traj.seed = entries.pop("seed", 0)
     with pytest.raises(error):
         save_trajectory(traj, tmp_path / "traj.csv", spec=spec, **entries)
     assert list(tmp_path.iterdir()) == []
