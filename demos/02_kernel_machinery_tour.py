@@ -38,7 +38,7 @@ model = kd.diffusion_model(cloud, eps)
 kdiff, _ = kd.section_matrix(model, cloud)
 # left degrees at the centers: deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)
 raw = np.exp(-cdist(cloud, cloud, "sqeuclidean") / eps)
-raw[raw < model.theta_zero] = 0.0
+raw[raw < kd.kernels.THETA_ZERO] = 0.0
 deg_l = (raw * (1.0 / model.deg_r)).sum(axis=1) / len(cloud)
 rho = np.sqrt(deg_l / model.deg_r)
 ktilde = rho[:, None] * kdiff / rho[None, :]

@@ -31,7 +31,6 @@ from scipy.linalg.lapack import dpotri
 
 from .errors import NumericalError
 from .kernels import (
-    DEFAULT_THETA_ZERO,
     KernelModel,
     _section_blocks,
     diffusion_model,
@@ -51,8 +50,8 @@ class CondExpParams:
     of the smoothing matrix and the expansion kernel (defaults follow the
     benchmark tuning: 0.3% / 1%); the Markov matrix keeps 1% of pairs.
     ``delta`` is the ridge; ``n_centers``, an integer of at least 2, the
-    number of kernel centers, every (N // M)-th input.  Every Gaussian of
-    the fit drops values below the one zero threshold ``DEFAULT_THETA_ZERO``.
+    number of kernel centers, every (N // M)-th input.  No knob sets the
+    zero threshold: it is the constant ``kernels.THETA_ZERO``.
     """
 
     eta1: float = 0.003
@@ -141,8 +140,7 @@ def fit_targets(inputs, targets, params: CondExpParams
     share the bandwidths, smoothing matrices, centers (every (N // M)-th
     input; ``M > N`` raises ``ValueError``) and the factorization of the
     normal equations; one ``select_bandwidth`` call on one distance sample
-    gives eps1, eps3 at ``_ETA3`` and eps2.  Every Gaussian is thresholded
-    at ``DEFAULT_THETA_ZERO``, which the kernel model records.  Returns
+    gives eps1, eps3 at ``_ETA3`` and eps2.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -161,7 +159,7 @@ def fit_targets(inputs, targets, params: CondExpParams
 
     eps1, eps3, eps2 = select_bandwidth(inputs, (params.eta1, _ETA3, params.eta2))
 
-    kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2, DEFAULT_THETA_ZERO)
+    kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2)
     # the sections keep about 1% of their entries: they are evaluated one
     # row block at a time and kept as CSR
     sections = sp.vstack([sp.csr_array(section_matrix(kernel, inputs[rows])[0])
@@ -170,10 +168,9 @@ def fit_targets(inputs, targets, params: CondExpParams
     # one eps3 pass applies the Markov matrix to the kernel sections and
     # the smoothed targets together, as a sparse product that stays CSR;
     # only the k target columns are densified
-    smoothed_y = markov_apply(inputs, inputs, eps1, y, DEFAULT_THETA_ZERO)
+    smoothed_y = markov_apply(inputs, inputs, eps1, y)
     stacked = markov_apply(inputs, inputs, eps3,
-                           sp.hstack([sections, sp.csr_array(smoothed_y)], format="csr"),
-                           DEFAULT_THETA_ZERO)
+                           sp.hstack([sections, sp.csr_array(smoothed_y)], format="csr"))
     b = stacked[:, : kernel.n_centers]
     g = stacked[:, kernel.n_centers :].toarray()
     coef, residuals, condition = solve_regularized(b, g, params.delta)

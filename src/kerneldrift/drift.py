@@ -28,7 +28,7 @@ import numpy as np
 
 from . import condexp
 from .condexp import CondExpParams
-from .kernels import KernelModel, _section_blocks, section_matrix
+from .kernels import THETA_ZERO, KernelModel, _section_blocks, section_matrix
 from .systems import Trajectory
 
 # forward-difference weights at offsets 0, 1, 2, 3
@@ -113,7 +113,7 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"points have shape {points.shape}, model expects (n, {model.d})")
     n, d = points.shape
     if model.stencil is not None:
-        points = points[:, np.array(model.stencil.left)].reshape(n * d, model.stencil.m)
+        points = model.stencil.records(points)
     # row-wise reduction (not a BLAS product) so identical section rows give
     # bitwise-identical values regardless of row position: a batch matches
     # batches of one, and cyclic shifts of the state permute a stencil
@@ -165,6 +165,11 @@ class Stencil:
     def d(self) -> int:
         return len(self.left)
 
+    def records(self, states: np.ndarray) -> np.ndarray:
+        """The (n * d, m) records of (n, d) states, fitted and predicted alike:
+        row ``k * d + i`` is ``states[k, Left(i)]``."""
+        return states[:, np.array(self.left)].reshape(-1, self.m)
+
     @classmethod
     def cyclic(cls, d: int, offsets: Sequence[int] = (-2, -1, 0, 1)) -> "Stencil":
         """Same offset pattern around every coordinate, indices mod d.
@@ -205,16 +210,8 @@ def extract_snapshots(traj: Trajectory, stencil: Stencil) -> SnapshotSet:
     if stencil.d != traj.d:
         raise ValueError(f"stencil is for d={stencil.d}, trajectory has d={traj.d}")
     base, rates = increment_targets(traj)
-    n = len(base)
-    d = traj.d
-    left = np.array(stencil.left)  # (d, m)
-    inputs = base[:, left]  # (n, d, m)
-    targets = rates  # (n, d)
-    return SnapshotSet(
-        inputs=inputs.reshape(n * d, stencil.m),
-        targets=targets.reshape(n * d),
-        stencil=stencil,
-    )
+    return SnapshotSet(inputs=stencil.records(base), targets=rates.reshape(-1),
+                       stencil=stencil)
 
 
 def estimate_drift_sparse(snapshots: SnapshotSet, params: CondExpParams
@@ -228,14 +225,14 @@ def estimate_drift_sparse(snapshots: SnapshotSet, params: CondExpParams
 
 
 def save_drift_model(model: DriftModel, path) -> None:
-    """Write a drift model as JSON: the kernel's bandwidth, threshold and
-    centers, the (k, M) coefficients and the stencil."""
+    """Write a drift model as JSON: the kernel's bandwidth, threshold
+    (``THETA_ZERO``) and centers, the (k, M) coefficients and the stencil."""
     kernel, stencil = model.kernel, model.stencil
     payload = {
         "kernel": {
             "kind": "diffusion",
             "epsilon": kernel.epsilon,
-            "theta_zero": kernel.theta_zero,
+            "theta_zero": THETA_ZERO,
             "centers": kernel.centers.tolist(),
         },
         "coefficients": model.coefficients.tolist(),
@@ -261,23 +258,26 @@ def _numbers(entry, name):
 def load_drift_model(path) -> DriftModel:
     """Read a drift model written by :func:`save_drift_model`.
 
-    The kernel is rebuilt from its bandwidth, threshold and centers, which
-    it checks; its degrees and center table are derived from them, never
-    read.  Older files load too: their ``dt`` and ``type`` keys and kernel
-    ``deg_r``, ``deg_l`` and ``w`` entries are ignored, and a shared unit's
-    1-D coefficient vector becomes one row.  Entries are passed on as read,
-    never coerced: the coefficients and centers hold JSON numbers alone,
-    and the objects the entries build reject a wrong type or value.  A file
-    that does not decode, holds a string, bool or null among its numbers,
-    or that such an object rejects is a ValueError named by the file's path.
+    The kernel is rebuilt from its bandwidth and centers, which it checks;
+    its degrees and center table are derived from them, never read, and its
+    threshold must be ``THETA_ZERO``.  Older files load too: their ``dt``
+    and ``type`` keys and kernel ``deg_r``, ``deg_l`` and ``w`` entries are
+    ignored, and a shared unit's 1-D coefficient vector becomes one row.
+    Entries are passed on as read, never coerced: the coefficients and
+    centers hold JSON numbers alone, and the objects the entries build
+    reject a wrong type or value.  A file that does not decode, holds a
+    string, bool or null among its numbers, or that such an object rejects
+    is a ValueError named by the file's path.
     """
     try:
         data = json.loads(Path(path).read_text())
         kernel, st = data["kernel"], data.get("stencil")
         if kernel["kind"] != "diffusion":
             raise ValueError(f"unknown kernel kind {kernel['kind']!r}; expected 'diffusion'")
+        if (theta := kernel["theta_zero"]) != THETA_ZERO:
+            raise ValueError(f"theta_zero must be THETA_ZERO = {THETA_ZERO}, got {theta!r}")
         return DriftModel(
-            kernel=KernelModel(epsilon=kernel["epsilon"], theta_zero=kernel["theta_zero"],
+            kernel=KernelModel(epsilon=kernel["epsilon"],
                                centers=_numbers(kernel["centers"], "centers")),
             coefficients=np.atleast_2d(np.asarray(_numbers(data["coefficients"],
                                                            "coefficients"), dtype=float)),

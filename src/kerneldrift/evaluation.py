@@ -56,20 +56,27 @@ def relative_l2_error(predict, truth, test_points) -> ErrorReport:
     return _score(predict, truth, test_points)[0]
 
 
+def _errors(predict, truth, test_points) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(predicted - true, true, flags)`` at (n, d) test points; fields of
+    different shapes are a ValueError, never broadcast."""
+    test_points = np.asarray(test_points, dtype=float)
+    predicted, flags = _evaluate(predict, test_points)
+    actual, _ = _evaluate(truth, test_points)
+    if predicted.shape != actual.shape:
+        raise ValueError(f"field shapes differ: {predicted.shape} vs {actual.shape}")
+    return predicted - actual, actual, flags
+
+
 def _score(predict, truth, test_points) -> tuple[ErrorReport, np.ndarray]:
     """:func:`relative_l2_error`'s report and the (n, d) signed errors
     ``predicted - true`` behind it, from one prediction of the cloud."""
     test_points = np.asarray(test_points, dtype=float)
     if test_points.ndim != 2 or len(test_points) == 0:
         raise ValueError("test_points must be a nonempty (n, d) array")
-    predicted, flags = _evaluate(predict, test_points)
-    actual, _ = _evaluate(truth, test_points)
-    if predicted.shape != actual.shape:
-        raise ValueError(f"field shapes differ: {predicted.shape} vs {actual.shape}")
+    diff, actual, flags = _errors(predict, truth, test_points)
     truth_norm = np.sqrt(np.sum(actual**2))
     if truth_norm == 0.0:
         raise ValueError("true field vanishes on every test point")
-    diff = predicted - actual
     report = ErrorReport(
         relative_l2=float(np.sqrt(np.sum(diff**2)) / truth_norm),
         per_coordinate_rmse=np.sqrt(np.mean(diff**2, axis=0)),
@@ -81,10 +88,7 @@ def _score(predict, truth, test_points) -> tuple[ErrorReport, np.ndarray]:
 
 def pointwise_errors(predict, truth, test_points) -> np.ndarray:
     """Absolute per-point, per-coordinate errors, shape (n, d)."""
-    test_points = np.asarray(test_points, dtype=float)
-    predicted, _ = _evaluate(predict, test_points)
-    actual, _ = _evaluate(truth, test_points)
-    return np.abs(predicted - actual)
+    return np.abs(_errors(predict, truth, test_points)[0])
 
 
 @dataclass
@@ -110,9 +114,9 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     arrays, so the same bits.
     """
     x0 = systems_mod._start_state(spec, x0)
-    if not (0 < dt < np.inf and np.isfinite(horizon)):
-        raise ValueError(f"dt must be positive and finite and horizon finite, "
-                         f"got dt={dt}, horizon={horizon}")
+    systems_mod._check_dt(dt)
+    if not np.isfinite(horizon):
+        raise ValueError(f"dt must be positive and finite and horizon finite, got {horizon=}")
     n_steps = int(round(horizon / dt))
     if n_steps < 3:
         raise ValueError("horizon must cover at least 3 steps")

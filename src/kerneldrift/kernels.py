@@ -1,11 +1,12 @@
 """Gaussian-derived kernels over point clouds.
 
 Two operators are built from the squared-exponential kernel
-``g(x, y) = exp(-|x - y|^2 / epsilon)``, with raw values below a zero
-threshold ``theta_zero`` dropped before any normalization.  The raw values
-of a cloud with itself come from the radius neighbours a k-d tree lists
-(:func:`_gaussian_pairs`), since ``g >= theta_zero`` exactly when
-``|x - y|^2 <= epsilon * ln(1 / theta_zero)``; those against another point
+``g(x, y) = exp(-|x - y|^2 / epsilon)``, with raw values below the one
+zero threshold ``THETA_ZERO``, the constant :func:`select_bandwidth`
+assumes, dropped before any normalization.  The raw values of a cloud
+with itself come from the radius neighbours a k-d tree lists
+(:func:`_gaussian_pairs`), since ``g >= THETA_ZERO`` exactly when
+``|x - y|^2 <= epsilon * ln(1 / THETA_ZERO)``; those against another point
 set from one ``cdist`` block of squared distances (:func:`_gaussian_block`).
 Either way the threshold test keeps exactly the entries a dense evaluation
 keeps:
@@ -18,12 +19,12 @@ keeps:
   ``k(x, y) = g(x, y) / (deg_l(x) * deg_r(y))`` with right degree
   ``deg_r(x) = mean_j g(x, c_j)`` and left degree
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
-  empirical measure of the centers.  A model is its ``epsilon``,
-  ``theta_zero`` and centers alone: when a fit or a load makes one, it
-  derives ``deg_r`` and a CSR table of the raw rows at the centers from
-  the centers' own block, and persists neither; the left degree is
-  computed for each query.  Its sections (:func:`section_matrix`) are
-  dense rows over the centers and the one evaluator of a kernel expansion:
+  empirical measure of the centers.  A model is its ``epsilon`` and
+  centers alone: when a fit or a load makes one, it derives ``deg_r`` and
+  a CSR table of the raw rows at the centers from the centers' own block,
+  and persists neither; the left degree is computed for each query.  Its
+  sections (:func:`section_matrix`) are dense rows over the centers and
+  the one evaluator of a kernel expansion:
   ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
   query with no raw value at or above the threshold takes the raw row of
   its nearest center from the table.  A large batch goes one row block at
@@ -50,7 +51,7 @@ from scipy.spatial.distance import cdist, pdist
 
 from .errors import NumericalError
 
-DEFAULT_THETA_ZERO = 1e-14
+THETA_ZERO = 1e-14
 
 # a sum of fewer than 10^8 squared coordinate gaps below this stays finite
 _SAFE_GAP = 1e150
@@ -66,17 +67,16 @@ _PAIR_CHUNK = 1 << 16
 class KernelModel:
     """The diffusion kernel fitted over a set of center points.
 
-    A model is its bandwidth ``epsilon``, zero threshold ``theta_zero`` and
-    (M, d) ``centers``; every fit and every load builds it the same way.
-    When it is made it checks the centers and derives the rest, none of it
-    persisted: the centers' bounding box, against which queries are
-    checked; and, from the centers' own block of raw values, the right
-    degrees ``deg_r``, their reciprocals and the CSR table of raw rows that
-    an extrapolated query copies.
+    A model is its bandwidth ``epsilon`` and (M, d) ``centers``, M >= 2;
+    every fit and every load builds it the same way.  When it is made it
+    checks the centers and derives the rest, none of it persisted: the
+    centers' bounding box, against which queries are checked; and, from
+    the centers' own block of raw values, the right degrees ``deg_r``,
+    their reciprocals and the CSR table of raw rows that an extrapolated
+    query copies.
     """
 
     epsilon: float
-    theta_zero: float
     centers: np.ndarray
 
     # derived from the fields; not persisted, compared or passed in
@@ -87,17 +87,19 @@ class KernelModel:
     _table: sp.csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_kernel(self.epsilon, self.theta_zero)
+        _check_epsilon(self.epsilon)
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim != 2 or not centers.size:
             raise ValueError(f"centers must be a non-empty (M, d) array, got shape "
                              f"{centers.shape}")
+        if len(centers) < 2:
+            raise ValueError(f"a diffusion kernel needs at least 2 centers, got {len(centers)}")
         median = np.median(centers, axis=0)
         _check_points(centers, median, median, "center", "the other centers")
         self.centers = centers
         self._lo, self._hi = centers.min(axis=0), centers.max(axis=0)
         # the raw rows g(c_i, c_j) among the centers; each keeps its own 1
-        raw = _gaussian_block(centers, centers, self.epsilon, self.theta_zero)[1]
+        raw = _gaussian_block(centers, centers, self.epsilon)[1]
         self.deg_r = raw.sum(axis=1) / len(centers)
         self._inv_deg_r = 1.0 / self.deg_r
         self._table = sp.csr_array(raw)
@@ -112,16 +114,15 @@ class KernelModel:
 
 
 def select_bandwidth(data, eta: float | Sequence[float],
-                     theta_zero: float = DEFAULT_THETA_ZERO,
                      subsample_fraction: float = 0.1) -> float | np.ndarray:
     """Pick epsilon so that a fraction ``eta`` of pairwise kernel values
-    on a subsample exceeds the zero threshold ``theta_zero``.
+    on a subsample exceeds the zero threshold ``THETA_ZERO``.
 
     Squared distances are measured on a strided subsample of the data of
     relative size ``subsample_fraction`` (every step-th point, at least 2).
-    With ``theta = 1 / ln(1 / theta_zero)`` the returned bandwidth is
+    With ``theta = 1 / ln(1 / THETA_ZERO)`` the returned bandwidth is
     ``theta * q``, where ``q`` is the eta-quantile of the subsample's
-    pairwise squared distances: ``exp(-s / epsilon) >= theta_zero`` exactly
+    pairwise squared distances: ``exp(-s / epsilon) >= THETA_ZERO`` exactly
     when ``s <= q``.  ``eta`` is one target or, as for ``np.quantile``, a
     sequence of them: a sequence gives an array of bandwidths, each ``==``
     its scalar call, from one subsample, one ``pdist`` and one partition;
@@ -139,8 +140,6 @@ def select_bandwidth(data, eta: float | Sequence[float],
     for e in etas:
         if not 0 < e < 1:
             raise ValueError(f"eta must lie in (0, 1), got {e}")
-    if not 0 < theta_zero < 1:
-        raise ValueError(f"theta_zero must lie in (0, 1), got {theta_zero}")
     if not 0 < subsample_fraction <= 1:
         raise ValueError(f"subsample_fraction must lie in (0, 1], got {subsample_fraction}")
     data = np.asarray(data, dtype=float)
@@ -151,7 +150,7 @@ def select_bandwidth(data, eta: float | Sequence[float],
         raise ValueError(f"data point {np.argmin(finite)} is not finite")
     step = max(1, len(data) // max(2, int(round(len(data) * subsample_fraction))))
     sq = pdist(data[::step], "sqeuclidean")
-    theta = 1.0 / np.log(1.0 / theta_zero)
+    theta = 1.0 / np.log(1.0 / THETA_ZERO)
     with np.errstate(invalid="ignore"):  # inf - inf between overflowed distances
         # partitioned in place: the distances are held once, not copied
         quantiles = np.quantile(sq, eta, overwrite_input=True)
@@ -166,20 +165,20 @@ def select_bandwidth(data, eta: float | Sequence[float],
 
 
 def markov_apply(rows, cols, epsilon: float, values,
-                 theta_zero: float = DEFAULT_THETA_ZERO) -> np.ndarray | sp.csr_array:
+                 theta_zero: float = THETA_ZERO) -> np.ndarray | sp.csr_array:
     """Apply the row-stochastic Gaussian kernel matrix of one point cloud to
     the columns of ``values``.
 
     ``rows`` is the (N, d) cloud; ``cols`` must hold the same points (the
-    same array or an equal one) and stays because ``perfbench``'s
-    ``markov_pass`` hook binds both names.  Entry (i, j) is
-    ``g(x_i, x_j) / sum_j' g(x_i, x_j')`` over the raw values at or above
-    ``theta_zero`` (:func:`_gaussian_pairs`), each CSR row in column order.
-    A row keeps its own point with ``g = 1``, so no row sum is zero: a
-    point beyond the cutoff from all others keeps its own value.  Dense
-    (N, k) ``values`` give a dense result; a 2-d ``scipy.sparse`` array
-    gives CSR, each stored entry of the sparse product divided by its row
-    sum, whose ``toarray()`` is the dense result.
+    same array or an equal one) and ``theta_zero`` must be ``THETA_ZERO``:
+    both stay because ``perfbench``'s ``markov_pass`` hook binds them.
+    Entry (i, j) is ``g(x_i, x_j) / sum_j' g(x_i, x_j')`` over the raw
+    values at or above ``THETA_ZERO`` (:func:`_gaussian_pairs`), each CSR
+    row in column order.  A row keeps its own point with ``g = 1``, so no
+    row sum is zero: a point beyond the cutoff from all others keeps its
+    own value.  Dense (N, k) ``values`` give a dense result; a 2-d
+    ``scipy.sparse`` array gives CSR, each stored entry of the sparse
+    product divided by its row sum, whose ``toarray()`` is the dense result.
 
     The kernel's CSR holds the pairs' int32 columns and float64 values
     uncopied, with an int32 ``indptr`` while fewer than 2**31 pairs are
@@ -189,10 +188,10 @@ def markov_apply(rows, cols, epsilon: float, values,
     Raises
     ------
     ValueError
-        If ``epsilon`` or ``theta_zero`` is out of range, ``values`` is not
-        a finite (N, k) array, ``cols`` holds other points, a point is not
-        finite or so far out that squared distances overflow, or N is 2**31
-        or more.
+        If ``epsilon`` is out of range, ``theta_zero`` is not
+        ``THETA_ZERO``, ``values`` is not a finite (N, k) array, ``cols``
+        holds other points, a point is not finite or so far out that squared
+        distances overflow, or N is 2**31 or more.
     """
     points = np.asarray(rows, dtype=float)
     if sp.issparse(values):
@@ -201,7 +200,9 @@ def markov_apply(rows, cols, epsilon: float, values,
     else:
         values = np.asarray(values, dtype=float)
         finite = np.isfinite(values).all()
-    _check_kernel(epsilon, theta_zero)
+    _check_epsilon(epsilon)
+    if theta_zero != THETA_ZERO:
+        raise ValueError(f"theta_zero must be THETA_ZERO = {THETA_ZERO}, got {theta_zero}")
     if points.ndim != 2 or values.ndim != 2 or values.shape[0] != len(points):
         raise ValueError(f"rows {points.shape} and values {values.shape} must be "
                          "(N, d) and (N, k) arrays")
@@ -219,7 +220,7 @@ def markov_apply(rows, cols, epsilon: float, values,
     if not (cols is rows or np.array_equal(cols, points)):
         raise ValueError("cols must hold the same points as rows")
 
-    i, j, g = _gaussian_pairs(points, epsilon, theta_zero)
+    i, j, g = _gaussian_pairs(points, epsilon)
     # row r starts at the first pair whose i is at least r; an int32 indptr,
     # while the pair count fits, lets the CSR keep the int32 j uncopied
     indptr = np.empty(n + 1, dtype=np.int32 if len(i) < 2**31 else np.int64)
@@ -236,51 +237,49 @@ def markov_apply(rows, cols, epsilon: float, values,
     return out
 
 
-def _check_kernel(epsilon: float, theta_zero: float) -> None:
+def _check_epsilon(epsilon: float) -> None:
     # a JSON true is no bandwidth of 1, and an infinite one keeps every pair
     if isinstance(epsilon, bool) or not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not 0 < theta_zero < 1:
-        raise ValueError(f"theta_zero must lie in (0, 1), got {theta_zero}")
 
 
-def _gaussian(sq: np.ndarray, epsilon: float, theta_zero: float) -> np.ndarray:
-    """``exp(-sq / epsilon)`` of squared distances, zero below ``theta_zero``,
+def _gaussian(sq: np.ndarray, epsilon: float) -> np.ndarray:
+    """``exp(-sq / epsilon)`` of squared distances, zero below ``THETA_ZERO``,
     written over ``sq`` and returned."""
     sq /= -epsilon  # the same bits as exp(-sq / epsilon)
     np.exp(sq, out=sq)
-    sq[sq < theta_zero] = 0.0
+    sq[sq < THETA_ZERO] = 0.0
     return sq
 
 
-def _cutoff(epsilon: float, theta_zero: float) -> float:
-    """The distance ``sqrt(epsilon * ln(1 / theta_zero))`` beyond which ``g``
-    falls below ``theta_zero``, with a relative pad of 1e-12: every pair
-    whose ``g`` reaches ``theta_zero`` lies within it, rounding included."""
-    return math.sqrt(epsilon * math.log(1.0 / theta_zero)) * (1.0 + 1e-12)
+def _cutoff(epsilon: float) -> float:
+    """The distance ``sqrt(epsilon * ln(1 / THETA_ZERO))`` beyond which ``g``
+    falls below ``THETA_ZERO``, with a relative pad of 1e-12: every pair
+    whose ``g`` reaches ``THETA_ZERO`` lies within it, rounding included."""
+    return math.sqrt(epsilon * math.log(1.0 / THETA_ZERO)) * (1.0 + 1e-12)
 
 
-def _gaussian_block(points: np.ndarray, others: np.ndarray, epsilon: float,
-                    theta_zero: float) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_block(points: np.ndarray, others: np.ndarray, epsilon: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """The squared distances ``sq = cdist(points, others, "sqeuclidean")``
-    and the raw block ``g(points[i], others[j])``, zero below ``theta_zero``.
+    and the raw block ``g(points[i], others[j])``, zero below ``THETA_ZERO``.
 
     ``exp`` is taken only within :func:`_cutoff`: far beyond it ``exp``
     underflows, which is slow.  ``cdist`` computes each entry alone, so a
     row is the same alone or in any block.
     """
     sq = cdist(points, others, "sqeuclidean")
-    near = sq <= _cutoff(epsilon, theta_zero) ** 2
+    near = sq <= _cutoff(epsilon) ** 2
     raw = np.zeros_like(sq)
-    raw[near] = _gaussian(sq[near], epsilon, theta_zero)
+    raw[near] = _gaussian(sq[near], epsilon)
     return sq, raw
 
 
-def _gaussian_pairs(points: np.ndarray, epsilon: float, theta_zero: float
+def _gaussian_pairs(points: np.ndarray, epsilon: float
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate pairs ``(i, j, g)`` of a cloud of ``n < 2**31`` points with
     itself, in canonical CSR order, with ``g = g(points[i], points[j])``
-    where it is at or above ``theta_zero`` and 0 where it is not.
+    where it is at or above ``THETA_ZERO`` and 0 where it is not.
 
     One ``query_pairs`` over a k-d tree of the points, at :func:`_cutoff`'s
     radius, lists each unordered pair once; keyed in both orientations plus
@@ -299,7 +298,7 @@ def _gaussian_pairs(points: np.ndarray, epsilon: float, theta_zero: float
     the keys below ``2**62`` and the indices in int32; a larger cloud is a
     ValueError.
     """
-    n, radius = len(points), _cutoff(epsilon, theta_zero)
+    n, radius = len(points), _cutoff(epsilon)
     if n >= 2**31:
         raise ValueError(f"a cloud of {n} points has indices beyond int32 (n < 2**31)")
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
@@ -326,7 +325,7 @@ def _gaussian_pairs(points: np.ndarray, epsilon: float, theta_zero: float
             gap -= column.take(right)
             gap *= gap
             sq += gap
-        _gaussian(sq, epsilon, theta_zero)
+        _gaussian(sq, epsilon)
     return i, j, g
 
 
@@ -355,17 +354,13 @@ def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,
                          f"(squared distances overflow): {points[bad].tolist()}")
 
 
-def diffusion_model(data, epsilon: float, theta_zero: float = DEFAULT_THETA_ZERO
-                    ) -> KernelModel:
+def diffusion_model(data, epsilon: float) -> KernelModel:
     """Fit the degree-normalized diffusion kernel with ``data`` as centers.
 
     Degrees are means against the empirical measure of ``data``; every
     point has a degree of at least ``1 / len(data)`` from its own entry.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or len(data) < 2:
-        raise ValueError("data must be a 2-d array with at least 2 points")
-    return KernelModel(epsilon=epsilon, theta_zero=theta_zero, centers=data)
+    return KernelModel(epsilon=epsilon, centers=data)
 
 
 def _normalise(model: KernelModel, raw: np.ndarray) -> np.ndarray:
@@ -425,7 +420,7 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         )
     _check_points(points, model._lo, model._hi, "query", "every center")
 
-    sq, raw = _gaussian_block(points, model.centers, model.epsilon, model.theta_zero)
+    sq, raw = _gaussian_block(points, model.centers, model.epsilon)
     extrapolated = ~raw.any(axis=1)
     if extrapolated.any():
         table = model._table

@@ -133,8 +133,7 @@ class Trajectory:
             raise ValueError("points must be a 2-d array (n_samples, d)")
         if len(self.points) < 4:
             raise ValueError(f"trajectory needs at least 4 samples, got {len(self.points)}")
-        if isinstance(self.dt, bool) or not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _check_dt(self.dt)
         if not np.isfinite(self.points).all():
             raise ValueError("trajectory contains non-finite points")
         if self.seed is not None:
@@ -237,6 +236,12 @@ def _integer(name: str, value) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _check_dt(dt) -> None:
+    """Reject a ``dt`` that is no positive finite number; a bool is no step of 1."""
+    if isinstance(dt, bool) or not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 def _start_state(spec: SystemSpec, x0) -> np.ndarray:
     """``x0`` as a float array, rejected unless it is one finite state of ``spec``."""
     x0 = np.asarray(x0, dtype=float)
@@ -295,8 +300,7 @@ def simulate(
     NumericalError
         If a recorded state is non-finite; the message names its index.
     """
-    if isinstance(dt, bool) or not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    _check_dt(dt)
     n_samples = _integer("n_samples", n_samples)
     if n_samples < 4:
         raise ValueError(f"n_samples must be at least 4, got {n_samples}")
@@ -409,9 +413,8 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
             if None not in (least, value) and value < least:
                 raise ValueError(f"metadata sidecar entry {key!r} must be at least {least}, "
                                  f"got {value}")
-        dt = meta.get("dt")
-        if dt is not None and not 0 < dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if (dt := meta.get("dt")) is not None:
+            _check_dt(dt)
         if "system" in meta:  # passed on as read, never coerced: SystemSpec checks them
             try:
                 spec = SystemSpec(name=meta["system"], params=meta["params"],

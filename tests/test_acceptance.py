@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist, pdist
 
 import kerneldrift as kd
 from kerneldrift import cli
-from kerneldrift.kernels import DEFAULT_THETA_ZERO, markov_apply
+from kerneldrift.kernels import THETA_ZERO, markov_apply
 from kerneldrift.systems import Trajectory
 
 DT = 0.01
@@ -123,8 +123,8 @@ def test_criterion_4_stencil_exactness():
 def test_criterion_5_kernel_property_suite():
     rng = np.random.default_rng(42)
     data = rng.normal(size=(200, 3))
-    eta, theta_zero = 0.3, DEFAULT_THETA_ZERO
-    eps = kd.select_bandwidth(data, eta, theta_zero, subsample_fraction=1.0)
+    eta, theta_zero = 0.3, THETA_ZERO
+    eps = kd.select_bandwidth(data, eta, subsample_fraction=1.0)
 
     markov = markov_apply(data, data, eps, np.eye(len(data)))
     row_gap = np.abs(markov.sum(axis=1) - 1.0).max()

@@ -368,9 +368,9 @@ def test_blocked_sections_feed_eps3_pass(monkeypatch):
     passes = []
     markov_apply = condexp.markov_apply
 
-    def spy(rows, cols, epsilon, values, theta_zero):
+    def spy(rows, cols, epsilon, values):
         passes.append(values)
-        return markov_apply(rows, cols, epsilon, values, theta_zero)
+        return markov_apply(rows, cols, epsilon, values)
 
     monkeypatch.setattr(condexp, "markov_apply", spy)
     kernel, _, _ = fit_targets(x, y, CondExpParams(n_centers=40))

@@ -25,7 +25,7 @@ from kerneldrift.drift import (
     load_drift_model,
     save_drift_model,
 )
-from kerneldrift.kernels import _BLOCK_ROWS, section_matrix
+from kerneldrift.kernels import _BLOCK_ROWS, THETA_ZERO, section_matrix
 from kerneldrift.systems import Trajectory
 
 
@@ -96,6 +96,17 @@ class TestStencil:
             Stencil(m=2, left=((0, 0), (1, 0)))  # repeated index
         with pytest.raises(ValueError):
             Stencil(m=2, left=((0, 5), (1, 0)))  # out of range
+
+    def test_records_layout(self):
+        # row k * d + i holds states[k, Left(i)]: the one layout of the
+        # fitted snapshot records and of a stencil prediction's queries
+        st = Stencil(m=2, left=((1, 0), (2, 1), (0, 2)))
+        states = np.arange(12.0).reshape(4, 3)
+        expected = [[states[k, j] for j in st.left[i]] for k in range(4) for i in range(3)]
+        np.testing.assert_array_equal(st.records(states), expected)
+        traj = Trajectory(dt=0.1, points=states)
+        np.testing.assert_array_equal(extract_snapshots(traj, st).inputs,
+                                      st.records(states[:1]))
 
 
 class TestSnapshots:
@@ -329,12 +340,12 @@ def _parent_format_payload(model):
     entries and a 1-D shared-unit coefficient vector."""
     k = model.kernel
     raw = np.exp(-cdist(k.centers, k.centers, "sqeuclidean") / k.epsilon)
-    raw[raw < k.theta_zero] = 0.0
+    raw[raw < THETA_ZERO] = 0.0
     deg_l = (raw * (1.0 / k.deg_r)).sum(axis=1) / k.n_centers
     kernel = {
         "kind": "diffusion",
         "epsilon": k.epsilon,
-        "theta_zero": k.theta_zero,
+        "theta_zero": THETA_ZERO,
         "centers": k.centers.tolist(),
         "deg_r": k.deg_r.tolist(),
         "deg_l": deg_l.tolist(),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ def test_pointwise_errors_perfect_and_biased():
     np.testing.assert_allclose(table[:, 1], 0.7, atol=1e-12)
 
 
+def test_mis_shaped_truth_rejected_not_broadcast():
+    # an (n, 1) truth against an (n, 2) prediction: the table and the report
+    # reject it alike, rather than broadcast it to (n, 2)
+    spec = make_spec("hopf")
+    pts = np.random.default_rng(5).normal(size=(5, 2))
+    column = lambda points: eval_drift(spec, points)[:, :1]
+    message = re.escape("field shapes differ: (5, 2) vs (5, 1)")
+    with pytest.raises(ValueError, match=message):
+        pointwise_errors(system_field(spec), column, pts)
+    with pytest.raises(ValueError, match=message):
+        relative_l2_error(system_field(spec), column, pts)
+
+
 def test_hopf_error_concentrates_off_cycle(hopf_setup):
     spec, model, _ = hopf_setup
     angles = np.linspace(0, 2 * np.pi, 40, endpoint=False)
@@ -182,6 +196,18 @@ class TestCompareOrbits:
         oracle = lambda points: eval_drift(spec, points)
         with pytest.raises(ValueError, match="dt must be positive"):
             compare_orbits(spec, oracle, np.ones(3), horizon=horizon, dt=dt)
+
+    def test_bool_step_rejected_before_any_step(self):
+        # a JSON true is no step of 1, which diverges on Lorenz 63: the
+        # argument is rejected before either field is evaluated
+        spec = make_spec("lorenz63", sigma_noise=0.0)
+
+        def unreachable(points):
+            raise AssertionError("a field was evaluated")
+
+        with pytest.raises(ValueError, match=re.escape(
+                "dt must be positive and finite, got True")):
+            compare_orbits(spec, unreachable, np.ones(3), horizon=50.0, dt=True)
 
 
 def reference_orbits(spec, model, x0, horizon, dt):

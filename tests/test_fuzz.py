@@ -129,10 +129,8 @@ def test_fit_targets_fuzz(case):
     # the coefficients solve them to rounding.  A minimum-norm solve at
     # delta = 0 drops directions below eps * M of the largest eigenvalue,
     # which leaves up to about sqrt(eps * M) of the scale.
-    theta = kernel.theta_zero
-    smoothed = markov_apply(inputs, inputs, diagnostics["eps1"], targets, theta)
-    stacked = markov_apply(inputs, inputs, diagnostics["eps3"],
-                           np.hstack([sections, smoothed]), theta)
+    smoothed = markov_apply(inputs, inputs, diagnostics["eps1"], targets)
+    stacked = markov_apply(inputs, inputs, diagnostics["eps3"], np.hstack([sections, smoothed]))
     b, g = stacked[:, : kernel.n_centers], stacked[:, kernel.n_centers :]
     normal = b.T @ b + params.delta * np.eye(kernel.n_centers)
     scale = (np.linalg.norm(normal) * np.linalg.norm(coef)

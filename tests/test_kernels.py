@@ -17,8 +17,9 @@ from kerneldrift import (
     section_matrix,
     select_bandwidth,
 )
+from kerneldrift import kernels
 from kerneldrift.drift import load_drift_model, save_drift_model
-from kerneldrift.kernels import _cutoff, _gaussian_pairs, markov_apply
+from kerneldrift.kernels import THETA_ZERO, _cutoff, _gaussian_pairs, markov_apply
 
 
 def cloud(n=60, d=2, seed=0, scale=1.0):
@@ -38,24 +39,26 @@ def markov_dense(points, eps):
     return markov_apply(points, points, eps, np.eye(len(points)))
 
 
-def thresholded_oracle(rows, cols, eps, theta_zero=1e-14):
-    """Dense evaluation of the raw kernel with sub-threshold values zeroed."""
+def thresholded_oracle(rows, cols, eps):
+    """Dense evaluation of the raw kernel with values below the zero
+    threshold zeroed (read when called, so a test may patch it)."""
     raw = np.exp(-cdist(rows, cols, "sqeuclidean") / eps)
-    raw[raw < theta_zero] = 0.0
+    raw[raw < kernels.THETA_ZERO] = 0.0
     return raw
 
 
-def assert_markov_matches_oracle(points, eps, theta_zero=1e-14):
+def assert_markov_matches_oracle(points, eps):
     """The raw pairs of one cloud carry the dense oracle's stored pattern and
     g bits exactly; the Markov matrix, assembled from them, is the oracle
     with each row divided by its sum, to rounding.  Returns the raw oracle."""
-    raw = thresholded_oracle(points, points, eps, theta_zero)
-    i, j, g = _gaussian_pairs(points, eps, theta_zero)
+    raw = thresholded_oracle(points, points, eps)
+    i, j, g = _gaussian_pairs(points, eps)
     pairs = np.zeros_like(raw)
     pairs[i, j] = g
     np.testing.assert_array_equal(pairs, raw)
+    # the threshold as read now: markov_apply's default was bound at import
     matrix = markov_apply(points, points, eps, sp.eye_array(len(points), format="csr"),
-                          theta_zero)
+                          kernels.THETA_ZERO)
     stored = np.zeros(raw.shape, dtype=bool)
     stored[np.arange(len(points)).repeat(np.diff(matrix.indptr)), matrix.indices] = True
     np.testing.assert_array_equal(stored, raw != 0.0)
@@ -68,18 +71,17 @@ def section_oracle(model, points):
     """Dense section rows and fallback flags, every distance from ``cdist``."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     sq = cdist(points, model.centers, "sqeuclidean")
-    sections = thresholded_oracle(points, model.centers, model.epsilon, model.theta_zero)
+    sections = thresholded_oracle(points, model.centers, model.epsilon)
     extrapolated = ~sections.any(axis=1)
     nearest = model.centers[np.argmin(sq[extrapolated], axis=1)]
-    sections[extrapolated] = thresholded_oracle(nearest, model.centers, model.epsilon,
-                                                model.theta_zero)
+    sections[extrapolated] = thresholded_oracle(nearest, model.centers, model.epsilon)
     sections *= 1.0 / model.deg_r
     sections /= (sections.sum(axis=1) / model.n_centers)[:, None]
     return sections, extrapolated
 
 
 def assert_sections_match_oracle(model, points):
-    raw = thresholded_oracle(model.centers, model.centers, model.epsilon, model.theta_zero)
+    raw = thresholded_oracle(model.centers, model.centers, model.epsilon)
     np.testing.assert_array_equal(model.deg_r, raw.sum(axis=1) / model.n_centers)
     sections, flags = section_matrix(model, points)
     expected, expected_flags = section_oracle(model, points)
@@ -90,13 +92,13 @@ def assert_sections_match_oracle(model, points):
 
 def left_degrees(model):
     """deg_l at the centers: mean_j g(c_i, c_j) / deg_r(c_j)."""
-    raw = thresholded_oracle(model.centers, model.centers, model.epsilon, model.theta_zero)
+    raw = thresholded_oracle(model.centers, model.centers, model.epsilon)
     return (raw * (1.0 / model.deg_r)).sum(axis=1) / model.n_centers
 
 
 def symmetrized_oracle(model, data):
     """g(x, y) / sqrt(deg_r(x) deg_l(x) deg_r(y) deg_l(y)) at the centers."""
-    raw = thresholded_oracle(data, data, model.epsilon, model.theta_zero)
+    raw = thresholded_oracle(data, data, model.epsilon)
     degrees = model.deg_r * left_degrees(model)
     return raw / np.sqrt(np.outer(degrees, degrees))
 
@@ -167,8 +169,6 @@ class TestSelectBandwidth:
                           ((0.3, float("nan")), "nan")):
             with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, 1), got {bad}")):
                 select_bandwidth(data, eta=etas)
-        with pytest.raises(ValueError, match="theta_zero"):
-            select_bandwidth(data, eta=0.5, theta_zero=2.0)
         with pytest.raises(ValueError, match="subsample_fraction"):
             select_bandwidth(data, eta=0.5, subsample_fraction=0.0)
 
@@ -254,20 +254,22 @@ class TestMarkovMatrix:
 
     @pytest.mark.parametrize("far, theta_zero", [
         ((3.0, 4.0), 1e-14),
-        # a kept pair that an unpadded radius query would miss
+        # a kept pair that an unpadded radius query would miss; no such
+        # pair turns up at 1e-14, so the threshold is patched for it
         ((1.0, 0.0), 0.22),
     ])
-    def test_threshold_boundary_matches_oracle(self, far, theta_zero):
+    def test_threshold_boundary_matches_oracle(self, far, theta_zero, monkeypatch):
         # the squared distances from the origin to `far` and `-far` are
         # exact, so only the threshold test decides; bandwidths a few ulps
         # either side of the boundary
+        monkeypatch.setattr(kernels, "THETA_ZERO", theta_zero)
         points = np.array([[0.0, 0.0], far, [-far[0], -far[1]]])
         sq = far[0] ** 2 + far[1] ** 2
         base = sq / math.log(1.0 / theta_zero)
         decisions = set()
         for ulps in range(-4, 5):
             eps = base * (1.0 + ulps * 2.0**-52)
-            raw = assert_markov_matches_oracle(points, eps, theta_zero)
+            raw = assert_markov_matches_oracle(points, eps)
             decisions.add(bool(raw[0, 1] > 0.0))
         assert decisions == {False, True}
 
@@ -275,15 +277,16 @@ class TestMarkovMatrix:
         ((3.0, 4.0), 1e-14),
         ((1.0, 0.0), 0.22),
     ])
-    def test_threshold_boundary_self_pairs(self, far, theta_zero):
+    def test_threshold_boundary_self_pairs(self, far, theta_zero, monkeypatch):
         # the same boundary with rows is cols, where each pair is listed
         # once and keyed in both orientations
+        monkeypatch.setattr(kernels, "THETA_ZERO", theta_zero)
         points = np.array([[0.0, 0.0], far])
         base = (far[0] ** 2 + far[1] ** 2) / math.log(1.0 / theta_zero)
         decisions = set()
         for ulps in range(-4, 5):
             eps = base * (1.0 + ulps * 2.0**-52)
-            kept = bool(thresholded_oracle(points, points, eps, theta_zero)[0, 1] > 0.0)
+            kept = bool(thresholded_oracle(points, points, eps)[0, 1] > 0.0)
             got = markov_apply(points, points, eps, np.eye(2), theta_zero)
             assert (got[0, 1] != 0.0) == kept, ulps
             assert (got[1, 0] != 0.0) == kept, ulps
@@ -320,7 +323,7 @@ class TestMarkovMatrix:
         # nonzeros of the dense one, with their bits
         data = cloud(n=400, d=2, seed=60, scale=2.0)
         eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
-        i, j, _ = _gaussian_pairs(data, eps, 1e-14)
+        i, j, _ = _gaussian_pairs(data, eps)
         assert (np.diff(i * len(data) + j) > 0).all()
         rng = np.random.default_rng(61)
         dense = rng.normal(size=(400, 5)) * (rng.random((400, 5)) < 0.3)
@@ -344,10 +347,13 @@ class TestMarkovMatrix:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             markov_apply(data, data, eps, np.ones((8, 1)))
 
-    @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0])
+    @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0, 1e-10])
     def test_bad_theta_zero_rejected(self, theta_zero):
+        # the parameter stays for perfbench's markov_pass hook, which reads
+        # it; any value but the one zero threshold is rejected
         data = cloud(n=50, seed=47)
-        with pytest.raises(ValueError, match="theta_zero must lie in"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta_zero must be THETA_ZERO = {THETA_ZERO}, got {theta_zero}")):
             markov_apply(data, data, 0.5, np.ones((50, 1)), theta_zero)
 
     @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
@@ -458,7 +464,7 @@ class TestPairMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            i, j, g = _gaussian_pairs(points, eps, 1e-14)
+            i, j, g = _gaussian_pairs(points, eps)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -473,9 +479,9 @@ class TestPairMemory:
         # the one squared gap that is cdist's squared distance in 1-D
         points, eps = cloud(n=50_000, d=1, seed=71), 1e-8
         n = len(points)
-        i, j, g = _gaussian_pairs(points, eps, 1e-14)
+        i, j, g = _gaussian_pairs(points, eps)
         tree = cKDTree(points)
-        near = tree.sparse_distance_matrix(tree, _cutoff(eps, 1e-14), output_type="ndarray")
+        near = tree.sparse_distance_matrix(tree, _cutoff(eps), output_type="ndarray")
         near = near[near["i"] != near["j"]]
         rows = np.concatenate([near["i"], np.arange(n)])
         cols = np.concatenate([near["j"], np.arange(n)])
@@ -495,7 +501,7 @@ class TestPairMemory:
         # the int32 indices and are rejected before a tree is built
         points = np.broadcast_to(np.zeros((1, 1)), (2**31, 1))
         with pytest.raises(ValueError, match=re.escape("n < 2**31")):
-            _gaussian_pairs(points, 1.0, 1e-14)
+            _gaussian_pairs(points, 1.0)
 
 
 class TestDiffusionModel:
@@ -505,15 +511,42 @@ class TestDiffusionModel:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             diffusion_model(cloud(n=10, seed=46), eps)
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            KernelModel(epsilon=eps, theta_zero=1e-14, centers=cloud(n=10, seed=46))
+            KernelModel(epsilon=eps, centers=cloud(n=10, seed=46))
 
-    @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0])
-    def test_bad_theta_zero_rejected(self, theta_zero):
+    @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0, 1e-10])
+    def test_bad_theta_zero_rejected(self, theta_zero, tmp_path):
+        # a model has no threshold of its own: a model file that records
+        # any threshold but THETA_ZERO is rejected, named by its path
         data = cloud(n=50, seed=47)
-        with pytest.raises(ValueError, match="theta_zero must lie in"):
-            diffusion_model(data, 0.5, theta_zero=theta_zero)
-        with pytest.raises(ValueError, match="theta_zero must lie in"):
-            KernelModel(epsilon=0.5, theta_zero=theta_zero, centers=data)
+        path = tmp_path / "model.json"
+        save_drift_model(DriftModel(kernel=diffusion_model(data, 0.5),
+                                    coefficients=np.ones((2, 50))), path)
+        payload = json.loads(path.read_text())
+        assert payload["kernel"]["theta_zero"] == THETA_ZERO
+        payload["kernel"]["theta_zero"] = theta_zero
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: theta_zero must be THETA_ZERO = {THETA_ZERO}, got {theta_zero!r}")):
+            load_drift_model(path)
+
+    @pytest.mark.parametrize("centers", [[[0.0, 1.0]], np.zeros((1, 3))])
+    def test_one_center_rejected(self, centers, tmp_path):
+        # the model owns the rule, so diffusion_model and a load both reject
+        # one center; a model file is named by its path
+        message = "a diffusion kernel needs at least 2 centers, got 1"
+        with pytest.raises(ValueError, match=message):
+            diffusion_model(centers, 0.5)
+        with pytest.raises(ValueError, match=message):
+            KernelModel(epsilon=0.5, centers=centers)
+        path = tmp_path / "model.json"
+        save_drift_model(DriftModel(kernel=diffusion_model(cloud(n=2, seed=48), 0.5),
+                                    coefficients=np.ones((2, 2))), path)
+        payload = json.loads(path.read_text())
+        payload["kernel"]["centers"] = np.asarray(centers).tolist()
+        payload["coefficients"] = [[1.0]] * np.shape(centers)[1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_drift_model(path)
 
     def test_two_point_symmetry(self):
         pts = np.array([[0.0], [1.0]])
@@ -660,9 +693,10 @@ class TestSectionsAgainstDenseOracle:
         ((3.0, 4.0, 0.0), 1e-14),
         ((1.0, 0.0, 0.0), 0.22),
     ])
-    def test_threshold_boundary_in_mixed_batch(self, far, theta_zero):
+    def test_threshold_boundary_in_mixed_batch(self, far, theta_zero, monkeypatch):
         # the squared distance from the origin to `far` is exact, so only
         # the threshold test decides whether that section entry survives
+        monkeypatch.setattr(kernels, "THETA_ZERO", theta_zero)
         centers = np.vstack([np.zeros(3), far, 20.0 + cloud(n=10, d=3, seed=53)])
         points = np.vstack([np.zeros(3), [60.0, 0.0, 0.0], centers[2:5] + 0.01])
         sq = sum(v * v for v in far)
@@ -670,7 +704,7 @@ class TestSectionsAgainstDenseOracle:
         decisions = set()
         for ulps in range(-4, 5):
             eps = base * (1.0 + ulps * 2.0**-52)
-            model = diffusion_model(centers, eps, theta_zero)
+            model = diffusion_model(centers, eps)
             assert_sections_match_oracle(model, points)
             decisions.add(bool(section_matrix(model, points)[0][0, 1] > 0.0))
         assert decisions == {False, True}
@@ -714,13 +748,14 @@ def test_kernel_model_roundtrip(tmp_path):
     path = tmp_path / "model.json"
     save_drift_model(DriftModel(kernel=kernel, coefficients=coefficients), path)
     payload = json.loads(path.read_text())
-    # a kernel is its bandwidth, threshold and centers; no degrees, no dt
+    # a kernel is its bandwidth and centers, with the one zero threshold
+    # recorded; no degrees, no dt
     assert payload["kernel"] == {"kind": "diffusion", "epsilon": 0.4,
-                                 "theta_zero": kernel.theta_zero,
+                                 "theta_zero": THETA_ZERO,
                                  "centers": data.tolist()}
     assert "dt" not in payload
     loaded = load_drift_model(path).kernel
-    assert (loaded.epsilon, loaded.theta_zero) == (kernel.epsilon, kernel.theta_zero)
+    assert loaded.epsilon == kernel.epsilon
     np.testing.assert_array_equal(loaded.centers, kernel.centers)
     np.testing.assert_array_equal(loaded.deg_r, kernel.deg_r)
     np.testing.assert_array_equal(section_matrix(loaded, data)[0],
