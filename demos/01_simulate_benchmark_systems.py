@@ -21,7 +21,7 @@ for name in ("hopf", "lorenz63", "lorenz96"):
         traj = kd.simulate(spec, x0, n_samples=4000, dt=0.01, seed=1,
                            burn_in=100, substeps=10)
         path = OUT / f"{name}_noise{noise}.csv"
-        kd.save_trajectory(traj, path, spec=spec, burn_in=100, substeps=10)
+        kd.save_trajectory(traj, path)
         speeds = np.linalg.norm(kd.eval_drift(spec, traj.points), axis=1)
         print(f"{name:9s} noise={noise}: {len(traj)} samples in R^{traj.d}, "
               f"|x| in [{np.abs(traj.points).min():.2f}, "

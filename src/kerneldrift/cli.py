@@ -115,8 +115,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "trajectory.csv"
-    systems.save_trajectory(traj, path, spec=spec, burn_in=args.burn_in,
-                            substeps=args.substeps)
+    systems.save_trajectory(traj, path)
     _echo_config(args, out_dir)
     print(f"simulate: {args.system} noise={spec.sigma_noise} n={len(traj)} "
           f"d={traj.d} dt={traj.dt} seed={args.seed} -> {path}")
@@ -124,10 +123,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    traj, spec, meta = systems.load_trajectory(args.traj)
+    traj = systems.load_trajectory(args.traj)
     # the held-out path repeats the recorded run with the next seed
-    for key in ("system", "seed", "burn_in", "substeps"):
-        if meta.get(key) is None:
+    for key, value in (("system", traj.spec), ("seed", traj.seed), ("burn_in", traj.burn_in),
+                       ("substeps", traj.substeps)):
+        if value is None:
             raise ValueError(f"{args.traj}: its metadata sidecar records no {key!r}")
 
     params = condexp.CondExpParams(eta1=args.eta1, eta2=args.eta2, delta=args.delta,
@@ -139,9 +139,10 @@ def cmd_estimate(args) -> int:
         snapshots = drift.extract_snapshots(traj, drift.Stencil.cyclic(traj.d, offsets))
         model = drift.estimate_drift_sparse(snapshots, params)
 
+    spec = traj.spec
     held_out = systems.simulate(spec, systems.default_initial_state(spec),
-                                n_samples=len(traj), dt=traj.dt, seed=meta["seed"] + 1,
-                                burn_in=meta["burn_in"], substeps=meta["substeps"])
+                                n_samples=len(traj), dt=traj.dt, seed=traj.seed + 1,
+                                burn_in=traj.burn_in, substeps=traj.substeps)
     # one prediction of the held-out cloud scores it and gives its errors
     report, diff = evaluation._score(model, evaluation.system_field(spec), held_out.points)
 

@@ -21,7 +21,6 @@ normal matrix and the (N, k) smoothed targets are dense.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .kernels import (
     section_matrix,
     select_bandwidth,
 )
+from .systems import _integer
 
 _ETA3 = 0.01  # P's sparsity target: the benchmark tuning, the one value any caller ran
 
@@ -66,14 +66,8 @@ class CondExpParams:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if isinstance(self.delta, bool) or not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
-        # a float count is a TypeError, never truncated, and a bool (a JSON
-        # true) is a ValueError, never read as 1
-        if isinstance(self.n_centers, bool):
-            raise ValueError(f"n_centers must be an integer, got {self.n_centers}")
-        object.__setattr__(self, "n_centers", operator.index(self.n_centers))
-        if self.n_centers < 2:
-            raise ValueError(f"n_centers={self.n_centers}: a diffusion kernel needs at "
-                             "least 2 centers")
+        # a diffusion kernel needs at least 2 centers
+        object.__setattr__(self, "n_centers", _integer("n_centers", self.n_centers, 2))
 
 
 def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,

@@ -19,7 +19,6 @@ stencil.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +28,7 @@ import numpy as np
 from . import condexp
 from .condexp import CondExpParams
 from .kernels import THETA_ZERO, KernelModel, _section_blocks, section_matrix
-from .systems import Trajectory
+from .systems import Trajectory, _integer
 
 # forward-difference weights at offsets 0, 1, 2, 3
 STENCIL_WEIGHTS = np.array([-11.0, 18.0, -9.0, 2.0])
@@ -139,26 +138,21 @@ class Stencil:
     """Which coordinates each component of the field depends on.
 
     ``left[i]`` lists the ``m`` input coordinates feeding component ``i``.
+    The width and indices are integers, checked by ``systems._integer``.
     """
 
     m: int
     left: tuple
 
     def __post_init__(self):
-        # integers only: a float m or index is a TypeError, never truncated,
-        # and a bool (a JSON true) is a ValueError, never read as 1
-        def index(value):
-            if isinstance(value, bool):
-                raise ValueError(f"stencil width and indices must be integers, got {value}")
-            return operator.index(value)
-
-        object.__setattr__(self, "m", index(self.m))
-        object.__setattr__(self, "left", tuple(tuple(index(j) for j in row) for row in self.left))
+        object.__setattr__(self, "m", _integer("stencil width", self.m, 1))
+        object.__setattr__(self, "left", tuple(tuple(_integer("stencil index", j, 0) for j in row)
+                                               for row in self.left))
         d = len(self.left)
         for i, row in enumerate(self.left):
             if len(row) != self.m or len(set(row)) != self.m:
                 raise ValueError(f"Left({i}) must hold exactly {self.m} distinct indices")
-            if any(j < 0 or j >= d for j in row):
+            if any(j >= d for j in row):
                 raise ValueError(f"Left({i}) has indices outside 0..{d - 1}")
 
     @property

@@ -116,8 +116,10 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     x0 = systems_mod._start_state(spec, x0)
     systems_mod._check_dt(dt)
     if not np.isfinite(horizon):
-        raise ValueError(f"dt must be positive and finite and horizon finite, got {horizon=}")
-    n_steps = int(round(horizon / dt))
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    if not math.isfinite(steps := horizon / dt):  # e.g. 1e300 / 1e-300 overflows
+        raise ValueError(f"horizon / dt must be a finite step count, got {horizon=}, {dt=}")
+    n_steps = int(round(steps))
     if n_steps < 3:
         raise ValueError("horizon must cover at least 3 steps")
 

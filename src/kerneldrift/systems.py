@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -113,22 +113,28 @@ def default_initial_state(spec: SystemSpec) -> np.ndarray:
     return x0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """A uniformly sampled d-dimensional path.
+    """A uniformly sampled d-dimensional path and, when known, the run that made it.
 
     ``points`` has shape (n_samples, d); sample k sits at time ``k * dt``.
     At least 4 samples are required (the increment stencil needs them).
-    A ``seed``, when given, is kept as a Python int: a bool is a
-    ValueError and a non-integer a TypeError.
+    :func:`simulate` records its system ``spec``, which must have the
+    path's dimension, and its ``seed``, ``burn_in`` and ``substeps``, each
+    kept as a Python int by ``_integer`` (``seed`` and ``burn_in`` at
+    least 0, ``substeps`` at least 1).  Every field is checked once, when
+    the path is built; none is set afterwards.
     """
 
     dt: float
     points: np.ndarray
     seed: Optional[int] = None
+    spec: Optional[SystemSpec] = None
+    burn_in: Optional[int] = None
+    substeps: Optional[int] = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         if self.points.ndim != 2:
             raise ValueError("points must be a 2-d array (n_samples, d)")
         if len(self.points) < 4:
@@ -136,8 +142,12 @@ class Trajectory:
         _check_dt(self.dt)
         if not np.isfinite(self.points).all():
             raise ValueError("trajectory contains non-finite points")
-        if self.seed is not None:
-            self.seed = _integer("seed", self.seed)
+        for name, least in (("seed", 0), ("burn_in", 0), ("substeps", 1)):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _integer(name, value, least))
+        if self.spec is not None and self.spec.dimension != self.d:
+            raise ValueError(f"system {self.spec.name!r} has dimension {self.spec.dimension}, "
+                             f"but the path holds {self.d} coordinates")
 
     @property
     def d(self) -> int:
@@ -225,15 +235,20 @@ def _euler_maruyama(spec: SystemSpec, h: float, sigma: float):
     return advance
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int: a bool (a JSON true) is a ValueError, never
-    read as 1, and a non-integer a TypeError, never truncated."""
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as a Python int of at least ``least``: a bool (a JSON true)
+    is a ValueError, never read as 1, a non-integer a TypeError, never
+    truncated, and a smaller integer a ValueError."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value}")
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _check_dt(dt) -> None:
@@ -290,6 +305,8 @@ def simulate(
     stream as per-substep draws, so identical inputs give bit-identical
     output, equal to a per-substep numpy step.
 
+    The path records ``spec``, ``seed``, ``burn_in`` and ``substeps``.
+
     Raises
     ------
     ValueError
@@ -301,18 +318,10 @@ def simulate(
         If a recorded state is non-finite; the message names its index.
     """
     _check_dt(dt)
-    n_samples = _integer("n_samples", n_samples)
-    if n_samples < 4:
-        raise ValueError(f"n_samples must be at least 4, got {n_samples}")
-    substeps = _integer("substeps", substeps)
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1, got {substeps}")
-    burn_in = _integer("burn_in", burn_in)
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
-    seed = _integer("seed", seed)  # the path keeps a Python int, which JSON can write
-    if seed < 0:  # numpy's own message names neither the seed nor its value
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    n_samples = _integer("n_samples", n_samples, 4)
+    substeps = _integer("substeps", substeps, 1)
+    burn_in = _integer("burn_in", burn_in, 0)
+    seed = _integer("seed", seed, 0)  # numpy's own message names neither seed nor value
 
     x0 = _start_state(spec, x0)
     rng = np.random.default_rng(seed)
@@ -329,7 +338,8 @@ def simulate(
         if not all(map(math.isfinite, x)):
             raise NumericalError(f"non-finite state encountered at sample index {k}")
         out[k] = x
-    return Trajectory(dt=dt, points=out[burn_in:], seed=seed)
+    return Trajectory(dt=dt, points=out[burn_in:], seed=seed, spec=spec, burn_in=burn_in,
+                      substeps=substeps)
 
 
 # --- plain-text persistence -------------------------------------------------
@@ -356,44 +366,40 @@ def _meta_path(csv_path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
-def save_trajectory(traj: Trajectory, csv_path, spec: Optional[SystemSpec] = None,
-                    burn_in: Optional[int] = None, substeps: Optional[int] = None) -> None:
-    """Write the path as CSV (``t = k*dt``, then x0..x{d-1}) and its sidecar.
+def save_trajectory(traj: Trajectory, csv_path) -> None:
+    """Write the path as CSV (``t = k*dt``, then x0..x{d-1}) and its sidecar,
+    which records ``dt``, ``d``, ``n_samples``, ``seed`` and whichever of
+    the system, ``burn_in`` and ``substeps`` the path carries.
 
-    The sidecar is encoded first, with a numpy ``seed``, ``burn_in`` or
-    ``substeps`` written as a JSON integer: a value it cannot write (a
-    bool or non-integer among those three, or a system constant JSON does
-    not know) raises before either file is written."""
-    d = traj.d
-    meta = {"dt": traj.dt, "d": d, "n_samples": len(traj),
-            "seed": None if traj.seed is None else _integer("seed", traj.seed)}
-    if spec is not None:
-        meta["system"] = spec.name
-        meta["params"] = dict(spec.params)
-        meta["sigma_noise"] = spec.sigma_noise
-    for key, value in (("burn_in", burn_in), ("substeps", substeps)):
-        if value is not None:
-            meta[key] = _integer(key, value)
+    The sidecar is encoded first: a system constant JSON does not know (a
+    numpy integer, say) raises before either file is written."""
+    meta = {"dt": traj.dt, "d": traj.d, "n_samples": len(traj), "seed": traj.seed}
+    if (spec := traj.spec) is not None:
+        meta.update(system=spec.name, params=dict(spec.params), sigma_noise=spec.sigma_noise)
+    for key in ("burn_in", "substeps"):
+        if getattr(traj, key) is not None:
+            meta[key] = getattr(traj, key)
     text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    _write_csv(csv_path, ["t"] + [f"x{i}" for i in range(d)],
+    _write_csv(csv_path, ["t"] + [f"x{i}" for i in range(traj.d)],
                [np.arange(len(traj)) * traj.dt, *traj.points.T])
     _meta_path(csv_path).write_text(text)
 
 
-def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
-    """Load a trajectory CSV and its metadata sidecar: ``(trajectory, spec, meta)``.
+def load_trajectory(csv_path) -> Trajectory:
+    """Load a trajectory CSV and its metadata sidecar as one path.
 
-    ``meta`` is the sidecar as read (``{}`` if absent: ``dt`` then comes
-    from the ``t`` column's first gap) and ``spec`` the system it names,
-    or None.  A sidecar that is no JSON object, or holds an entry of the
-    wrong JSON type, out of range (``dt`` positive and finite, ``seed`` at
-    least 0 or null, ``burn_in`` at least 0, ``substeps``, ``d`` and
-    ``n_samples`` at least 1) or rejected by SystemSpec, is a ValueError
-    named by the sidecar's path; a CSV that does not parse, holds no valid
-    trajectory or has a gap of ``t`` off ``dt`` by more than a relative
-    1e-6, one named by the CSV's path (and the sidecar's, if ``dt`` came
-    from it).  So is a sidecar whose ``d``, ``n_samples`` or system's
-    dimension disagrees with the CSV, named by the sidecar's path."""
+    The path carries the system, ``seed``, ``burn_in`` and ``substeps``
+    the sidecar records, each None where it records none; without a
+    sidecar, ``dt`` comes from the ``t`` column's first gap.  A sidecar
+    that is no JSON object, or holds an entry of the wrong JSON type, out
+    of range (``dt`` positive and finite, ``seed`` at least 0 or null,
+    ``burn_in`` at least 0, ``substeps``, ``d`` and ``n_samples`` at
+    least 1) or rejected by SystemSpec, is a ValueError named by the
+    sidecar's path; a CSV that does not parse, holds no valid trajectory
+    or has a gap of ``t`` off ``dt`` by more than a relative 1e-6, one
+    named by the CSV's path (and the sidecar's, if ``dt`` came from it).
+    So is a sidecar whose ``d``, ``n_samples`` or system's dimension
+    disagrees with the CSV, named by the sidecar's path."""
     csv_path = Path(csv_path)
     mp, meta, spec = _meta_path(csv_path), {}, None
     try:
@@ -437,7 +443,8 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
             if len(data) < 2:
                 raise ValueError("cannot infer dt from a single row without metadata")
             dt = data[1, 0] - data[0, 0]
-        traj = Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed"))
+        traj = Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed"),
+                          burn_in=meta.get("burn_in"), substeps=meta.get("substeps"))
     except ValueError as err:  # unparsable text, or points Trajectory rejects
         raise ValueError(f"{csv_path}: {err}") from err
     gaps = np.diff(data[:, 0])
@@ -453,4 +460,4 @@ def load_trajectory(csv_path) -> tuple[Trajectory, Optional[SystemSpec], dict]:
     if spec is not None and spec.dimension != traj.d:
         raise ValueError(f"{mp}: system {spec.name!r} has dimension {spec.dimension}, but "
                          f"{csv_path} holds {traj.d} coordinates")
-    return traj, spec, meta
+    return replace(traj, spec=spec)

@@ -23,8 +23,8 @@ def test_simulate_writes_csv_and_meta(tmp_path):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x0,x1"
     assert len(lines) == 301
-    meta = json.loads((out / "trajectory.meta.json").read_text())
-    assert meta["system"] == "hopf" and meta["seed"] == 7
+    traj = load_trajectory(out / "trajectory.csv")
+    assert traj.spec.name == "hopf" and traj.seed == 7
     assert (out / "config.json").exists()
 
 
@@ -41,8 +41,8 @@ def test_simulate_zero_noise_deterministic_orbit(tmp_path):
     out = tmp_path / "det"
     assert run("simulate", "--system", "lorenz63", "--noise", "0", "--n", "100",
                "--seed", "1", "--out", str(out)) == 0
-    traj, _, meta = load_trajectory(out / "trajectory.csv")
-    assert meta["sigma_noise"] == 0.0
+    traj = load_trajectory(out / "trajectory.csv")
+    assert traj.spec.sigma_noise == 0.0
     assert np.isfinite(traj.points).all()
 
 
@@ -92,14 +92,13 @@ def test_report_roundtrips_with_model(hopf_run):
     # re-evaluating the stored model on the held-out cloud reproduces the report
     report = json.loads((hopf_run / "report.json").read_text())
     model = load_drift_model(hopf_run / "model.json")
-    _, spec, meta = load_trajectory(hopf_run / "trajectory.csv")
+    traj = load_trajectory(hopf_run / "trajectory.csv")
     from kerneldrift import simulate
     from kerneldrift.systems import default_initial_state
 
-    held = simulate(spec, default_initial_state(spec), n_samples=2000, dt=0.01,
-                    seed=meta["seed"] + 1, burn_in=meta["burn_in"],
-                    substeps=meta["substeps"])
-    again = relative_l2_error(model, system_field(spec), held.points)
+    held = simulate(traj.spec, default_initial_state(traj.spec), n_samples=2000, dt=0.01,
+                    seed=traj.seed + 1, burn_in=traj.burn_in, substeps=traj.substeps)
+    again = relative_l2_error(model, system_field(traj.spec), held.points)
     assert abs(again.relative_l2 - report["relative_l2"]) < 1e-12
 
 
@@ -108,7 +107,7 @@ def test_estimate_one_center_is_usage_error(hopf_run, tmp_path, capsys):
     out = tmp_path / "out"
     assert run("estimate", "--traj", str(hopf_run / "trajectory.csv"), "--centers", "1",
                "--out", str(out)) == 1
-    assert "usage error: n_centers=1" in capsys.readouterr().err
+    assert "usage error: n_centers must be at least 2, got 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -314,7 +313,20 @@ def test_compare_bad_step_or_horizon_is_usage_error(hopf_run, tmp_path, capsys, 
     code = run("compare", "--model", str(hopf_run / "model.json"),
                "--system", "hopf", *option, "--out", str(tmp_path))
     assert code == 1
-    assert "usage error: dt must be positive" in capsys.readouterr().err
+    message = "dt must be positive" if option[0] == "--dt" else "horizon must be finite, got inf"
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
+def test_compare_overflowing_step_count_is_usage_error(hopf_run, tmp_path, capsys):
+    # both values are finite, but their ratio overflows: no traceback
+    out = tmp_path / "out"
+    code = run("compare", "--model", str(hopf_run / "model.json"), "--system", "hopf",
+               "--horizon", "1e300", "--dt", "1e-300", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("usage error: horizon / dt must be a finite step count, "
+                   "got horizon=1e+300, dt=1e-300\n")
+    assert not out.exists()
 
 
 def test_compare_dimension_mismatch(hopf_run, tmp_path):
@@ -341,7 +353,7 @@ def l96_run(tmp_path_factory):
 
 def test_stencil_offsets_fit_the_sparse_estimator(l96_run):
     # the offsets alone select the pooled fit: the library's, bit for bit
-    traj, _, _ = load_trajectory(l96_run / "trajectory.csv")
+    traj = load_trajectory(l96_run / "trajectory.csv")
     expected = estimate_drift_sparse(extract_snapshots(traj, Stencil.cyclic(6)),
                                      CondExpParams(n_centers=100))
     model = load_drift_model(l96_run / "model.json")

@@ -49,7 +49,7 @@ def test_params_reject_nan(field):
 
 def test_params_reject_too_few_centers():
     # the fit's own message, before any bandwidth is selected
-    with pytest.raises(ValueError, match="n_centers=1: a diffusion kernel needs at least 2"):
+    with pytest.raises(ValueError, match="n_centers must be at least 2, got 1"):
         CondExpParams(n_centers=1)
 
 

@@ -439,9 +439,9 @@ _WRONG_TYPE = "{path}: drift model file has an entry of the wrong type"
     ("hopf_fit", lambda p: p["kernel"].update(epsilon=True),
      "{path}: epsilon must be positive and finite, got True"),
     ("l96_sparse_fit", lambda p: p["stencil"].update(m=True),
-     "{path}: stencil width and indices must be integers, got True"),
+     "{path}: stencil width must be an integer, got True"),
     ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, True),
-     "{path}: stencil width and indices must be integers, got True"),
+     "{path}: stencil index must be an integer, got True"),
     # a file that does not decode, or a value the model rejects, is named too
     ("hopf_fit", lambda p: b"\xff" + json.dumps(p).encode(), "{path}: 'utf-8' codec can't decode"),
     ("hopf_fit", lambda p: json.dumps(p)[:-20].encode(), "{path}: Expecting"),

@@ -194,8 +194,17 @@ class TestCompareOrbits:
     def test_bad_step_or_horizon_rejected(self, horizon, dt):
         spec = make_spec("lorenz63", sigma_noise=0.0)
         oracle = lambda points: eval_drift(spec, points)
-        with pytest.raises(ValueError, match="dt must be positive"):
+        message = "dt must be positive" if np.isfinite(horizon) else "horizon must be finite"
+        with pytest.raises(ValueError, match=message):
             compare_orbits(spec, oracle, np.ones(3), horizon=horizon, dt=dt)
+
+    def test_overflowing_step_count_rejected(self):
+        # both values are finite, but 1e300 / 1e-300 is no step count
+        spec = make_spec("lorenz63", sigma_noise=0.0)
+        oracle = lambda points: eval_drift(spec, points)
+        with pytest.raises(ValueError, match=re.escape(
+                "horizon / dt must be a finite step count, got horizon=1e+300, dt=1e-300")):
+            compare_orbits(spec, oracle, np.ones(3), horizon=1e300, dt=1e-300)
 
     def test_bool_step_rejected_before_any_step(self):
         # a JSON true is no step of 1, which diverges on Lorenz 63: the

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ def load_with_sidecar(tmp_path, **entries):
     """load_trajectory on a short Hopf path whose sidecar has ``entries`` set."""
     spec = make_spec("hopf")
     path = tmp_path / "traj.csv"
-    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path, spec=spec)
+    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path)
     sidecar = tmp_path / "traj.meta.json"
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **entries}))
     return load_trajectory(path)
@@ -258,37 +259,75 @@ def test_trajectory_roundtrip(tmp_path):
     spec = make_spec("hopf", sigma_noise=0.2)
     traj = simulate(spec, [2.0, 0.0], n_samples=25, dt=0.02, seed=9, burn_in=5, substeps=2)
     path = tmp_path / "traj.csv"
-    save_trajectory(traj, path, spec=spec, burn_in=5, substeps=2)
+    save_trajectory(traj, path)
 
     header = path.read_text().splitlines()[0]
     assert header == "t,x0,x1"
 
-    loaded, rebuilt, meta = load_trajectory(path)
+    loaded = load_trajectory(path)
     np.testing.assert_array_equal(loaded.points, traj.points)
     assert loaded.dt == traj.dt
-    assert meta["seed"] == 9
-    assert meta["burn_in"] == 5
-    assert rebuilt == spec
+    assert loaded.seed == 9
+    assert loaded.burn_in == 5
+    assert loaded.spec == spec
 
     sidecar = json.loads((tmp_path / "traj.meta.json").read_text())
     assert sidecar["system"] == "hopf"
 
 
+def test_simulated_path_roundtrips_every_field(tmp_path):
+    # a path records the run that made it, and the sidecar keeps all of it:
+    # the points bit for bit, dt, seed, system, burn-in and substeps
+    for spec in (make_spec("lorenz63", sigma_noise=0.2), make_spec("lorenz96", N=6)):
+        traj = simulate(spec, default_initial_state(spec), n_samples=30, dt=0.005, seed=11,
+                        burn_in=7, substeps=3)
+        assert (traj.spec, traj.seed, traj.burn_in, traj.substeps) == (spec, 11, 7, 3)
+        path = tmp_path / f"{spec.name}.csv"
+        save_trajectory(traj, path)
+        loaded = load_trajectory(path)
+        assert loaded.points.tobytes() == traj.points.tobytes()
+        for f in fields(Trajectory):
+            if f.name != "points":
+                assert getattr(loaded, f.name) == getattr(traj, f.name), f.name
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ({"burn_in": -1}, "burn_in must be nonnegative, got -1"),
+    ({"substeps": 0}, "substeps must be at least 1, got 0"),
+    ({"spec": make_spec("lorenz63")},
+     "system 'lorenz63' has dimension 3, but the path holds 2 coordinates"),
+], ids=["seed", "burn_in", "substeps", "spec"])
+def test_trajectory_rejects_a_run_it_cannot_record(entries, message):
+    # checked when the path is built, so no sidecar the loader would
+    # reject is ever written
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Trajectory(dt=0.01, points=np.zeros((5, 2)), **entries)
+
+
+def test_trajectory_is_fixed_once_built():
+    # its fields were checked when it was built: none is set afterwards
+    traj = Trajectory(dt=0.01, points=np.zeros((5, 2)), seed=0)
+    with pytest.raises(FrozenInstanceError):
+        traj.seed = True
+
+
 def test_numpy_seed_roundtrips(tmp_path):
-    # the path keeps a Python int, and a numpy integer handed to the sidecar
-    # directly is written as a JSON integer too; numpy counts keep the bits
+    # the path keeps Python ints, whether the counts came through simulate
+    # or were handed to it directly, so the sidecar writes JSON integers;
+    # numpy counts keep the bits
     spec = make_spec("hopf", sigma_noise=0.2)
     traj = simulate(spec, [2.0, 0.0], n_samples=np.int32(10), dt=0.01, seed=np.int64(3),
                     burn_in=np.int64(2), substeps=np.int32(3))
-    assert type(traj.seed) is int
+    assert all(type(v) is int for v in (traj.seed, traj.burn_in, traj.substeps))
     np.testing.assert_array_equal(traj.points, simulate(spec, [2.0, 0.0], n_samples=10, dt=0.01,
                                                         seed=3, burn_in=2, substeps=3).points)
     path = tmp_path / "traj.csv"
-    save_trajectory(Trajectory(dt=0.01, points=traj.points, seed=np.int64(3)), path, spec=spec,
-                    burn_in=np.int64(0), substeps=np.int32(1))
-    loaded, _, meta = load_trajectory(path)
+    save_trajectory(Trajectory(dt=0.01, points=traj.points, seed=np.int64(3), spec=spec,
+                               burn_in=np.int64(0), substeps=np.int32(1)), path)
+    loaded = load_trajectory(path)
     np.testing.assert_array_equal(loaded.points, traj.points)
-    assert (meta["seed"], meta["burn_in"], meta["substeps"]) == (3, 0, 1)
+    assert (loaded.seed, loaded.burn_in, loaded.substeps) == (3, 0, 1)
 
 
 def test_bool_or_fractional_seed_rejected():
@@ -325,15 +364,14 @@ def test_bool_or_fractional_count_rejected(name, value, error):
     ({"substeps": False}, ValueError), ({"N": np.int64(6)}, TypeError),
 ], ids=["bool-seed", "float-burn-in", "bool-substeps", "numpy-constant"])
 def test_refused_save_writes_no_file(tmp_path, entries, error):
-    # the sidecar is encoded before either file is written, so a value it
-    # cannot write leaves neither the CSV nor a sidecar behind
+    # a count the sidecar could not write is refused when the path is
+    # built, and a system constant JSON does not know when the sidecar is
+    # encoded, before either file is written: neither the CSV nor a
+    # sidecar is left behind
     spec = make_spec("lorenz96", N=entries.pop("N", 6))
-    traj = Trajectory(dt=0.01, points=np.zeros((5, 6)), seed=0)
-    # a path refuses a bool seed when it is built; one set afterwards is
-    # refused when it is saved
-    traj.seed = entries.pop("seed", 0)
     with pytest.raises(error):
-        save_trajectory(traj, tmp_path / "traj.csv", spec=spec, **entries)
+        save_trajectory(Trajectory(dt=0.01, points=np.zeros((5, 6)), spec=spec,
+                                   **{"seed": 0, **entries}), tmp_path / "traj.csv")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -344,9 +382,10 @@ def test_csv_without_sidecar_infers_dt(tmp_path):
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
     (tmp_path / "traj.meta.json").unlink()
-    loaded, spec, meta = load_trajectory(path)
+    loaded = load_trajectory(path)
     np.testing.assert_array_equal(loaded.points, traj.points)
-    assert (loaded.dt, loaded.seed, spec, meta) == (0.25, None, None, {})
+    assert (loaded.dt, loaded.seed, loaded.spec, loaded.burn_in, loaded.substeps) == (
+        0.25, None, None, None, None)
     path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: cannot infer dt from a single row without metadata")):
@@ -358,7 +397,7 @@ def test_t_column_stepping_other_than_dt_rejected(tmp_path):
     # paths are named
     spec = make_spec("hopf")
     path = tmp_path / "traj.csv"
-    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path, spec=spec)
+    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path)
     lines = path.read_text().splitlines()
     rows = [",".join([repr(2 * float(line.split(",")[0])), *line.split(",")[1:]])
             for line in lines[1:]]
@@ -382,8 +421,11 @@ def test_t_column_stepping_other_than_dt_rejected(tmp_path):
     ids=lambda p: p.name)
 def test_committed_trajectories_load(csv):
     # every committed demo trajectory steps its t column by its sidecar's dt
-    traj, spec, meta = load_trajectory(csv)
-    assert traj.dt == meta["dt"] and spec is not None and len(traj) == meta["n_samples"]
+    # and carries the run that made it
+    traj = load_trajectory(csv)
+    name, noise = csv.stem.split("_noise")
+    assert traj.dt == 0.01 and traj.spec == make_spec(name, sigma_noise=float(noise))
+    assert (len(traj), traj.seed, traj.burn_in, traj.substeps) == (4000, 1, 100, 10)
 
 
 def test_long_saved_trajectory_loads(tmp_path):
@@ -392,9 +434,9 @@ def test_long_saved_trajectory_loads(tmp_path):
     traj = Trajectory(dt=0.003, points=np.zeros((100_000, 1)))
     path = tmp_path / "traj.csv"
     save_trajectory(traj, path)
-    assert load_trajectory(path)[0].dt == 0.003
+    assert load_trajectory(path).dt == 0.003
     (tmp_path / "traj.meta.json").unlink()  # dt read off the first gap
-    assert load_trajectory(path)[0].dt == 0.003
+    assert load_trajectory(path).dt == 0.003
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -418,7 +460,7 @@ def test_sidecar_disagreeing_with_csv_is_named_by_path(tmp_path, entries, messag
 def test_undecodable_sidecar_is_named_by_path(tmp_path):
     spec = make_spec("hopf")
     path = tmp_path / "traj.csv"
-    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path, spec=spec)
+    save_trajectory(simulate(spec, [2.0, 0.0], 10, 0.01, 0, burn_in=0), path)
     sidecar = tmp_path / "traj.meta.json"
     sidecar.write_text('{"dt": 0.01,')
     with pytest.raises(ValueError, match=re.escape(f"{sidecar}: metadata sidecar is not "
