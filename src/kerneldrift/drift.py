@@ -27,7 +27,7 @@ import numpy as np
 
 from . import condexp
 from .condexp import CondExpParams
-from .kernels import THETA_ZERO, KernelModel, _section_blocks, section_matrix
+from .kernels import _BLOCK_ROWS, THETA_ZERO, KernelModel, _section_blocks, section_matrix
 from .systems import Trajectory, _integer
 
 # forward-difference weights at offsets 0, 1, 2, 3
@@ -107,25 +107,51 @@ def predict_drift_many(model: DriftModel, points) -> tuple[np.ndarray, np.ndarra
     Returns ``(values, extrapolated)`` where the flag marks points that fell
     back to their nearest center (in any component, for a stencil model).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != model.d:
-        raise ValueError(f"points have shape {points.shape}, model expects (n, {model.d})")
+    points = _states(model, points)
     n, d = points.shape
-    if model.stencil is not None:
-        points = model.stencil.records(points)
-    # row-wise reduction (not a BLAS product) so identical section rows give
-    # bitwise-identical values regardless of row position: a batch matches
-    # batches of one, and cyclic shifts of the state permute a stencil
-    # prediction exactly; one row block of sections at a time keeps the
-    # (rows, k, M) products at the size of k blocks
-    values = np.empty((len(points), len(model.coefficients)))
-    flags = np.empty(len(points), dtype=bool)
-    for rows in _section_blocks(model.kernel, points):
-        sections, flags[rows] = section_matrix(model.kernel, points[rows])
-        values[rows] = np.add.reduce(sections[:, None, :] * model.coefficients, axis=2)
+    values, flags = _expansion(model, _records(model, points))
     if model.stencil is not None:
         values, flags = values.reshape(n, d), flags.reshape(n, d).any(axis=1)
     return values, flags
+
+
+def _states(model: DriftModel, points) -> np.ndarray:
+    """``points`` as an (n, d) float array of the model's states, or a
+    ValueError naming its shape."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != model.d:
+        raise ValueError(f"points have shape {points.shape}, model expects (n, {model.d})")
+    return points
+
+
+def _records(model: DriftModel, states: np.ndarray) -> np.ndarray:
+    """The kernel's inputs at (n, d) states: the states themselves, or their
+    (n * d, m) stencil records."""
+    return states if model.stencil is None else model.stencil.records(states)
+
+
+def _expansion(model: DriftModel, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The expansion's one evaluator: (n, k) values and fallback flags at
+    (n, m) float records, for :func:`predict_drift_many` after its argument
+    checks and for ``compare_orbits`` at each step.
+
+    More records than one row block (:func:`_section_blocks`) go a block
+    at a time through this function, so the sections and the (rows, k, M)
+    products stay the size of a few blocks however many records a batch or
+    a stencil state has.
+    """
+    if len(records) > _BLOCK_ROWS:
+        values = np.empty((len(records), len(model.coefficients)))
+        flags = np.empty(len(records), dtype=bool)
+        for rows in _section_blocks(model.kernel, records):
+            values[rows], flags[rows] = _expansion(model, records[rows])
+        return values, flags
+    sections, flags = section_matrix(model.kernel, records)
+    # row-wise reduction (not a BLAS product) so identical section rows give
+    # bitwise-identical values regardless of row position: a batch matches
+    # batches of one, and cyclic shifts of the state permute a stencil
+    # prediction exactly
+    return np.add.reduce(sections[:, None, :] * model.coefficients, axis=2), flags
 
 
 # The benchmark harness (perfbench/bench.py) times predictions by wrapping

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,34 @@ def _evaluate(field, points) -> tuple[np.ndarray, np.ndarray | None]:
     if isinstance(field, drift_mod.DriftModel):
         return drift_mod.predict_drift_many(field, points)
     return np.asarray(field(points), dtype=float), None
+
+
+def _stepper(field, x0: np.ndarray):
+    """The per-step evaluator of an orbit's ``field`` from the (d,) start
+    ``x0``: a state, as a list of d floats, to its d values, as a list,
+    and whether the step fell back (never, for a callable).
+
+    A fitted model's shape is checked against ``x0`` once; each step goes
+    through the evaluator behind :func:`~kerneldrift.drift.predict_drift_many`,
+    whose point check makes a state too far out that function's
+    ValueError.  A callable gets a (1, d) array and must return one row of
+    d values.
+    """
+    d = len(x0)
+    if isinstance(field, drift_mod.DriftModel):
+        drift_mod._states(field, x0[None, :])
+
+        def step(x):
+            # one row of values, or one per stencil record; each in its coordinate
+            values, flags = drift_mod._expansion(field, drift_mod._records(field, np.array([x])))
+            return values.ravel().tolist(), np.count_nonzero(flags) > 0
+    else:
+        def step(x):
+            values = np.asarray(field(np.array([x])), dtype=float)
+            if values.shape != (1, d):
+                raise ValueError(f"field values have shape {values.shape}, expected (1, {d})")
+            return values[0].tolist(), False
+    return step
 
 
 def relative_l2_error(predict, truth, test_points) -> ErrorReport:
@@ -107,11 +136,12 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     Plain Euler steps of size ``dt`` over ``horizon`` time units; the
     estimated-field orbit records where the nearest-center fallback fired
     (the source of spurious fixed points far from the data), and its
-    fallback steps read their section rows from the model's table of
-    center rows.  The true orbit steps on Python floats through the
-    system's drift closure, as :func:`~kerneldrift.systems.simulate` does:
-    the same IEEE operations as :func:`~kerneldrift.systems.eval_drift` on
-    arrays, so the same bits.
+    fallback steps copy their section rows from the model's table of
+    center rows.  Both orbits step on Python floats, made arrays once at
+    the end: the true orbit through the system's drift closure, as
+    :func:`~kerneldrift.systems.simulate` does (the same IEEE operations,
+    so the same bits, as :func:`~kerneldrift.systems.eval_drift`); the
+    estimated one through :func:`_stepper`'s evaluator of ``model``.
     """
     x0 = systems_mod._start_state(spec, x0)
     systems_mod._check_dt(dt)
@@ -123,30 +153,27 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     if n_steps < 3:
         raise ValueError("horizon must cover at least 3 steps")
 
-    true_points = np.empty((n_steps + 1, spec.dimension))
-    est_points = np.empty((n_steps + 1, spec.dimension))
-    flags = np.zeros(n_steps + 1, dtype=bool)
-    true_points[0] = x0
-    est_points[0] = x0
+    estimated = _stepper(model, x0)
     true_drift = systems_mod._drift(spec)
-    xt = x0.tolist()
-    xe = x0.copy()
+    xt = xe = x0.tolist()
+    # each orbit's coordinates, row after row, as C doubles
+    true_points, est_points, flags = array("d", xt), array("d", xe), [False]
     for k in range(1, n_steps + 1):
         # the model first: it rejects a start too far out to extrapolate
         # from before the true field overflows there
-        value, flag = _evaluate(model, xe[None, :])
-        xe = xe + value[0] * dt
+        value, flag = estimated(xe)
+        xe = [xi + vi * dt for xi, vi in zip(xe, value)]
         xt = [xi + vi * dt for xi, vi in zip(xt, true_drift(*xt))]
         # a diverging step overflows to inf or nan (float arithmetic does not raise)
-        if not (all(map(math.isfinite, xt)) and np.isfinite(xe).all()):
+        if not (all(map(math.isfinite, xt)) and all(map(math.isfinite, xe))):
             raise NumericalError(f"non-finite state encountered at sample index {k}")
-        true_points[k] = xt
-        est_points[k] = xe
-        flags[k] = False if flag is None else bool(flag[0])
+        true_points.extend(xt)
+        est_points.extend(xe)
+        flags.append(flag)
     return OrbitComparison(
-        true_orbit=Trajectory(dt=dt, points=true_points),
-        estimated_orbit=Trajectory(dt=dt, points=est_points),
-        extrapolated=flags,
+        true_orbit=Trajectory(dt=dt, points=np.frombuffer(true_points).reshape(-1, len(xt))),
+        estimated_orbit=Trajectory(dt=dt, points=np.frombuffer(est_points).reshape(-1, len(xt))),
+        extrapolated=np.array(flags),
     )
 
 

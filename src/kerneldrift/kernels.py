@@ -21,13 +21,13 @@ keeps:
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
   empirical measure of the centers.  A model is its ``epsilon`` and
   centers alone: when a fit or a load makes one, it derives ``deg_r`` and
-  a CSR table of the raw rows at the centers from the centers' own block,
+  a table of the section rows at the centers from the centers' own block,
   and persists neither; the left degree is computed for each query.  Its
   sections (:func:`section_matrix`) are dense rows over the centers and
   the one evaluator of a kernel expansion:
   ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
-  query with no raw value at or above the threshold takes the raw row of
-  its nearest center from the table.  A large batch goes one row block at
+  query with no raw value at or above the threshold takes the section row
+  of its nearest center from the table.  A large batch goes one row block at
   a time (:func:`_section_blocks`).  The diffusion kernel is
   symmetrizable: with ``rho = sqrt(deg_l / deg_r)``,
   ``rho(x) k(x, y) / rho(y)`` equals
@@ -70,10 +70,13 @@ class KernelModel:
     A model is its bandwidth ``epsilon`` and (M, d) ``centers``, M >= 2;
     every fit and every load builds it the same way.  When it is made it
     checks the centers and derives the rest, none of it persisted: the
-    centers' bounding box, against which queries are checked; and, from
-    the centers' own block of raw values, the right degrees ``deg_r``,
-    their reciprocals and the CSR table of raw rows that an extrapolated
-    query copies.
+    squared cutoff (:func:`_cutoff`); the centers' bounding box, against
+    which queries are checked, and the bound that spares most queries that
+    check; and, from the centers' own block of raw values, the right
+    degrees ``deg_r``, their reciprocals and the table of the centers'
+    section rows that an extrapolated query copies, kept as CSR arrays
+    (row pointers, columns and values), so it grows with the entries the
+    rows store rather than with M times the longest row.
     """
 
     epsilon: float
@@ -84,7 +87,11 @@ class KernelModel:
     _inv_deg_r: np.ndarray = field(init=False, repr=False, compare=False)
     _lo: np.ndarray = field(init=False, repr=False, compare=False)
     _hi: np.ndarray = field(init=False, repr=False, compare=False)
-    _table: sp.csr_array = field(init=False, repr=False, compare=False)
+    _reach2: float = field(init=False, repr=False, compare=False)
+    _cutoff2: float = field(init=False, repr=False, compare=False)
+    _table_indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _table_columns: np.ndarray = field(init=False, repr=False, compare=False)
+    _table_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
@@ -98,11 +105,20 @@ class KernelModel:
         _check_points(centers, median, median, "center", "the other centers")
         self.centers = centers
         self._lo, self._hi = centers.min(axis=0), centers.max(axis=0)
+        # a query whose every |coordinate| stays below this reach is less
+        # than _SAFE_GAP from each side of the box
+        reach = _SAFE_GAP - max(np.abs(self._lo).max(), np.abs(self._hi).max())
+        self._reach2 = max(reach, 0.0) ** 2
+        self._cutoff2 = _cutoff(self.epsilon) ** 2
         # the raw rows g(c_i, c_j) among the centers; each keeps its own 1
-        raw = _gaussian_block(centers, centers, self.epsilon)[1]
+        raw = _gaussian_block(self, centers)[1]
         self.deg_r = raw.sum(axis=1) / len(centers)
         self._inv_deg_r = 1.0 / self.deg_r
-        self._table = sp.csr_array(raw)
+        # the centers' section rows, as section_matrix computes them
+        raw /= _scale(self, raw)[:, None]
+        table = sp.csr_array(raw)
+        self._table_indptr, self._table_columns, self._table_values = (
+            table.indptr, table.indices, table.data)
 
     @property
     def n_centers(self) -> int:
@@ -259,19 +275,27 @@ def _cutoff(epsilon: float) -> float:
     return math.sqrt(epsilon * math.log(1.0 / THETA_ZERO)) * (1.0 + 1e-12)
 
 
-def _gaussian_block(points: np.ndarray, others: np.ndarray, epsilon: float
+def _gaussian_block(model: KernelModel, points: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The squared distances ``sq = cdist(points, others, "sqeuclidean")``
-    and the raw block ``g(points[i], others[j])``, zero below ``THETA_ZERO``.
+    """The squared distances ``sq = cdist(points, model.centers,
+    "sqeuclidean")`` and the raw block ``g(points[i], c_j)``, zero below
+    ``THETA_ZERO``.
 
-    ``exp`` is taken only within :func:`_cutoff`: far beyond it ``exp``
-    underflows, which is slow.  ``cdist`` computes each entry alone, so a
-    row is the same alone or in any block.
+    ``exp`` is taken only within the model's cutoff, on the entries listed
+    once by flat index: far beyond it ``exp`` underflows, which is slow.
+    ``cdist`` computes each entry alone, so a row is the same alone or in
+    any block.
+
+    ``raw`` is allocated before ``sq``: once a block's arrays are freed,
+    glibc then finds less than its trim threshold free at the heap's top
+    and keeps the pages for the next block instead of faulting them in
+    again (a 2000-point Hopf prediction after a fit: about 5900 minor page
+    faults down to about 70).
     """
-    sq = cdist(points, others, "sqeuclidean")
-    near = sq <= _cutoff(epsilon) ** 2
-    raw = np.zeros_like(sq)
-    raw[near] = _gaussian(sq[near], epsilon)
+    raw = np.zeros((len(points), model.n_centers))
+    sq = cdist(points, model.centers, "sqeuclidean")
+    near = (sq.ravel() <= model._cutoff2).nonzero()[0]
+    raw.put(near, _gaussian(sq.take(near), model.epsilon))
     return sq, raw
 
 
@@ -336,10 +360,6 @@ def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,
     ``[lo, hi]`` (which stands for ``other``) overflows: a k-d tree radius
     query bounds its distances by such corners and fails when one does, and
     ``cdist`` would give an ``inf`` distance."""
-    # a cheap bound first: no squared distance to a corner of the box can
-    # overflow while every coordinate gap stays below it
-    if np.maximum(points - lo, hi - points).max(initial=0.0) < _SAFE_GAP:
-        return
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         bad = np.argmin(finite)
@@ -363,15 +383,22 @@ def diffusion_model(data, epsilon: float) -> KernelModel:
     return KernelModel(epsilon=epsilon, centers=data)
 
 
-def _normalise(model: KernelModel, raw: np.ndarray) -> np.ndarray:
-    """Section rows ``raw[i, j] / (rho_l(x_i) deg_r(c_j))``, in place, from
-    raw rows."""
+def _scale(model: KernelModel, raw: np.ndarray) -> np.ndarray:
+    """Scale raw rows by ``1 / deg_r``, in place, and return their left
+    degrees ``rho_l``: each scaled row's mean."""
     raw *= model._inv_deg_r
     # row-wise reduction keeps identical query rows bitwise identical
     # regardless of their position in the batch
-    rho_l = np.add.reduce(raw, axis=1) / model.n_centers
-    raw /= rho_l[:, None]
-    return raw
+    return np.add.reduce(raw, axis=1) / model.n_centers
+
+
+def _check_queries(model: KernelModel, points: np.ndarray) -> None:
+    """Check (n, d) query points against the centers' bounding box: the
+    exact, named :func:`_check_points` runs only on a batch whose squared
+    coordinates sum to ``_reach2`` or more (or to NaN), since below it
+    every gap to the box stays below ``_SAFE_GAP``."""
+    if not np.vdot(points, points) < model._reach2:
+        _check_points(points, model._lo, model._hi, "query", "every center")
 
 
 def _section_blocks(model: KernelModel, points: np.ndarray) -> list[slice]:
@@ -382,7 +409,7 @@ def _section_blocks(model: KernelModel, points: np.ndarray) -> list[slice]:
     here, once, so that an error names the row's index in the whole batch.
     """
     if len(points) > _BLOCK_ROWS:
-        _check_points(points, model._lo, model._hi, "query", "every center")
+        _check_queries(model, points)
     return [slice(s, s + _BLOCK_ROWS) for s in range(0, len(points), _BLOCK_ROWS)]
 
 
@@ -399,13 +426,16 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
 
     Each call is one row block from one ``cdist`` block of squared
     distances to every center (:func:`_gaussian_block`), so a row is the
-    same alone or in any batch.  An extrapolated row's nearest center is
-    the ``argmin`` of its row of that block (the first on a tie), whose raw
-    row is copied in from the model's table; then every row is normalised
-    once.  Every point is checked (:func:`_check_points`) against
-    the centers' bounding box before ``cdist`` sees it: a squared distance
-    that overflows would make a row all ``inf``, whose ``argmin`` is center
-    0 however near another center is.
+    same alone or in any batch.  A row's ``rho_l`` is 0 exactly when it
+    kept no raw value (each kept one is at least ``THETA_ZERO``, and
+    ``1 / deg_r >= 1``).  An extrapolated row's nearest center is the
+    ``argmin`` of its row of that block (the first on a tie), whose section
+    row, computed the same way when the model was made, is copied in from
+    the model's table, every such row in one gather, and divided by 1.
+    Every point is checked (:func:`_check_queries`) against the centers'
+    bounding box before ``cdist`` sees it: a squared distance that
+    overflows would make a row all ``inf``, whose ``argmin`` is center 0
+    however near another center is.
 
     Raises
     ------
@@ -418,13 +448,19 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"query dimension {points.shape[1]} != center dimension {model.dimension}"
         )
-    _check_points(points, model._lo, model._hi, "query", "every center")
+    _check_queries(model, points)
 
-    sq, raw = _gaussian_block(points, model.centers, model.epsilon)
-    extrapolated = ~raw.any(axis=1)
-    if extrapolated.any():
-        table = model._table
-        for row, center in zip(np.flatnonzero(extrapolated), sq[extrapolated].argmin(axis=1)):
-            span = slice(table.indptr[center], table.indptr[center + 1])
-            raw[row, table.indices[span]] = table.data[span]
-    return _normalise(model, raw), extrapolated
+    sq, raw = _gaussian_block(model, points)
+    rho_l = _scale(model, raw)
+    extrapolated = rho_l == 0.0
+    if np.count_nonzero(extrapolated):
+        rows = extrapolated.nonzero()[0]
+        nearest = sq[rows].argmin(axis=1)
+        starts = model._table_indptr[nearest]
+        counts = model._table_indptr[nearest + 1] - starts
+        # the table entries of each nearest center's row, the rows end to end
+        entries = np.arange(counts.sum()) + np.repeat(starts - (counts.cumsum() - counts), counts)
+        raw[np.repeat(rows, counts), model._table_columns[entries]] = model._table_values[entries]
+        rho_l[rows] = 1.0
+    raw /= rho_l[:, None]
+    return raw, extrapolated

@@ -51,6 +51,9 @@ class SystemSpec:
     sigma_noise
         Scale of the diagonal diffusion term; 0 means a deterministic ODE.
         It and every system constant must be a finite number, never a bool.
+        An integral constant is kept as a Python int and every other number
+        as a Python float, so a numpy scalar is written to a sidecar as the
+        JSON number it stands for.
     """
 
     name: str
@@ -74,6 +77,9 @@ class SystemSpec:
             if not (number and math.isfinite(value)):
                 raise ValueError(f"{self.name} parameter {key} must be a finite number, "
                                  f"got {value!r}")
+        object.__setattr__(self, "params", {
+            key: int(value) if isinstance(value, numbers.Integral) else float(value)
+            for key, value in self.params.items()})
         if self.name == "lorenz96":
             n = self.params["N"]
             if int(n) != n or int(n) < 4:
@@ -81,6 +87,7 @@ class SystemSpec:
         if isinstance(self.sigma_noise, bool) or not 0 <= self.sigma_noise < math.inf:
             raise ValueError(f"sigma_noise must be nonnegative and finite, "
                              f"got {self.sigma_noise}")
+        object.__setattr__(self, "sigma_noise", float(self.sigma_noise))
 
     @property
     def dimension(self) -> int:
@@ -371,8 +378,8 @@ def save_trajectory(traj: Trajectory, csv_path) -> None:
     which records ``dt``, ``d``, ``n_samples``, ``seed`` and whichever of
     the system, ``burn_in`` and ``substeps`` the path carries.
 
-    The sidecar is encoded first: a system constant JSON does not know (a
-    numpy integer, say) raises before either file is written."""
+    The sidecar is encoded first, so a value JSON cannot hold raises before
+    either file is written."""
     meta = {"dt": traj.dt, "d": traj.d, "n_samples": len(traj), "seed": traj.seed}
     if (spec := traj.spec) is not None:
         meta.update(system=spec.name, params=dict(spec.params), sigma_noise=spec.sigma_noise)

@@ -15,10 +15,14 @@ from kerneldrift import (
     extract_snapshots,
     make_spec,
     pointwise_errors,
+    predict_drift_many,
     relative_l2_error,
     simulate,
     system_field,
 )
+from kerneldrift import drift, systems
+from kerneldrift.drift import DriftModel
+from kerneldrift.kernels import _BLOCK_ROWS, section_matrix
 from kerneldrift.evaluation import (
     OrbitComparison,
     save_error_report,
@@ -244,14 +248,7 @@ def reference_orbits(spec, model, x0, horizon, dt):
     ("lorenz96", [12.0, -9.0, 8.0, 13.0, -8.0]),
 ])
 def test_orbits_off_the_data_match_reference_loop(system, x0):
-    spec = make_spec(system, sigma_noise=0.1)
-    start = [2.0, 0.0] if system == "hopf" else spec.dimension * [1.0]
-    traj = simulate(spec, start, n_samples=1000, dt=0.01, seed=8, burn_in=100, substeps=5)
-    params = CondExpParams(n_centers=120)
-    if system == "lorenz96":
-        model = estimate_drift_sparse(extract_snapshots(traj, Stencil.cyclic(5)), params)
-    else:
-        model = estimate_drift(traj, params)
+    spec, _, model = fitted_model(system)
     x0 = np.array(x0)
     comparison = compare_orbits(spec, model, x0, horizon=1.0, dt=0.01)
     true_points, est_points, flags = reference_orbits(spec, model, x0, 1.0, 0.01)
@@ -259,6 +256,102 @@ def test_orbits_off_the_data_match_reference_loop(system, x0):
     np.testing.assert_array_equal(comparison.true_orbit.points, true_points)
     np.testing.assert_array_equal(comparison.estimated_orbit.points, est_points)
     np.testing.assert_array_equal(comparison.extrapolated, flags)
+
+
+def fitted_model(system):
+    """A small fit of ``system`` (the shared unit on a cyclic stencil for
+    Lorenz 96) and the path it was fitted on."""
+    spec = make_spec(system, sigma_noise=0.1)
+    start = [2.0, 0.0] if system == "hopf" else spec.dimension * [1.0]
+    traj = simulate(spec, start, n_samples=1000, dt=0.01, seed=8, burn_in=100, substeps=5)
+    params = CondExpParams(n_centers=120)
+    if system == "lorenz96":
+        return spec, traj, estimate_drift_sparse(extract_snapshots(traj, Stencil.cyclic(5)),
+                                                 params)
+    return spec, traj, estimate_drift(traj, params)
+
+
+@pytest.mark.parametrize("system", ["hopf", "lorenz63", "lorenz96"])
+def test_orbits_on_the_data_match_reference_loop(system):
+    # started on the training path, most steps evaluate the fitted sections
+    # rather than the fallback rows
+    spec, traj, model = fitted_model(system)
+    x0 = traj.points[500]
+    comparison = compare_orbits(spec, model, x0, horizon=1.0, dt=0.01)
+    true_points, est_points, flags = reference_orbits(spec, model, x0, 1.0, 0.01)
+    assert not flags[1:].all()
+    np.testing.assert_array_equal(comparison.true_orbit.points, true_points)
+    np.testing.assert_array_equal(comparison.estimated_orbit.points, est_points)
+    np.testing.assert_array_equal(comparison.extrapolated, flags)
+
+
+def test_wide_stencil_orbit_goes_in_row_blocks(monkeypatch):
+    # a Lorenz 96 lattice of more than _BLOCK_ROWS cells: each orbit step's
+    # records reach the sections one row block at a time, and the orbit is
+    # still the reference loop's
+    spec, traj, fitted = fitted_model("lorenz96")
+    cells = _BLOCK_ROWS + 88  # a multiple of 5
+    model = DriftModel(kernel=fitted.kernel, coefficients=fitted.coefficients,
+                       stencil=Stencil.cyclic(cells))
+    spec = make_spec("lorenz96", N=cells, sigma_noise=0.1)
+    # a state of the fitted 5-cell lattice repeated, so its records lie near
+    # the data, each cell nudged apart
+    x0 = np.tile(traj.points[500], cells // 5) + 0.01 * np.random.default_rng(9).normal(size=cells)
+    blocks = []
+    sections = drift.section_matrix
+    monkeypatch.setattr(drift, "section_matrix",
+                        lambda kernel, records: blocks.append(len(records))
+                        or sections(kernel, records))
+    comparison = compare_orbits(spec, model, x0, horizon=0.03, dt=0.01)
+    assert blocks == 3 * [_BLOCK_ROWS, 88]
+    true_points, est_points, flags = reference_orbits(spec, model, x0, 0.03, 0.01)
+    # a step's flag is any of its records'; some records of the start lie on the data
+    assert not section_matrix(model.kernel, model.stencil.records(x0[None, :]))[1].all()
+    np.testing.assert_array_equal(comparison.true_orbit.points, true_points)
+    np.testing.assert_array_equal(comparison.estimated_orbit.points, est_points)
+    np.testing.assert_array_equal(comparison.extrapolated, flags)
+
+
+@pytest.mark.parametrize("width", [(2,), (1, 3), (2, 2)])
+def test_callable_of_wrong_width_rejected(width):
+    # a callable field returns one row of d values for the (1, d) state
+    spec = make_spec("hopf", sigma_noise=0.0)
+    field = lambda points: np.ones(width)
+    with pytest.raises(ValueError, match=re.escape(
+            f"field values have shape {width}, expected (1, 2)")):
+        compare_orbits(spec, field, np.ones(2), horizon=1.0, dt=0.01)
+
+
+def test_orbit_start_too_far_out_rejected_before_any_step(hopf_setup, monkeypatch):
+    # the model rejects the start, with predict_drift_many's message, before
+    # the true field is stepped
+    spec, model, _ = hopf_setup
+
+    def unstepped(spec):
+        def field(*x):
+            raise AssertionError("the true field was stepped")
+        return field
+
+    monkeypatch.setattr(systems, "_drift", unstepped)
+    with pytest.raises(ValueError, match="query point 0 is too far from every center"):
+        predict_drift_many(model, [[1e200, 0.0]])
+    with pytest.raises(ValueError, match="query point 0 is too far from every center"):
+        compare_orbits(spec, model, np.array([1e200, 0.0]), horizon=1.0, dt=0.01)
+
+
+def test_every_orbit_step_is_checked(hopf_setup, monkeypatch):
+    # with its coefficients scaled by 1e160 the model's first step from the
+    # data lands near 1e158, a finite state whose squared distances to the
+    # centers overflow: the second step is that ValueError, neither a
+    # NumericalError nor a fallback to a wrong nearest center
+    spec, model, held = hopf_setup
+    huge = DriftModel(kernel=model.kernel, coefficients=model.coefficients * 1e160)
+    steps = []
+    expansion = drift._expansion
+    monkeypatch.setattr(drift, "_expansion", lambda *a: steps.append(1) or expansion(*a))
+    with pytest.raises(ValueError, match="query point 0 is too far from every center"):
+        compare_orbits(spec, huge, held.points[0], horizon=1.0, dt=0.01)
+    assert len(steps) == 2
 
 
 def test_extrapolated_fraction_counts_fallbacks(hopf_setup):

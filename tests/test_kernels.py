@@ -726,6 +726,22 @@ class TestSectionsAgainstDenseOracle:
         sections, _ = section_matrix(model, points)
         assert not np.array_equal(sections[0], section_matrix(model, centers[41])[0][0])
 
+    def test_uneven_density_fallback_rows(self):
+        # a tight cluster beside lone centers: the rows copied in for far
+        # queries differ in length by a factor of 60, and the table holds
+        # each center row's own entries, no padding to the longest
+        rng = np.random.default_rng(57)
+        centers = np.vstack([0.01 * rng.normal(size=(60, 2)),
+                             10.0 * np.arange(1, 21)[:, None] * [1.0, 0.0]])
+        model = diffusion_model(centers, 0.05)
+        points = np.array([[0.0, 30.0], [105.0, 40.0], [-50.0, 0.0], [203.0, -20.0],
+                           [0.0, -25.0], [0.0, 0.0]])
+        flags = assert_sections_match_oracle(model, points)
+        assert flags[:5].all() and not flags[5]
+        rows = section_matrix(model, centers)[0]
+        assert len(model._table_values) == np.count_nonzero(rows)
+        assert np.count_nonzero(rows[0]) == 60 and np.count_nonzero(rows[-1]) == 1
+
     @pytest.mark.parametrize("d", [2, 3, 4])  # the Hopf, Lorenz 63 and Lorenz 96 stencil d
     def test_single_row_matches_row_in_large_batch(self, d):
         centers = cloud(n=500, d=d, seed=54, scale=3.0)

@@ -361,18 +361,39 @@ def test_bool_or_fractional_count_rejected(name, value, error):
 
 @pytest.mark.parametrize("entries, error", [
     ({"seed": True}, ValueError), ({"burn_in": 2.5}, TypeError),
-    ({"substeps": False}, ValueError), ({"N": np.int64(6)}, TypeError),
-], ids=["bool-seed", "float-burn-in", "bool-substeps", "numpy-constant"])
+    ({"substeps": False}, ValueError),
+], ids=["bool-seed", "float-burn-in", "bool-substeps"])
 def test_refused_save_writes_no_file(tmp_path, entries, error):
     # a count the sidecar could not write is refused when the path is
-    # built, and a system constant JSON does not know when the sidecar is
-    # encoded, before either file is written: neither the CSV nor a
-    # sidecar is left behind
-    spec = make_spec("lorenz96", N=entries.pop("N", 6))
+    # built, before either file is written: neither the CSV nor a sidecar
+    # is left behind
+    spec = make_spec("lorenz96", N=6)
     with pytest.raises(error):
         save_trajectory(Trajectory(dt=0.01, points=np.zeros((5, 6)), spec=spec,
                                    **{"seed": 0, **entries}), tmp_path / "traj.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_numpy_constants_save_and_load_back(tmp_path):
+    # a spec keeps an integral numpy constant as a Python int and a real one
+    # as a float, so the path it simulates saves, loads back equal and
+    # keeps the bits of the spec written with Python numbers
+    spec = make_spec("lorenz96", sigma_noise=np.float32(0.25), N=np.int64(6),
+                     F=np.float32(8.5))
+    assert spec == make_spec("lorenz96", sigma_noise=0.25, N=6, F=8.5)
+    assert [type(v) for v in (spec.params["N"], spec.params["F"], spec.sigma_noise)] == [
+        int, float, float]
+    traj = simulate(spec, default_initial_state(spec), n_samples=20, dt=0.01, seed=1,
+                    burn_in=0)
+    np.testing.assert_array_equal(traj.points, simulate(
+        make_spec("lorenz96", sigma_noise=0.25, N=6, F=8.5), default_initial_state(spec),
+        n_samples=20, dt=0.01, seed=1, burn_in=0).points)
+    path = tmp_path / "traj.csv"
+    save_trajectory(traj, path)
+    loaded = load_trajectory(path)
+    np.testing.assert_array_equal(loaded.points, traj.points)
+    assert (loaded.dt, loaded.spec, loaded.seed, loaded.burn_in, loaded.substeps) == (
+        traj.dt, spec, 1, 0, 1)
 
 
 def test_csv_without_sidecar_infers_dt(tmp_path):
