@@ -165,8 +165,6 @@ def cmd_compare(args) -> int:
     model = drift.load_drift_model(args.model)
     cells = {"N": model.d} if args.system == "lorenz96" else {}
     spec = systems.make_spec(args.system, **cells)
-    if model.d != spec.dimension:
-        raise ValueError(f"model dimension {model.d} != system dimension {spec.dimension}")
     if args.x0 is not None:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     else:
@@ -190,9 +188,12 @@ def cmd_sweep(args) -> int:
     names = [s.strip() for s in args.systems.split(",") if s.strip()]
     if not names:
         raise ValueError(f"--systems names no system: {args.systems!r}")
+    params = condexp.CondExpParams(n_centers=args.centers)  # before any cell writes a file
     for name in names:
-        if name not in systems.SYSTEM_NAMES:
-            raise ValueError(f"unknown system {name!r}")
+        # a cell's fit inputs: the n - 3 states, or their records on each lattice cell
+        d = systems.make_spec(name).dimension  # an unknown name is a ValueError
+        n = systems._integer("n_samples", DEFAULT_SAMPLES[name] if args.n is None else args.n, 4)
+        params._check_inputs((n - 3) * (d if name == "lorenz96" else 1))
     results = {}
     for name in names:
         for noise in NOISE_SWEEP:

@@ -69,6 +69,10 @@ class CondExpParams:
         # a diffusion kernel needs at least 2 centers
         object.__setattr__(self, "n_centers", _integer("n_centers", self.n_centers, 2))
 
+    def _check_inputs(self, n: int) -> None:
+        if self.n_centers > n:
+            raise ValueError(f"n_centers={self.n_centers} exceeds the number of inputs {n}")
+
 
 def solve_regularized(smoothed_sections: np.ndarray | sp.csr_array,
                       smoothed_targets: np.ndarray,
@@ -146,8 +150,7 @@ def fit_targets(inputs, targets, params: CondExpParams
     if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
         raise ValueError("inputs and targets must be finite")
     n, m = len(inputs), params.n_centers
-    if m > n:
-        raise ValueError(f"n_centers={m} exceeds the number of inputs {n}")
+    params._check_inputs(n)
     single = targets.ndim == 1
     y = targets[:, None] if single else targets
 

@@ -1,9 +1,9 @@
 """Reconstruction quality: relative L2 error, error fields, orbit comparison.
 
-A field is either a fitted :class:`~kerneldrift.drift.DriftModel`, whose
-predictions carry extrapolation flags, or a callable mapping an (n, d)
-array of points to an (n, d) array of values; :func:`system_field` adapts
-a system spec to the latter.
+A scored field is a fitted :class:`~kerneldrift.drift.DriftModel`, whose
+predictions carry extrapolation flags, or a callable mapping (n, d) points
+to (n, d) values, as :func:`system_field` makes of a system spec; an orbit
+integrates a fitted model only.
 """
 
 from __future__ import annotations
@@ -46,34 +46,6 @@ def _evaluate(field, points) -> tuple[np.ndarray, np.ndarray | None]:
     if isinstance(field, drift_mod.DriftModel):
         return drift_mod.predict_drift_many(field, points)
     return np.asarray(field(points), dtype=float), None
-
-
-def _stepper(field, x0: np.ndarray):
-    """The per-step evaluator of an orbit's ``field`` from the (d,) start
-    ``x0``: a state, as a list of d floats, to its d values, as a list,
-    and whether the step fell back (never, for a callable).
-
-    A fitted model's shape is checked against ``x0`` once; each step goes
-    through the evaluator behind :func:`~kerneldrift.drift.predict_drift_many`,
-    whose point check makes a state too far out that function's
-    ValueError.  A callable gets a (1, d) array and must return one row of
-    d values.
-    """
-    d = len(x0)
-    if isinstance(field, drift_mod.DriftModel):
-        drift_mod._states(field, x0[None, :])
-
-        def step(x):
-            # one row of values, or one per stencil record; each in its coordinate
-            values, flags = drift_mod._expansion(field, drift_mod._records(field, np.array([x])))
-            return values.ravel().tolist(), np.count_nonzero(flags) > 0
-    else:
-        def step(x):
-            values = np.asarray(field(np.array([x])), dtype=float)
-            if values.shape != (1, d):
-                raise ValueError(f"field values have shape {values.shape}, expected (1, {d})")
-            return values[0].tolist(), False
-    return step
 
 
 def relative_l2_error(predict, truth, test_points) -> ErrorReport:
@@ -129,20 +101,26 @@ class OrbitComparison:
     extrapolated: np.ndarray  # per estimated-orbit sample
 
 
-def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
-                   ) -> OrbitComparison:
-    """Integrate both fields deterministically from the same start.
+def compare_orbits(spec: SystemSpec, model: drift_mod.DriftModel, x0, horizon: float,
+                   dt: float) -> OrbitComparison:
+    """Integrate the true field and a fitted ``model`` of it from one start.
 
-    Plain Euler steps of size ``dt`` over ``horizon`` time units; the
-    estimated-field orbit records where the nearest-center fallback fired
-    (the source of spurious fixed points far from the data), and its
-    fallback steps copy their section rows from the model's table of
-    center rows.  Both orbits step on Python floats, made arrays once at
-    the end: the true orbit through the system's drift closure, as
-    :func:`~kerneldrift.systems.simulate` does (the same IEEE operations,
-    so the same bits, as :func:`~kerneldrift.systems.eval_drift`); the
-    estimated one through :func:`_stepper`'s evaluator of ``model``.
+    ``model`` is a :class:`~kerneldrift.drift.DriftModel` (else a TypeError)
+    of ``spec``'s dimension (else a ValueError).  Plain Euler steps of size
+    ``dt`` over ``horizon`` time units; the estimated-field orbit records
+    where the nearest-center fallback fired (the source of spurious fixed
+    points far from the data), and its fallback steps copy their section
+    rows from the model's table of center rows.  Both orbits step on Python
+    floats, made arrays once at the end: the true orbit through the
+    system's drift closure, as :func:`~kerneldrift.systems.simulate` does
+    (the same IEEE operations, so the same bits, as
+    :func:`~kerneldrift.systems.eval_drift`); the estimated one through
+    :func:`~kerneldrift.drift.predict_drift_many`'s evaluator.
     """
+    if not isinstance(model, drift_mod.DriftModel):
+        raise TypeError(f"model must be a DriftModel, got {type(model).__name__}")
+    if model.d != spec.dimension:
+        raise ValueError(f"model dimension {model.d} != system dimension {spec.dimension}")
     x0 = systems_mod._start_state(spec, x0)
     systems_mod._check_dt(dt)
     if not np.isfinite(horizon):
@@ -153,7 +131,6 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     if n_steps < 3:
         raise ValueError("horizon must cover at least 3 steps")
 
-    estimated = _stepper(model, x0)
     true_drift = systems_mod._drift(spec)
     xt = xe = x0.tolist()
     # each orbit's coordinates, row after row, as C doubles
@@ -161,15 +138,15 @@ def compare_orbits(spec: SystemSpec, model, x0, horizon: float, dt: float
     for k in range(1, n_steps + 1):
         # the model first: it rejects a start too far out to extrapolate
         # from before the true field overflows there
-        value, flag = estimated(xe)
-        xe = [xi + vi * dt for xi, vi in zip(xe, value)]
+        values, flagged = drift_mod._expansion(model, drift_mod._records(model, np.array([xe])))
+        xe = [xi + vi * dt for xi, vi in zip(xe, values.ravel().tolist())]
         xt = [xi + vi * dt for xi, vi in zip(xt, true_drift(*xt))]
         # a diverging step overflows to inf or nan (float arithmetic does not raise)
         if not (all(map(math.isfinite, xt)) and all(map(math.isfinite, xe))):
             raise NumericalError(f"non-finite state encountered at sample index {k}")
         true_points.extend(xt)
         est_points.extend(xe)
-        flags.append(flag)
+        flags.append(np.count_nonzero(flagged) > 0)
     return OrbitComparison(
         true_orbit=Trajectory(dt=dt, points=np.frombuffer(true_points).reshape(-1, len(xt))),
         estimated_orbit=Trajectory(dt=dt, points=np.frombuffer(est_points).reshape(-1, len(xt))),

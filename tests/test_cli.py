@@ -329,10 +329,14 @@ def test_compare_overflowing_step_count_is_usage_error(hopf_run, tmp_path, capsy
     assert not out.exists()
 
 
-def test_compare_dimension_mismatch(hopf_run, tmp_path):
+def test_compare_dimension_mismatch(hopf_run, tmp_path, capsys):
+    # compare_orbits' own check, before --out is made
+    out = tmp_path / "out"
     code = run("compare", "--model", str(hopf_run / "model.json"),
-               "--system", "lorenz63", "--out", str(tmp_path))
+               "--system", "lorenz63", "--out", str(out))
     assert code == 1
+    assert capsys.readouterr().err == "usage error: model dimension 2 != system dimension 3\n"
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_two(tmp_path):
@@ -430,4 +434,22 @@ def test_sweep_without_systems_is_usage_error(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert run("sweep", "--systems", ",", "--out", str(out)) == 1
     assert "usage error: --systems names no system" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--systems", "hopf", "--n", "100", "--centers", "500"],
+     "n_centers=500 exceeds the number of inputs 97"),
+    (["--centers", "1"], "n_centers must be at least 2, got 1"),
+    # the 5-cell Lorenz 96 lattice gives (2000 - 3) * 5 = 9985 records
+    (["--centers", "9990"], "n_centers=9990 exceeds the number of inputs 9985"),
+    (["--systems", "hopf,lorenz"], "unknown system 'lorenz'"),
+    (["--systems", "hopf", "--n", "2"], "n_samples must be at least 4, got 2"),
+], ids=["hopf-inputs", "one-center", "l96-records", "unknown-system", "few-samples"])
+def test_rejected_sweep_runs_no_cell(tmp_path, capsys, args, message):
+    # the systems and every cell's fit are checked before the first cell runs
+    # or --out is made
+    out = tmp_path / "sweep"
+    assert run("sweep", *args, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
     assert not out.exists()

@@ -148,16 +148,14 @@ def test_pointwise_csv(tmp_path):
 
 class TestCompareOrbits:
     def test_oracle_injection_matches_simulate(self):
+        # at sigma = 0 the true orbit is simulate's path, bit for bit
+        _, _, model = fitted_model("lorenz63")
         spec = make_spec("lorenz63", sigma_noise=0.0)
         x0 = np.array([1.0, 1.0, 1.0])
-        oracle = lambda points: eval_drift(spec, points)
-        comparison = compare_orbits(spec, oracle, x0, horizon=1.0, dt=0.01)
-        np.testing.assert_array_equal(comparison.true_orbit.points,
-                                      comparison.estimated_orbit.points)
+        comparison = compare_orbits(spec, model, x0, horizon=1.0, dt=0.01)
         reference = simulate(spec, x0, n_samples=101, dt=0.01, seed=0,
                              burn_in=0, substeps=1)
         np.testing.assert_array_equal(comparison.true_orbit.points, reference.points)
-        assert not comparison.extrapolated.any()
 
     def test_hopf_orbits_stay_near_cycle(self, hopf_setup):
         spec, model, _ = hopf_setup
@@ -168,12 +166,12 @@ class TestCompareOrbits:
             assert np.abs(radii - 1.0).max() < 0.2
 
     def test_blowup_reported(self):
-        spec = make_spec("lorenz63", sigma_noise=0.0)
-        diverging = lambda points: np.asarray(points) * 1e8
+        # the true Euler orbit of Lorenz 63 diverges at dt = 0.1
+        spec, _, model = fitted_model("lorenz63")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError,
-                               match="non-finite state encountered at sample index"):
-                compare_orbits(spec, diverging, np.ones(3), horizon=4.0, dt=0.1)
+                               match="non-finite state encountered at sample index 19"):
+                compare_orbits(spec, model, np.ones(3), horizon=5.0, dt=0.1)
 
     def test_csv_export(self, tmp_path, hopf_setup):
         spec, model, _ = hopf_setup
@@ -188,39 +186,59 @@ class TestCompareOrbits:
     def test_dimension_mismatch(self, hopf_setup):
         _, model, _ = hopf_setup
         spec3 = make_spec("lorenz63")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "model dimension 2 != system dimension 3")):
             compare_orbits(spec3, model, np.ones(3), horizon=1.0, dt=0.01)
+
+    def test_callable_model_rejected_before_any_step(self, monkeypatch):
+        # orbits integrate a fitted model only: a callable is a TypeError
+        # named by its type, before either field is evaluated
+        spec = make_spec("lorenz63", sigma_noise=0.0)
+        monkeypatch.setattr(systems, "_drift", unreachable_drift)
+
+        def oracle(points):
+            raise AssertionError("a field was evaluated")
+
+        with pytest.raises(TypeError, match="model must be a DriftModel, got function"):
+            compare_orbits(spec, oracle, np.ones(3), horizon=1.0, dt=0.01)
 
     @pytest.mark.parametrize("horizon, dt", [
         (1.0, 0.0), (1.0, -0.01), (1.0, np.nan), (1.0, np.inf),
         (np.inf, 0.01), (np.nan, 0.01),
     ])
     def test_bad_step_or_horizon_rejected(self, horizon, dt):
-        spec = make_spec("lorenz63", sigma_noise=0.0)
-        oracle = lambda points: eval_drift(spec, points)
+        spec, _, model = fitted_model("lorenz63")
         message = "dt must be positive" if np.isfinite(horizon) else "horizon must be finite"
         with pytest.raises(ValueError, match=message):
-            compare_orbits(spec, oracle, np.ones(3), horizon=horizon, dt=dt)
+            compare_orbits(spec, model, np.ones(3), horizon=horizon, dt=dt)
 
     def test_overflowing_step_count_rejected(self):
         # both values are finite, but 1e300 / 1e-300 is no step count
-        spec = make_spec("lorenz63", sigma_noise=0.0)
-        oracle = lambda points: eval_drift(spec, points)
+        spec, _, model = fitted_model("lorenz63")
         with pytest.raises(ValueError, match=re.escape(
                 "horizon / dt must be a finite step count, got horizon=1e+300, dt=1e-300")):
-            compare_orbits(spec, oracle, np.ones(3), horizon=1e300, dt=1e-300)
+            compare_orbits(spec, model, np.ones(3), horizon=1e300, dt=1e-300)
 
-    def test_bool_step_rejected_before_any_step(self):
+    def test_bool_step_rejected_before_any_step(self, monkeypatch):
         # a JSON true is no step of 1, which diverges on Lorenz 63: the
         # argument is rejected before either field is evaluated
-        spec = make_spec("lorenz63", sigma_noise=0.0)
+        spec, _, model = fitted_model("lorenz63")
 
-        def unreachable(points):
+        def unreachable(*args):
             raise AssertionError("a field was evaluated")
 
+        monkeypatch.setattr(drift, "_expansion", unreachable)
+        monkeypatch.setattr(systems, "_drift", unreachable_drift)
         with pytest.raises(ValueError, match=re.escape(
                 "dt must be positive and finite, got True")):
-            compare_orbits(spec, unreachable, np.ones(3), horizon=50.0, dt=True)
+            compare_orbits(spec, model, np.ones(3), horizon=50.0, dt=True)
+
+
+def unreachable_drift(spec):
+    """A stand-in for ``systems._drift`` whose field fails when stepped."""
+    def field(*x):
+        raise AssertionError("the true field was stepped")
+    return field
 
 
 def reference_orbits(spec, model, x0, horizon, dt):
@@ -312,27 +330,11 @@ def test_wide_stencil_orbit_goes_in_row_blocks(monkeypatch):
     np.testing.assert_array_equal(comparison.extrapolated, flags)
 
 
-@pytest.mark.parametrize("width", [(2,), (1, 3), (2, 2)])
-def test_callable_of_wrong_width_rejected(width):
-    # a callable field returns one row of d values for the (1, d) state
-    spec = make_spec("hopf", sigma_noise=0.0)
-    field = lambda points: np.ones(width)
-    with pytest.raises(ValueError, match=re.escape(
-            f"field values have shape {width}, expected (1, 2)")):
-        compare_orbits(spec, field, np.ones(2), horizon=1.0, dt=0.01)
-
-
 def test_orbit_start_too_far_out_rejected_before_any_step(hopf_setup, monkeypatch):
     # the model rejects the start, with predict_drift_many's message, before
     # the true field is stepped
     spec, model, _ = hopf_setup
-
-    def unstepped(spec):
-        def field(*x):
-            raise AssertionError("the true field was stepped")
-        return field
-
-    monkeypatch.setattr(systems, "_drift", unstepped)
+    monkeypatch.setattr(systems, "_drift", unreachable_drift)
     with pytest.raises(ValueError, match="query point 0 is too far from every center"):
         predict_drift_many(model, [[1e200, 0.0]])
     with pytest.raises(ValueError, match="query point 0 is too far from every center"):
