@@ -123,7 +123,7 @@ def compare_orbits(spec: SystemSpec, model: drift_mod.DriftModel, x0, horizon: f
         raise ValueError(f"model dimension {model.d} != system dimension {spec.dimension}")
     x0 = systems_mod._start_state(spec, x0)
     systems_mod._check_dt(dt)
-    if not np.isfinite(horizon):
+    if isinstance(horizon, bool) or not math.isfinite(horizon):  # a JSON true is no horizon of 1
         raise ValueError(f"horizon must be finite, got {horizon}")
     if not math.isfinite(steps := horizon / dt):  # e.g. 1e300 / 1e-300 overflows
         raise ValueError(f"horizon / dt must be a finite step count, got {horizon=}, {dt=}")

@@ -21,10 +21,11 @@ keeps:
   ``deg_l(x) = mean_j g(x, c_j) / deg_r(c_j)``, both taken against the
   empirical measure of the centers.  A model is its ``epsilon`` and
   centers alone: when a fit or a load makes one, it derives ``deg_r`` and
-  a table of the section rows at the centers from the centers' own block,
-  and persists neither; the left degree is computed for each query.  Its
-  sections (:func:`section_matrix`) are dense rows over the centers and
-  the one evaluator of a kernel expansion:
+  the dense (M, M) table of the section rows at the centers (M^2 * 8 bytes,
+  2 MB at M = 500) from the centers' own block, and persists neither; the
+  left degree is computed for each query.  Its sections
+  (:func:`section_matrix`) are dense rows over the centers and the one
+  evaluator of a kernel expansion:
   ``sum_j a_j k(x_i, c_j)`` is the row-wise ``(S * a).sum(axis=1)``.  A
   query with no raw value at or above the threshold takes the section row
   of its nearest center from the table.  A large batch goes one row block at
@@ -74,9 +75,8 @@ class KernelModel:
     which queries are checked, and the bound that spares most queries that
     check; and, from the centers' own block of raw values, the right
     degrees ``deg_r``, their reciprocals and the table of the centers'
-    section rows that an extrapolated query copies, kept as CSR arrays
-    (row pointers, columns and values), so it grows with the entries the
-    rows store rather than with M times the longest row.
+    section rows that an extrapolated query copies: that block itself,
+    scaled, a dense (M, M) float64 array of M^2 * 8 bytes.
     """
 
     epsilon: float
@@ -89,9 +89,7 @@ class KernelModel:
     _hi: np.ndarray = field(init=False, repr=False, compare=False)
     _reach2: float = field(init=False, repr=False, compare=False)
     _cutoff2: float = field(init=False, repr=False, compare=False)
-    _table_indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _table_columns: np.ndarray = field(init=False, repr=False, compare=False)
-    _table_values: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_epsilon(self.epsilon)
@@ -116,9 +114,7 @@ class KernelModel:
         self._inv_deg_r = 1.0 / self.deg_r
         # the centers' section rows, as section_matrix computes them
         raw /= _scale(self, raw)[:, None]
-        table = sp.csr_array(raw)
-        self._table_indptr, self._table_columns, self._table_values = (
-            table.indptr, table.indices, table.data)
+        self._table = raw
 
     @property
     def n_centers(self) -> int:
@@ -156,7 +152,7 @@ def select_bandwidth(data, eta: float | Sequence[float],
     for e in etas:
         if not 0 < e < 1:
             raise ValueError(f"eta must lie in (0, 1), got {e}")
-    if not 0 < subsample_fraction <= 1:
+    if isinstance(subsample_fraction, bool) or not 0 < subsample_fraction <= 1:
         raise ValueError(f"subsample_fraction must lie in (0, 1], got {subsample_fraction}")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or len(data) < 2:
@@ -429,9 +425,9 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     same alone or in any batch.  A row's ``rho_l`` is 0 exactly when it
     kept no raw value (each kept one is at least ``THETA_ZERO``, and
     ``1 / deg_r >= 1``).  An extrapolated row's nearest center is the
-    ``argmin`` of its row of that block (the first on a tie), whose section
-    row, computed the same way when the model was made, is copied in from
-    the model's table, every such row in one gather, and divided by 1.
+    ``argmin`` of its row of that block (the first on a tie).  Each such
+    row is one row of the model's table, the nearest center's section row
+    computed the same way when the model was made, divided by 1.
     Every point is checked (:func:`_check_queries`) against the centers'
     bounding box before ``cdist`` sees it: a squared distance that
     overflows would make a row all ``inf``, whose ``argmin`` is center 0
@@ -455,12 +451,7 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
     extrapolated = rho_l == 0.0
     if np.count_nonzero(extrapolated):
         rows = extrapolated.nonzero()[0]
-        nearest = sq[rows].argmin(axis=1)
-        starts = model._table_indptr[nearest]
-        counts = model._table_indptr[nearest + 1] - starts
-        # the table entries of each nearest center's row, the rows end to end
-        entries = np.arange(counts.sum()) + np.repeat(starts - (counts.cumsum() - counts), counts)
-        raw[np.repeat(rows, counts), model._table_columns[entries]] = model._table_values[entries]
+        raw[rows] = model._table[sq[rows].argmin(axis=1)]
         rho_l[rows] = 1.0
     raw /= rho_l[:, None]
     return raw, extrapolated

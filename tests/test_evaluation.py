@@ -204,13 +204,21 @@ class TestCompareOrbits:
 
     @pytest.mark.parametrize("horizon, dt", [
         (1.0, 0.0), (1.0, -0.01), (1.0, np.nan), (1.0, np.inf),
-        (np.inf, 0.01), (np.nan, 0.01),
+        (np.inf, 0.01), (np.nan, 0.01), (True, 0.01),
     ])
     def test_bad_step_or_horizon_rejected(self, horizon, dt):
+        # a JSON true is no horizon of 1.0
         spec, _, model = fitted_model("lorenz63")
-        message = "dt must be positive" if np.isfinite(horizon) else "horizon must be finite"
+        message = ("dt must be positive" if horizon is not True and np.isfinite(horizon)
+                   else f"horizon must be finite, got {horizon}")
         with pytest.raises(ValueError, match=message):
             compare_orbits(spec, model, np.ones(3), horizon=horizon, dt=dt)
+
+    def test_string_horizon_rejected(self):
+        # Python's own message for a string where a real number is needed
+        spec, _, model = fitted_model("lorenz63")
+        with pytest.raises(TypeError, match="must be real number, not str"):
+            compare_orbits(spec, model, np.ones(3), horizon="1.0", dt=0.01)
 
     def test_overflowing_step_count_rejected(self):
         # both values are finite, but 1e300 / 1e-300 is no step count

@@ -171,6 +171,10 @@ class TestSelectBandwidth:
                 select_bandwidth(data, eta=etas)
         with pytest.raises(ValueError, match="subsample_fraction"):
             select_bandwidth(data, eta=0.5, subsample_fraction=0.0)
+        # a JSON true is no fraction of 1.0
+        with pytest.raises(ValueError, match=re.escape(
+                "subsample_fraction must lie in (0, 1], got True")):
+            select_bandwidth(data, eta=0.5, subsample_fraction=True)
 
     def test_overflowing_quantile_rejected(self):
         # the 0.99-quantile interpolates between two overflowed (inf)
@@ -728,8 +732,8 @@ class TestSectionsAgainstDenseOracle:
 
     def test_uneven_density_fallback_rows(self):
         # a tight cluster beside lone centers: the rows copied in for far
-        # queries differ in length by a factor of 60, and the table holds
-        # each center row's own entries, no padding to the longest
+        # queries differ in length by a factor of 60, and the table is the
+        # centers' own section rows, bit for bit
         rng = np.random.default_rng(57)
         centers = np.vstack([0.01 * rng.normal(size=(60, 2)),
                              10.0 * np.arange(1, 21)[:, None] * [1.0, 0.0]])
@@ -739,7 +743,7 @@ class TestSectionsAgainstDenseOracle:
         flags = assert_sections_match_oracle(model, points)
         assert flags[:5].all() and not flags[5]
         rows = section_matrix(model, centers)[0]
-        assert len(model._table_values) == np.count_nonzero(rows)
+        assert np.array_equal(model._table, rows)
         assert np.count_nonzero(rows[0]) == 60 and np.count_nonzero(rows[-1]) == 1
 
     @pytest.mark.parametrize("d", [2, 3, 4])  # the Hopf, Lorenz 63 and Lorenz 96 stencil d
