@@ -138,7 +138,9 @@ def fit_targets(inputs, targets, params: CondExpParams
     share the bandwidths, smoothing matrices, centers (every (N // M)-th
     input; ``M > N`` raises ``ValueError``) and the factorization of the
     normal equations; one ``select_bandwidth`` call on one distance sample
-    gives eps1, eps3 at ``_ETA3`` and eps2.  Returns
+    gives eps1, eps3 at ``_ETA3`` and eps2.  The sections, about 1% of them
+    nonzero, come one row block of ``section_matrix`` at a time, and each
+    block's nonzeros, in row-major order, go straight into one CSR.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -157,10 +159,18 @@ def fit_targets(inputs, targets, params: CondExpParams
     eps1, eps3, eps2 = select_bandwidth(inputs, (params.eta1, _ETA3, params.eta2))
 
     kernel = diffusion_model(inputs[np.arange(m) * (n // m)], eps2)
-    # the sections keep about 1% of their entries: they are evaluated one
-    # row block at a time and kept as CSR
-    sections = sp.vstack([sp.csr_array(section_matrix(kernel, inputs[rows])[0])
-                          for rows in _section_blocks(kernel, inputs)], format="csr")
+    data, flat = [], []
+    for rows in _section_blocks(kernel, inputs):
+        block = section_matrix(kernel, inputs[rows])[0].ravel()
+        kept = block.nonzero()[0]
+        data.append(block.take(kept))
+        flat.append(kept + rows.start * m)
+        del block  # freed before the next block is made
+    row, col = np.divmod(np.concatenate(flat), m)
+    index = np.int32 if len(row) < 2**31 else np.int64  # as scipy's CSR of a dense block
+    sections = sp.csr_array((np.concatenate(data), col.astype(index),
+                             np.searchsorted(row, np.arange(n + 1)).astype(index)), shape=(n, m))
+    del data, flat, row, col  # not held through the Markov passes
 
     # one eps3 pass applies the Markov matrix to the kernel sections and
     # the smoothed targets together, as a sparse product that stays CSR;

@@ -109,12 +109,12 @@ class KernelModel:
         self._reach2 = max(reach, 0.0) ** 2
         self._cutoff2 = _cutoff(self.epsilon) ** 2
         # the raw rows g(c_i, c_j) among the centers; each keeps its own 1
-        raw = _gaussian_block(self, centers)[1]
+        _, raw, near, g = _gaussian_block(self, centers)
+        raw.put(near, g)
         self.deg_r = raw.sum(axis=1) / len(centers)
         self._inv_deg_r = 1.0 / self.deg_r
-        # the centers' section rows, as section_matrix computes them
-        raw /= _scale(self, raw)[:, None]
-        self._table = raw
+        _scale(self, raw, near, g)
+        self._table = raw  # the centers' section rows, as section_matrix computes them
 
     @property
     def n_centers(self) -> int:
@@ -271,16 +271,14 @@ def _cutoff(epsilon: float) -> float:
     return math.sqrt(epsilon * math.log(1.0 / THETA_ZERO)) * (1.0 + 1e-12)
 
 
-def _gaussian_block(model: KernelModel, points: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _gaussian_block(model: KernelModel, points: np.ndarray) -> tuple[np.ndarray, ...]:
     """The squared distances ``sq = cdist(points, model.centers,
-    "sqeuclidean")`` and the raw block ``g(points[i], c_j)``, zero below
-    ``THETA_ZERO``.
-
-    ``exp`` is taken only within the model's cutoff, on the entries listed
-    once by flat index: far beyond it ``exp`` underflows, which is slow.
-    ``cdist`` computes each entry alone, so a row is the same alone or in
-    any block.
+    "sqeuclidean")``, a zero block ``raw`` of their shape, the flat indices
+    ``near`` of the entries within the model's cutoff, the only ones whose
+    raw value may be nonzero, and those values ``g(points[i], c_j)``, zero
+    below ``THETA_ZERO``.  ``exp`` is taken only on them: far beyond the
+    cutoff it underflows, which is slow.  ``cdist`` computes each entry
+    alone, so a row is the same alone or in any block.
 
     ``raw`` is allocated before ``sq``: once a block's arrays are freed,
     glibc then finds less than its trim threshold free at the heap's top
@@ -291,8 +289,7 @@ def _gaussian_block(model: KernelModel, points: np.ndarray
     raw = np.zeros((len(points), model.n_centers))
     sq = cdist(points, model.centers, "sqeuclidean")
     near = (sq.ravel() <= model._cutoff2).nonzero()[0]
-    raw.put(near, _gaussian(sq.take(near), model.epsilon))
-    return sq, raw
+    return sq, raw, near, _gaussian(sq.take(near), model.epsilon)
 
 
 def _gaussian_pairs(points: np.ndarray, epsilon: float
@@ -379,13 +376,21 @@ def diffusion_model(data, epsilon: float) -> KernelModel:
     return KernelModel(epsilon=epsilon, centers=data)
 
 
-def _scale(model: KernelModel, raw: np.ndarray) -> np.ndarray:
-    """Scale raw rows by ``1 / deg_r``, in place, and return their left
-    degrees ``rho_l``: each scaled row's mean."""
-    raw *= model._inv_deg_r
-    # row-wise reduction keeps identical query rows bitwise identical
-    # regardless of their position in the batch
-    return np.add.reduce(raw, axis=1) / model.n_centers
+def _scale(model: KernelModel, raw: np.ndarray, near: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Fill the zero block ``raw`` with section rows from the raw values ``g``
+    at its flat indices ``near``: each times ``1 / deg_r``, over its row's
+    mean ``rho_l``.  Returns the flags of the rows whose ``rho_l`` is 0."""
+    one = len(raw) == 1  # an orbit step's one row: its flat indices are its columns
+    g *= model._inv_deg_r.take(near if one else near % model.n_centers)
+    raw.put(near, g)
+    # one dense row-wise reduction keeps identical query rows bitwise
+    # identical regardless of their position in the batch
+    rho_l = np.add.reduce(raw, axis=1) / model.n_centers
+    extrapolated = rho_l == 0.0
+    rho_l[extrapolated] = 1.0  # a zero row's entries are divided by 1, not 0
+    g /= rho_l if one else rho_l.take(near // model.n_centers)
+    raw.put(near, g)
+    return extrapolated
 
 
 def _check_queries(model: KernelModel, points: np.ndarray) -> None:
@@ -422,12 +427,13 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
 
     Each call is one row block from one ``cdist`` block of squared
     distances to every center (:func:`_gaussian_block`), so a row is the
-    same alone or in any batch.  A row's ``rho_l`` is 0 exactly when it
-    kept no raw value (each kept one is at least ``THETA_ZERO``, and
-    ``1 / deg_r >= 1``).  An extrapolated row's nearest center is the
-    ``argmin`` of its row of that block (the first on a tie).  Each such
-    row is one row of the model's table, the nearest center's section row
-    computed the same way when the model was made, divided by 1.
+    same alone or in any batch.  Only its entries within the cutoff are
+    scaled (:func:`_scale`); the one dense pass is the reduction to
+    ``rho_l``, which is 0 exactly when a row kept no raw value (each kept
+    one is at least ``THETA_ZERO``, and ``1 / deg_r >= 1``).  An
+    extrapolated row's nearest center is the ``argmin`` of its row of that
+    block (the first on a tie), and the row is the nearest center's row of
+    the model's table, computed the same way when the model was made.
     Every point is checked (:func:`_check_queries`) against the centers'
     bounding box before ``cdist`` sees it: a squared distance that
     overflows would make a row all ``inf``, whose ``argmin`` is center 0
@@ -446,12 +452,9 @@ def section_matrix(model: KernelModel, points) -> tuple[np.ndarray, np.ndarray]:
         )
     _check_queries(model, points)
 
-    sq, raw = _gaussian_block(model, points)
-    rho_l = _scale(model, raw)
-    extrapolated = rho_l == 0.0
+    sq, raw, near, g = _gaussian_block(model, points)
+    extrapolated = _scale(model, raw, near, g)
     if np.count_nonzero(extrapolated):
         rows = extrapolated.nonzero()[0]
         raw[rows] = model._table[sq[rows].argmin(axis=1)]
-        rho_l[rows] = 1.0
-    raw /= rho_l[:, None]
     return raw, extrapolated

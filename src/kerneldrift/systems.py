@@ -34,6 +34,7 @@ DEFAULT_PARAMS = {
 }
 
 _PARAM_KEYS = {name: frozenset(p) for name, p in DEFAULT_PARAMS.items()}
+_NOISE_CHUNK = 1 << 13  # normals simulate draws at a time: whole samples, at least one
 
 
 @dataclass(frozen=True)
@@ -211,34 +212,37 @@ def eval_drift(spec: SystemSpec, x) -> np.ndarray:
 
 
 def _euler_maruyama(spec: SystemSpec, h: float, sigma: float):
-    """``advance(x, kicks) -> x`` for :func:`simulate`: the state, as Python
-    floats, after one substep ``x + v*h + (sigma*v)*kick`` per noise kick.
-    For d = 2 and 3 the update is spelled out per component, so a substep
-    builds no list; Lorenz 96 (any N) runs it as a comprehension."""
+    """``advance(x, samples)`` for :func:`simulate`: from ``x``, one substep
+    ``x + v*h + (sigma*v)*kick`` per kick, yielding the state after each
+    sample's kicks as Python floats: spelled out per component for d = 2
+    and 3, so a substep builds no list, and a comprehension for Lorenz 96."""
     drift = _drift(spec)
     if spec.dimension == 2:
-        def advance(x, kicks):
+        def advance(x, samples):
             x1, x2 = x
-            for k1, k2 in kicks:
-                v1, v2 = drift(x1, x2)
-                x1 = x1 + v1 * h + (sigma * v1) * k1
-                x2 = x2 + v2 * h + (sigma * v2) * k2
-            return x1, x2
+            for kicks in samples:
+                for k1, k2 in kicks:
+                    v1, v2 = drift(x1, x2)
+                    x1 = x1 + v1 * h + (sigma * v1) * k1
+                    x2 = x2 + v2 * h + (sigma * v2) * k2
+                yield x1, x2
     elif spec.dimension == 3:
-        def advance(x, kicks):
+        def advance(x, samples):
             x1, x2, x3 = x
-            for k1, k2, k3 in kicks:
-                v1, v2, v3 = drift(x1, x2, x3)
-                x1 = x1 + v1 * h + (sigma * v1) * k1
-                x2 = x2 + v2 * h + (sigma * v2) * k2
-                x3 = x3 + v3 * h + (sigma * v3) * k3
-            return x1, x2, x3
+            for kicks in samples:
+                for k1, k2, k3 in kicks:
+                    v1, v2, v3 = drift(x1, x2, x3)
+                    x1 = x1 + v1 * h + (sigma * v1) * k1
+                    x2 = x2 + v2 * h + (sigma * v2) * k2
+                    x3 = x3 + v3 * h + (sigma * v3) * k3
+                yield x1, x2, x3
     else:
-        def advance(x, kicks):
-            for kick in kicks:
-                x = [xi + vi * h + (sigma * vi) * ki
-                     for xi, vi, ki in zip(x, drift(*x), kick)]
-            return x
+        def advance(x, samples):
+            for kicks in samples:
+                for kick in kicks:
+                    x = [xi + vi * h + (sigma * vi) * ki
+                         for xi, vi, ki in zip(x, drift(*x), kick)]
+                yield x
     return advance
 
 
@@ -307,10 +311,10 @@ def simulate(
     built once per call with its constants bound: each substep evaluates
     the drift once and reuses it for the diffusion, with the update spelled
     out per component for Hopf and Lorenz 63 and a comprehension for
-    Lorenz 96.  The ``substeps`` noise vectors between two recorded
-    samples are drawn in one block; the generator yields the same normal
-    stream as per-substep draws, so identical inputs give bit-identical
-    output, equal to a per-substep numpy step.
+    Lorenz 96.  One draw of at most ``_NOISE_CHUNK`` normals (or one
+    sample's) feeds a chunk of samples through one call of the update, and
+    the chunk is checked for finiteness once.  The normal stream is that of
+    per-substep draws, so the path is bit-identical to a per-substep loop's.
 
     The path records ``spec``, ``seed``, ``burn_in`` and ``substeps``.
 
@@ -338,13 +342,16 @@ def simulate(
     out = np.empty((total, d))
     out[0] = x0
     advance = _euler_maruyama(spec, h, float(spec.sigma_noise))
-    x = x0.tolist()
-    for k in range(1, total):
-        x = advance(x, (h * rng.standard_normal((substeps, d))).tolist())
+    x, chunk = x0.tolist(), max(1, _NOISE_CHUNK // (substeps * d))
+    for start in range(1, total, chunk):
+        stop = min(start + chunk, total)
+        kicks = zip(*[iter((h * rng.standard_normal((stop - start) * substeps * d)).tolist())] * d)
+        out[start:stop] = states = list(advance(x, zip(*[kicks] * substeps)))
         # a diverging step overflows to inf or nan (float arithmetic does not raise)
-        if not all(map(math.isfinite, x)):
-            raise NumericalError(f"non-finite state encountered at sample index {k}")
-        out[k] = x
+        finite, x = np.isfinite(out[start:stop]).all(axis=1), states[-1]
+        if not finite.all():
+            raise NumericalError(f"non-finite state encountered at sample index "
+                                 f"{start + finite.argmin()}")
     return Trajectory(dt=dt, points=out[burn_in:], seed=seed, spec=spec, burn_in=burn_in,
                       substeps=substeps)
 

@@ -360,10 +360,14 @@ def test_csr_design_failure_raises():
 
 def test_blocked_sections_feed_eps3_pass(monkeypatch):
     # more than two row blocks: the CSR sections stacked into the eps3 pass
-    # are those of one dense evaluation, same indices and same data bits
+    # are those of one dense evaluation, same indices and same data bits;
+    # rows that fall back, among them one input far outside the cloud and
+    # no center, are table rows
     rng = np.random.default_rng(14)
     n = 2 * _BLOCK_ROWS + 37
     x = rng.normal(size=(n, 2))
+    far = 2 * _BLOCK_ROWS + 1
+    x[far] = [40.0, -40.0]
     y = np.stack([x[:, 0] * x[:, 1], np.cos(x[:, 0])], axis=1)
     passes = []
     markov_apply = condexp.markov_apply
@@ -375,6 +379,8 @@ def test_blocked_sections_feed_eps3_pass(monkeypatch):
     monkeypatch.setattr(condexp, "markov_apply", spy)
     kernel, _, _ = fit_targets(x, y, CondExpParams(n_centers=40))
     assert len(passes) == 2 and sp.issparse(passes[1])
+    flags = section_matrix(kernel, x)[1]
+    assert flags[far] and not flags.all()
     fed = passes[1][:, : kernel.n_centers]
     expected = sp.csr_array(section_matrix(kernel, x)[0])
     assert fed.has_canonical_format

@@ -686,6 +686,28 @@ class TestSectionsAgainstDenseOracle:
         flags = assert_sections_match_oracle(model, points)
         assert flags.any() and not flags.all()
 
+    @pytest.mark.parametrize("far, theta_zero", [((3.0, 4.0), 1e-14), ((1.0, 0.0), 0.22)])
+    def test_block_scale_batch_mixes_both_branches(self, far, theta_zero, monkeypatch):
+        # more rows than one block, in range and extrapolated; the first
+        # query's one entry within the cutoff sits at the threshold, so once
+        # it is dropped the row keeps a zero entry within the cutoff and
+        # takes its nearest center's table row
+        monkeypatch.setattr(kernels, "THETA_ZERO", theta_zero)
+        rng = np.random.default_rng(58)
+        centers = np.vstack([np.zeros(2), 50.0 + cloud(n=40, d=2, seed=59)])
+        n = kernels._BLOCK_ROWS + 90
+        points = np.vstack([far, centers[1 + rng.integers(40, size=n)]
+                            + 0.05 * rng.normal(size=(n, 2)), [[-300.0, 0.0]] * 5])
+        points[7::9] *= -1.0  # about one in nine far outside: the fallback
+        base = (far[0] ** 2 + far[1] ** 2) / math.log(1.0 / theta_zero)
+        decisions = set()
+        for ulps in range(-4, 5):
+            model = diffusion_model(centers, base * (1.0 + ulps * 2.0**-52))
+            flags = assert_sections_match_oracle(model, points)
+            assert flags[-5:].all() and 0.05 < flags[1:-5].mean() < 0.2
+            decisions.add(bool(flags[0]))
+        assert decisions == {False, True}
+
     def test_duplicate_centers(self):
         base = cloud(n=30, d=2, seed=52)
         centers = np.vstack([base, base[:10], base[:3]])

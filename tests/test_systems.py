@@ -17,7 +17,8 @@ from kerneldrift import (
     save_trajectory,
     simulate,
 )
-from kerneldrift.systems import DEFAULT_PARAMS, Trajectory, _drift
+from kerneldrift import systems
+from kerneldrift.systems import _NOISE_CHUNK, DEFAULT_PARAMS, Trajectory, _drift
 
 
 def load_with_sidecar(tmp_path, **entries):
@@ -188,7 +189,7 @@ def test_simulate_burn_in_drops_prefix():
 @pytest.mark.parametrize("name, overrides", [
     ("lorenz63", {}), ("hopf", {}), ("lorenz96", {"N": 4}), ("lorenz96", {"N": 7}),
 ])
-def test_simulate_matches_reference_loop(name, overrides):
+def test_simulate_matches_reference_loop(name, overrides, monkeypatch):
     for substeps, sigma, burn_in in itertools.product((1, 3), (0.0, 0.2), (0, 5)):
         spec = make_spec(name, sigma_noise=sigma, **overrides)
         x0 = default_initial_state(spec) + np.random.default_rng(1).normal(size=spec.dimension)
@@ -196,6 +197,17 @@ def test_simulate_matches_reference_loop(name, overrides):
         np.testing.assert_array_equal(simulate(*args).points, reference_path(*args),
                                       err_msg=f"substeps={substeps} sigma={sigma} "
                                               f"burn_in={burn_in}")
+    # noise is drawn a chunk of samples at a time: a run past the first
+    # chunk whose length is no multiple of it
+    args = (spec, x0, _NOISE_CHUNK // (3 * spec.dimension) + 7, 0.01, 7, 5, 3)
+    np.testing.assert_array_equal(simulate(*args).points, reference_path(*args))
+    # and, under a smaller budget of normals, runs whose every sample needs
+    # more than the budget, so each draw covers one sample
+    monkeypatch.setattr(systems, "_NOISE_CHUNK", 16)
+    for substeps in (1 + 16 // spec.dimension, 40):
+        args = (spec, x0, 30, 0.01, 7, 2, substeps)
+        np.testing.assert_array_equal(simulate(*args).points, reference_path(*args),
+                                      err_msg=f"substeps={substeps}")
 
 
 @pytest.mark.parametrize("name", ["lorenz63", "hopf", "lorenz96"])
@@ -210,6 +222,19 @@ def test_simulate_blowup_reports_index(name):
     with pytest.raises(NumericalError, match=blow_up) as info:
         simulate(*args)
     assert str(info.value) == str(expected.value)
+
+
+def test_simulate_blowup_past_first_chunk_reports_index():
+    # multiplicative noise at sigma_noise 1.2 throws Lorenz 63 off its
+    # attractor at sample 3099 of seed 6, inside the second noise chunk
+    spec = make_spec("lorenz63", sigma_noise=1.2)
+    args = (spec, default_initial_state(spec), 4000, 0.01, 6, 0, 1)
+    with pytest.raises(NumericalError) as expected:
+        reference_path(*args)
+    with pytest.raises(NumericalError, match="at sample index 3099$") as info:
+        simulate(*args)
+    assert str(info.value) == str(expected.value)
+    assert _NOISE_CHUNK // spec.dimension + 1 < 3099 < 2 * (_NOISE_CHUNK // spec.dimension)
 
 
 @pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, np.inf]])
