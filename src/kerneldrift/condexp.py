@@ -37,7 +37,7 @@ from .kernels import (
     section_matrix,
     select_bandwidth,
 )
-from .systems import _integer
+from .systems import _integer, _real
 
 _ETA3 = 0.01  # P's sparsity target: the benchmark tuning, the one value any caller ran
 
@@ -48,10 +48,10 @@ class CondExpParams:
 
     ``eta1``/``eta2`` are the sparsity targets that select the bandwidths
     of the smoothing matrix and the expansion kernel (defaults follow the
-    benchmark tuning: 0.3% / 1%); the Markov matrix keeps 1% of pairs.
-    ``delta`` is the ridge; ``n_centers``, an integer of at least 2, the
-    number of kernel centers, every (N // M)-th input.  No knob sets the
-    zero threshold: it is the constant ``kernels.THETA_ZERO``.
+    benchmark tuning: 0.3% / 1%), in (0, 1); the Markov matrix keeps 1% of
+    pairs.  ``delta`` in [0, inf) is the ridge, ``n_centers`` >= 2 the number
+    of kernel centers, every (N // M)-th input (``systems._real``,
+    ``_integer``).  No knob sets the zero threshold: ``kernels.THETA_ZERO``.
     """
 
     eta1: float = 0.003
@@ -60,12 +60,9 @@ class CondExpParams:
     n_centers: int = 500
 
     def __post_init__(self):
-        for name in ("eta1", "eta2"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        if isinstance(self.delta, bool) or not 0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
+        _real("eta1", self.eta1, 0, 1)
+        _real("eta2", self.eta2, 0, 1)
+        _real("delta", self.delta, 0, math.inf, "[)")
         # a diffusion kernel needs at least 2 centers
         object.__setattr__(self, "n_centers", _integer("n_centers", self.n_centers, 2))
 

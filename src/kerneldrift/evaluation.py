@@ -95,13 +95,14 @@ def compare_orbits(spec: SystemSpec, model: drift_mod.DriftModel, x0, horizon: f
 
     ``model`` is a :class:`~kerneldrift.drift.DriftModel` (else a TypeError)
     of ``spec``'s dimension (else a ValueError).  Plain Euler steps of size
-    ``dt`` over ``horizon`` time units; the estimated-field orbit records
-    where the nearest-center fallback fired (the source of spurious fixed
-    points far from the data), and its fallback steps copy their section
-    rows from the model's table of center rows.  Both orbits step on Python
-    floats, made arrays once at the end: the true orbit through the
-    system's drift closure, as :func:`~kerneldrift.systems.simulate` does
-    (the same IEEE operations, so the same bits, as
+    ``dt`` in (0, inf) over a finite ``horizon`` (``systems._real``) of at
+    least 3 steps; the estimated-field orbit records where the
+    nearest-center fallback fired (the source of spurious fixed points far
+    from the data), and its fallback steps copy their section rows from the
+    model's table of center rows.  Both orbits step on Python floats, made
+    arrays once at the end: the true orbit through the system's drift
+    closure, as :func:`~kerneldrift.systems.simulate` does (the same IEEE
+    operations, so the same bits, as
     :func:`~kerneldrift.systems.eval_drift`); the estimated one through
     :func:`~kerneldrift.drift.predict_drift_many`'s evaluator.
     """
@@ -110,9 +111,8 @@ def compare_orbits(spec: SystemSpec, model: drift_mod.DriftModel, x0, horizon: f
     if model.d != spec.dimension:
         raise ValueError(f"model dimension {model.d} != system dimension {spec.dimension}")
     x0 = systems_mod._start_state(spec, x0)
-    systems_mod._check_dt(dt)
-    if isinstance(horizon, bool) or not math.isfinite(horizon):  # a JSON true is no horizon of 1
-        raise ValueError(f"horizon must be finite, got {horizon}")
+    systems_mod._real("dt", dt, 0, math.inf)
+    systems_mod._real("horizon", horizon, -math.inf, math.inf)
     if not math.isfinite(steps := horizon / dt):  # e.g. 1e300 / 1e-300 overflows
         raise ValueError(f"horizon / dt must be a finite step count, got {horizon=}, {dt=}")
     n_steps = int(round(steps))

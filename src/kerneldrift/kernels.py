@@ -51,6 +51,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import NumericalError
+from .systems import _real
 
 THETA_ZERO = 1e-14
 
@@ -68,15 +69,15 @@ _PAIR_CHUNK = 1 << 16
 class KernelModel:
     """The diffusion kernel fitted over a set of center points.
 
-    A model is its bandwidth ``epsilon`` and (M, d) ``centers``, M >= 2;
-    every fit and every load builds it the same way.  When it is made it
-    checks the centers and derives the rest, none of it persisted: the
+    A model is its bandwidth ``epsilon`` in (0, inf) and (M, d) ``centers``,
+    M >= 2; every fit and every load builds it the same way.  When it is made
+    it checks the centers and derives the rest, none of it persisted: the
     squared cutoff (:func:`_cutoff`); the centers' bounding box, against
     which queries are checked, and the bound that spares most queries that
-    check; and, from the centers' own block of raw values, the right
-    degrees ``deg_r``, their reciprocals and the table of the centers'
-    section rows that an extrapolated query copies: that block itself,
-    scaled, a dense (M, M) float64 array of M^2 * 8 bytes.
+    check; and, from the centers' own block of raw values, the right degrees
+    ``deg_r``, their reciprocals and the table of the centers' section rows
+    that an extrapolated query copies: that block itself, scaled, a dense
+    (M, M) float64 array of M^2 * 8 bytes.
     """
 
     epsilon: float
@@ -92,7 +93,7 @@ class KernelModel:
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        _real("epsilon", self.epsilon, 0, math.inf)
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim != 2 or not centers.size:
             raise ValueError(f"centers must be a non-empty (M, d) array, got shape "
@@ -143,17 +144,17 @@ def select_bandwidth(data, eta: float | Sequence[float],
     Raises
     ------
     ValueError
-        If a parameter is out of range, a data point is not finite, or
-        ``q`` is not finite because squared distances overflow.
+        If a parameter is out of range or a bool, a data point is not
+        finite, or ``q`` is not finite because squared distances overflow.
+    TypeError
+        If a parameter is not a real number.
     NumericalError
         If ``q`` is zero (coincident subsample points).
     """
     etas = list(eta) if np.ndim(eta) else [eta]
     for e in etas:
-        if not 0 < e < 1:
-            raise ValueError(f"eta must lie in (0, 1), got {e}")
-    if isinstance(subsample_fraction, bool) or not 0 < subsample_fraction <= 1:
-        raise ValueError(f"subsample_fraction must lie in (0, 1], got {subsample_fraction}")
+        _real("eta", e, 0, 1)
+    _real("subsample_fraction", subsample_fraction, 0, 1, "(]")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
@@ -200,10 +201,12 @@ def markov_apply(rows, cols, epsilon: float, values,
     Raises
     ------
     ValueError
-        If ``epsilon`` is out of range, ``theta_zero`` is not
+        If ``epsilon`` is out of (0, inf) or a bool, ``theta_zero`` is not
         ``THETA_ZERO``, ``values`` is not a finite (N, k) array, ``cols``
         holds other points, a point is not finite or so far out that squared
         distances overflow, or N is 2**31 or more.
+    TypeError
+        If ``epsilon`` is not a real number.
     """
     points = np.asarray(rows, dtype=float)
     if sp.issparse(values):
@@ -212,7 +215,7 @@ def markov_apply(rows, cols, epsilon: float, values,
     else:
         values = np.asarray(values, dtype=float)
         finite = np.isfinite(values).all()
-    _check_epsilon(epsilon)
+    _real("epsilon", epsilon, 0, math.inf)
     if theta_zero != THETA_ZERO:
         raise ValueError(f"theta_zero must be THETA_ZERO = {THETA_ZERO}, got {theta_zero}")
     if points.ndim != 2 or values.ndim != 2 or values.shape[0] != len(points):
@@ -247,12 +250,6 @@ def markov_apply(rows, cols, epsilon: float, values,
     else:
         out /= sums[:, None]
     return out
-
-
-def _check_epsilon(epsilon: float) -> None:
-    # a JSON true is no bandwidth of 1, and an infinite one keeps every pair
-    if isinstance(epsilon, bool) or not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def _gaussian(sq: np.ndarray, epsilon: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -51,10 +51,10 @@ class SystemSpec:
         the cyclic four-point dependence pattern is well defined).
     sigma_noise
         Scale of the diagonal diffusion term; 0 means a deterministic ODE.
-        It and every system constant must be a finite number, never a bool.
-        An integral constant is kept as a Python int and every other number
-        as a Python float, so a numpy scalar is written to a sidecar as the
-        JSON number it stands for.
+        It lies in [0, inf) and every system constant in (-inf, inf)
+        (``_real``).  An integral constant is kept as a Python int and every
+        other number as a Python float, so a numpy scalar is written to a
+        sidecar as the JSON number it stands for.
     """
 
     name: str
@@ -73,11 +73,7 @@ class SystemSpec:
                 f"bad parameters for {self.name}: unknown {unknown}, missing {missing}"
             )
         for key, value in sorted(self.params.items()):
-            # a JSON true is a bool, and so an int: no constant of 1
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (number and math.isfinite(value)):
-                raise ValueError(f"{self.name} parameter {key} must be a finite number, "
-                                 f"got {value!r}")
+            _real(f"{self.name} parameter {key}", value, -math.inf, math.inf)
         object.__setattr__(self, "params", {
             key: int(value) if isinstance(value, numbers.Integral) else float(value)
             for key, value in self.params.items()})
@@ -85,9 +81,7 @@ class SystemSpec:
             n = self.params["N"]
             if not isinstance(n, int) or n < 4:  # an integral N is an int by now
                 raise ValueError(f"lorenz96 cell count N must be an integer >= 4, got {n}")
-        if isinstance(self.sigma_noise, bool) or not 0 <= self.sigma_noise < math.inf:
-            raise ValueError(f"sigma_noise must be nonnegative and finite, "
-                             f"got {self.sigma_noise}")
+        _real("sigma_noise", self.sigma_noise, 0, math.inf, "[)")
         object.__setattr__(self, "sigma_noise", float(self.sigma_noise))
 
     @property
@@ -125,8 +119,8 @@ def default_initial_state(spec: SystemSpec) -> np.ndarray:
 class Trajectory:
     """A uniformly sampled d-dimensional path and, when known, the run that made it.
 
-    ``points`` has shape (n_samples, d); sample k sits at time ``k * dt``.
-    At least 4 samples are required (the increment stencil needs them).
+    ``points`` has shape (n_samples, d); sample k sits at time ``k * dt``,
+    ``dt`` in (0, inf).  The increment stencil needs at least 4 samples.
     :func:`simulate` records its system ``spec``, which must have the
     path's dimension, and its ``seed``, ``burn_in`` and ``substeps``, each
     kept as a Python int by ``_integer`` (``seed`` and ``burn_in`` at
@@ -147,7 +141,7 @@ class Trajectory:
             raise ValueError("points must be a 2-d array (n_samples, d)")
         if len(self.points) < 4:
             raise ValueError(f"trajectory needs at least 4 samples, got {len(self.points)}")
-        _check_dt(self.dt)
+        _real("dt", self.dt, 0, math.inf)
         if not np.isfinite(self.points).all():
             raise ValueError("trajectory contains non-finite points")
         for name, least in (("seed", 0), ("burn_in", 0), ("substeps", 1)):
@@ -206,8 +200,8 @@ def eval_drift(spec: SystemSpec, x) -> np.ndarray:
     Lorenz 96 indices wrap cyclically.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != spec.dimension:
-        raise ValueError(f"state has dimension {x.shape[-1]}, system expects {spec.dimension}")
+    if x.shape[-1:] != (spec.dimension,):
+        raise ValueError(f"state has shape {x.shape}, system expects (..., {spec.dimension})")
     return np.stack(_drift(spec)(*(x[..., i] for i in range(spec.dimension))), axis=-1)
 
 
@@ -247,10 +241,10 @@ def _euler_maruyama(spec: SystemSpec, h: float, sigma: float):
 
 
 def _integer(name: str, value, least: int) -> int:
-    """``value`` as a Python int of at least ``least``: a bool (a JSON true)
-    is a ValueError, never read as 1, a non-integer a TypeError, never
-    truncated, and a smaller integer a ValueError."""
-    if isinstance(value, bool):
+    """``value`` as a Python int of at least ``least``: a Python or numpy bool
+    (a JSON true) is a ValueError, never read as 1, a non-integer a
+    TypeError, never truncated, and a smaller integer a ValueError."""
+    if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be an integer, got {value}")
     try:
         value = operator.index(value)
@@ -262,10 +256,19 @@ def _integer(name: str, value, least: int) -> int:
     return value
 
 
-def _check_dt(dt) -> None:
-    """Reject a ``dt`` that is no positive finite number; a bool is no step of 1."""
-    if isinstance(dt, bool) or not 0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+def _real(name: str, value, low: float, high: float, ends: str = "()") -> None:
+    """Reject ``value`` unless it is a real number from ``low`` to ``high``,
+    an end included where ``ends`` has a bracket (``"[)"``: ``low <= value <
+    high``): a Python or numpy bool (a JSON true, never 1), NaN, an infinity
+    or a value outside is a ValueError, any other non-real a TypeError."""
+    rule = f"{name} must be a real number in {ends[0]}{low}, {high}{ends[1]}"
+    is_bool = isinstance(value, (bool, np.bool_))
+    if not (is_bool or isinstance(value, numbers.Real)):
+        raise TypeError(f"{rule}, got {value!r}")
+    above = low <= value if ends[0] == "[" else low < value
+    below = value <= high if ends[1] == "]" else value < high
+    if is_bool or not (above and below and abs(value) < math.inf):
+        raise ValueError(f"{rule}, got {value}")
 
 
 def _start_state(spec: SystemSpec, x0) -> np.ndarray:
@@ -321,14 +324,13 @@ def simulate(
     Raises
     ------
     ValueError
-        If an argument is out of range, ``x0`` is not finite or one of
-        ``n_samples``, ``seed``, ``burn_in`` and ``substeps`` is a bool.
+        If an argument is out of range or a bool, or ``x0`` is not finite.
     TypeError
-        If one of those four is not an integer.
+        If ``dt`` is not a real number or a count not an integer.
     NumericalError
         If a recorded state is non-finite; the message names its index.
     """
-    _check_dt(dt)
+    _real("dt", dt, 0, math.inf)
     n_samples = _integer("n_samples", n_samples, 4)
     substeps = _integer("substeps", substeps, 1)
     burn_in = _integer("burn_in", burn_in, 0)
@@ -411,15 +413,13 @@ def load_trajectory(csv_path) -> Trajectory:
     The path carries the system, ``seed``, ``burn_in`` and ``substeps``
     the sidecar records, each None where it records none; without a
     sidecar, ``dt`` comes from the ``t`` column's first gap.  A sidecar
-    that is no JSON object, or holds an entry of the wrong JSON type, out
-    of range (``dt`` positive and finite, ``seed`` at least 0 or null,
-    ``burn_in`` at least 0, ``substeps``, ``d`` and ``n_samples`` at
-    least 1) or rejected by SystemSpec, is a ValueError named by the
-    sidecar's path; a CSV that does not parse, holds no valid trajectory
-    or has a gap of ``t`` off ``dt`` by more than a relative 1e-6, one
-    named by the CSV's path (and the sidecar's, if ``dt`` came from it).
-    So is a sidecar whose ``d``, ``n_samples`` or system's dimension
-    disagrees with the CSV, named by the sidecar's path."""
+    that is no JSON object, or whose entry ``_real`` (``dt``), ``_integer``
+    (``seed`` or null, ``burn_in``, ``substeps``, ``d``, ``n_samples``) or
+    SystemSpec rejects, is a ValueError named by the sidecar's path, as is
+    one whose system's dimension, ``d`` or ``n_samples`` disagrees with the
+    CSV; a CSV that does not parse, holds no valid trajectory or has a gap
+    of ``t`` off ``dt`` by more than a relative 1e-6, one named by the
+    CSV's path (and the sidecar's, if ``dt`` came from it)."""
     csv_path = Path(csv_path)
     mp, meta, spec = _meta_path(csv_path), {}, None
     try:
@@ -430,26 +430,19 @@ def load_trajectory(csv_path) -> Trajectory:
                 raise ValueError(f"metadata sidecar is not valid JSON: {err}") from err
         if not isinstance(meta, dict):
             raise ValueError("metadata sidecar is not a JSON object")
-        for key, types, least in (("dt", (int, float), None), ("seed", (int, type(None)), 0),
-                                  ("burn_in", int, 0), ("substeps", int, 1), ("d", int, 1),
-                                  ("n_samples", int, 1)):
-            value = meta.get(key)  # a missing entry is no wrong one
-            if key in meta and (isinstance(value, bool) or not isinstance(value, types)):
-                raise ValueError(f"metadata sidecar entry {key!r} has the wrong type: {value!r}")
-            if None not in (least, value) and value < least:
-                raise ValueError(f"metadata sidecar entry {key!r} must be at least {least}, "
-                                 f"got {value}")
-        if (dt := meta.get("dt")) is not None:
-            _check_dt(dt)
-        if "system" in meta:  # passed on as read, never coerced: SystemSpec checks them
-            try:
-                spec = SystemSpec(name=meta["system"], params=meta["params"],
-                                  sigma_noise=meta.get("sigma_noise", 0.0))
-            except KeyError as err:
-                raise ValueError(f"metadata sidecar lacks the {err.args[0]!r} entry") from err
-            except (TypeError, AttributeError) as err:  # e.g. "sigma_noise": null
-                raise ValueError(f"metadata sidecar has an entry of the wrong type: "
-                                 f"{err}") from err
+        if "dt" in meta:  # entries are checked as read, never coerced; none is required
+            _real("dt", meta["dt"], 0, math.inf)
+        for key, least in (("seed", 0), ("burn_in", 0), ("substeps", 1), ("d", 1),
+                           ("n_samples", 1)):
+            if key in meta and (key != "seed" or meta[key] is not None):  # a null seed is none
+                _integer(key, meta[key], least)
+        if "system" in meta:
+            spec = SystemSpec(name=meta["system"], params=meta["params"],
+                              sigma_noise=meta.get("sigma_noise", 0.0))
+    except KeyError as err:
+        raise ValueError(f"{mp}: metadata sidecar lacks the {err.args[0]!r} entry") from err
+    except (TypeError, AttributeError) as err:  # e.g. "sigma_noise": null
+        raise ValueError(f"{mp}: metadata sidecar has an entry of the wrong type: {err}") from err
     except ValueError as err:  # every sidecar error is named by the sidecar's path
         raise ValueError(f"{mp}: {err}") from err
     try:
@@ -459,13 +452,19 @@ def load_trajectory(csv_path) -> Trajectory:
             data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] < 2:
             raise ValueError(f"expected columns t,x0,... got shape {data.shape}")
-        if dt is None:
+        if (dt := meta.get("dt")) is None:
             if len(data) < 2:
                 raise ValueError("cannot infer dt from a single row without metadata")
             dt = data[1, 0] - data[0, 0]
-        traj = Trajectory(dt=float(dt), points=data[:, 1:], seed=meta.get("seed"),
-                          burn_in=meta.get("burn_in"), substeps=meta.get("substeps"))
-    except ValueError as err:  # unparsable text, or points Trajectory rejects
+    except ValueError as err:  # unparsable text
+        raise ValueError(f"{csv_path}: {err}") from err
+    if spec is not None and spec.dimension != (d := data.shape[1] - 1):
+        raise ValueError(f"{mp}: system {spec.name!r} has dimension {spec.dimension}, but "
+                         f"{csv_path} holds {d} coordinates")
+    try:
+        traj = Trajectory(dt=float(dt), points=data[:, 1:], spec=spec,
+                          **{key: meta.get(key) for key in ("seed", "burn_in", "substeps")})
+    except ValueError as err:  # points Trajectory rejects
         raise ValueError(f"{csv_path}: {err}") from err
     gaps = np.diff(data[:, 0])
     bad = np.flatnonzero(~(np.abs(gaps - traj.dt) <= 1e-6 * traj.dt))  # a NaN gap too
@@ -477,7 +476,4 @@ def load_trajectory(csv_path) -> Trajectory:
         if meta.get(key, held) != held:
             raise ValueError(f"{mp}: metadata sidecar entry {key!r} is {meta[key]}, but "
                              f"{csv_path} holds {held}")
-    if spec is not None and spec.dimension != traj.d:
-        raise ValueError(f"{mp}: system {spec.name!r} has dimension {spec.dimension}, but "
-                         f"{csv_path} holds {traj.d} coordinates")
-    return replace(traj, spec=spec)
+    return traj

@@ -53,10 +53,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, message", [
-    (("--dt", "nan"), "dt must be positive and finite"),
-    (("--dt", "inf"), "dt must be positive and finite"),
-    (("--noise", "nan"), "sigma_noise must be nonnegative and finite"),
-    (("--noise", "inf"), "sigma_noise must be nonnegative and finite"),
+    (("--dt", "nan"), "dt must be a real number in (0, inf), got nan"),
+    (("--dt", "inf"), "dt must be a real number in (0, inf), got inf"),
+    (("--noise", "nan"), "sigma_noise must be a real number in [0, inf), got nan"),
+    (("--noise", "inf"), "sigma_noise must be a real number in [0, inf), got inf"),
     (("--seed", "-1"), "seed must be nonnegative, got -1"),
 ])
 def test_simulate_non_finite_step_or_noise_is_usage_error(tmp_path, capsys, option, message):
@@ -166,17 +166,21 @@ def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, caps
         assert not out.exists()
 
 
+_WRONG_TYPE = "metadata sidecar has an entry of the wrong type: "
+
+
 @pytest.mark.parametrize("key, value, message", [
-    ("dt", None, "metadata sidecar entry 'dt' has the wrong type: None"),
-    ("burn_in", None, "metadata sidecar entry 'burn_in' has the wrong type: None"),
-    ("substeps", "x", "metadata sidecar entry 'substeps' has the wrong type: 'x'"),
-    ("seed", "abc", "metadata sidecar entry 'seed' has the wrong type: 'abc'"),
+    ("dt", None, _WRONG_TYPE + "dt must be a real number in (0, inf), got None"),
+    ("burn_in", None, _WRONG_TYPE + "burn_in must be an integer, got None"),
+    ("substeps", "x", _WRONG_TYPE + "substeps must be an integer, got 'x'"),
+    ("seed", "abc", _WRONG_TYPE + "seed must be an integer, got 'abc'"),
     (None, [], "metadata sidecar is not a JSON object"),
-    ("params", {"p": "1.0"}, "hopf parameter p must be a finite number, got '1.0'"),
-    ("dt", float("inf"), "dt must be positive and finite, got inf"),
-    ("seed", -5, "metadata sidecar entry 'seed' must be at least 0, got -5"),
-    ("burn_in", -1, "metadata sidecar entry 'burn_in' must be at least 0, got -1"),
-    ("substeps", 0, "metadata sidecar entry 'substeps' must be at least 1, got 0"),
+    ("params", {"p": "1.0"},
+     _WRONG_TYPE + "hopf parameter p must be a real number in (-inf, inf), got '1.0'"),
+    ("dt", float("inf"), "dt must be a real number in (0, inf), got inf"),
+    ("seed", -5, "seed must be nonnegative, got -5"),
+    ("burn_in", -1, "burn_in must be nonnegative, got -1"),
+    ("substeps", 0, "substeps must be at least 1, got 0"),
 ], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param", "inf-dt",
         "negative-seed", "negative-burn_in", "zero-substeps"])
 def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, no_fit, key,
@@ -313,7 +317,8 @@ def test_compare_bad_step_or_horizon_is_usage_error(hopf_run, tmp_path, capsys, 
     code = run("compare", "--model", str(hopf_run / "model.json"),
                "--system", "hopf", *option, "--out", str(tmp_path))
     assert code == 1
-    message = "dt must be positive" if option[0] == "--dt" else "horizon must be finite, got inf"
+    message = ("dt must be a real number in (0, inf), got 0.0" if option[0] == "--dt"
+               else "horizon must be a real number in (-inf, inf), got inf")
     assert f"usage error: {message}" in capsys.readouterr().err
 
 

@@ -29,7 +29,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CondExpParams(delta=-1.0)
     # a bool (a JSON true) is no ridge of 1
-    with pytest.raises(ValueError, match="delta must be nonnegative and finite, got True"):
+    with pytest.raises(ValueError, match=re.escape(
+            "delta must be a real number in [0, inf), got True")):
         CondExpParams(delta=True)
     with pytest.raises(ValueError):
         CondExpParams(n_centers=0)
@@ -59,6 +60,8 @@ def test_params_reject_non_integer_centers():
         CondExpParams(n_centers=50.0)
     with pytest.raises(ValueError, match="n_centers must be an integer"):
         CondExpParams(n_centers=True)
+    with pytest.raises(ValueError, match="n_centers must be an integer"):
+        CondExpParams(n_centers=np.True_)
     assert type(CondExpParams(n_centers=np.int64(50)).n_centers) is int
 
 

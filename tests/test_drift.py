@@ -437,7 +437,7 @@ _WRONG_TYPE = "{path}: drift model file has an entry of the wrong type"
     ("l96_sparse_fit", lambda p: p["stencil"].update(m=4.9), _WRONG_TYPE),
     # a JSON true is no bandwidth, stencil width or index of 1
     ("hopf_fit", lambda p: p["kernel"].update(epsilon=True),
-     "{path}: epsilon must be positive and finite, got True"),
+     "{path}: epsilon must be a real number in (0, inf), got True"),
     ("l96_sparse_fit", lambda p: p["stencil"].update(m=True),
      "{path}: stencil width must be an integer, got True"),
     ("l96_sparse_fit", lambda p: p["stencil"]["left"][0].__setitem__(0, True),
@@ -446,9 +446,9 @@ _WRONG_TYPE = "{path}: drift model file has an entry of the wrong type"
     ("hopf_fit", lambda p: b"\xff" + json.dumps(p).encode(), "{path}: 'utf-8' codec can't decode"),
     ("hopf_fit", lambda p: json.dumps(p)[:-20].encode(), "{path}: Expecting"),
     ("hopf_fit", lambda p: p["kernel"].update(epsilon=-1),
-     "{path}: epsilon must be positive and finite, got -1"),
+     "{path}: epsilon must be a real number in (0, inf), got -1"),
     ("hopf_fit", lambda p: p["kernel"].update(epsilon=float("inf")),
-     "{path}: epsilon must be positive and finite, got inf"),
+     "{path}: epsilon must be a real number in (0, inf), got inf"),
     ("hopf_fit", lambda p: p["coefficients"][1].__setitem__(7, float("nan")),
      "{path}: coefficient (1, 7) is not finite"),
     ("hopf_fit", lambda p: p["kernel"].update(kind="gaussian"),

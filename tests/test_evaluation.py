@@ -249,15 +249,17 @@ class TestCompareOrbits:
     def test_bad_step_or_horizon_rejected(self, horizon, dt):
         # a JSON true is no horizon of 1.0
         spec, _, model = fitted_model("lorenz63")
-        message = ("dt must be positive" if horizon is not True and np.isfinite(horizon)
-                   else f"horizon must be finite, got {horizon}")
-        with pytest.raises(ValueError, match=message):
+        message = (f"dt must be a real number in (0, inf), got {dt}"
+                   if horizon is not True and np.isfinite(horizon)
+                   else f"horizon must be a real number in (-inf, inf), got {horizon}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             compare_orbits(spec, model, np.ones(3), horizon=horizon, dt=dt)
 
     def test_string_horizon_rejected(self):
-        # Python's own message for a string where a real number is needed
+        # named by the argument, not by Python's own message
         spec, _, model = fitted_model("lorenz63")
-        with pytest.raises(TypeError, match="must be real number, not str"):
+        with pytest.raises(TypeError, match=re.escape(
+                "horizon must be a real number in (-inf, inf), got '1.0'")):
             compare_orbits(spec, model, np.ones(3), horizon="1.0", dt=0.01)
 
     def test_overflowing_step_count_rejected(self):
@@ -278,7 +280,7 @@ class TestCompareOrbits:
         monkeypatch.setattr(drift, "_expansion", unreachable)
         monkeypatch.setattr(systems, "_drift", unreachable_drift)
         with pytest.raises(ValueError, match=re.escape(
-                "dt must be positive and finite, got True")):
+                "dt must be a real number in (0, inf), got True")):
             compare_orbits(spec, model, np.ones(3), horizon=50.0, dt=True)
 
 

@@ -167,13 +167,14 @@ class TestSelectBandwidth:
         # one eta out of (0, 1) rejects the sequence, and is named
         for etas, bad in (((0.1, 1.5, 0.2), "1.5"), ([0.1, 0.0], "0.0"),
                           ((0.3, float("nan")), "nan")):
-            with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, 1), got {bad}")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"eta must be a real number in (0, 1), got {bad}")):
                 select_bandwidth(data, eta=etas)
         with pytest.raises(ValueError, match="subsample_fraction"):
             select_bandwidth(data, eta=0.5, subsample_fraction=0.0)
         # a JSON true is no fraction of 1.0
         with pytest.raises(ValueError, match=re.escape(
-                "subsample_fraction must lie in (0, 1], got True")):
+                "subsample_fraction must be a real number in (0, 1], got True")):
             select_bandwidth(data, eta=0.5, subsample_fraction=True)
 
     def test_overflowing_quantile_rejected(self):
@@ -348,7 +349,8 @@ class TestMarkovMatrix:
     @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
     def test_bad_epsilon_rejected(self, eps):
         data = cloud(n=8, seed=45)
-        with pytest.raises(ValueError, match="epsilon must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                "epsilon must be a real number in (0, inf)")):
             markov_apply(data, data, eps, np.ones((8, 1)))
 
     @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0, 1e-10])
@@ -512,9 +514,10 @@ class TestDiffusionModel:
     @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
     def test_bad_epsilon_rejected(self, eps):
         # checked by the model itself, also when it is loaded
-        with pytest.raises(ValueError, match="epsilon must be positive"):
+        message = re.escape("epsilon must be a real number in (0, inf)")
+        with pytest.raises(ValueError, match=message):
             diffusion_model(cloud(n=10, seed=46), eps)
-        with pytest.raises(ValueError, match="epsilon must be positive"):
+        with pytest.raises(ValueError, match=message):
             KernelModel(epsilon=eps, centers=cloud(n=10, seed=46))
 
     @pytest.mark.parametrize("theta_zero", [np.nan, 0.0, 1.0, 2.0, -1.0, 1e-10])

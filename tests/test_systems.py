@@ -8,16 +8,22 @@ import numpy as np
 import pytest
 
 from kerneldrift import (
+    CondExpParams,
+    KernelModel,
     NumericalError,
     SystemSpec,
+    compare_orbits,
     default_initial_state,
     eval_drift,
     load_trajectory,
     make_spec,
     save_trajectory,
+    select_bandwidth,
     simulate,
 )
 from kerneldrift import systems
+from kerneldrift.drift import DriftModel, load_drift_model, save_drift_model
+from kerneldrift.kernels import markov_apply
 from kerneldrift.systems import _NOISE_CHUNK, DEFAULT_PARAMS, Trajectory, _drift
 
 
@@ -120,6 +126,10 @@ def test_dimension_mismatch_raises():
     spec = make_spec("hopf")
     with pytest.raises(ValueError):
         eval_drift(spec, [1.0, 2.0, 3.0])
+    # a 0-d state has no coordinate axis: its shape is named, no IndexError
+    with pytest.raises(ValueError, match=re.escape(
+            "state has shape (), system expects (..., 2)")):
+        eval_drift(spec, 1.0)
 
 
 def test_unknown_system_and_params(tmp_path):
@@ -248,7 +258,7 @@ def test_non_finite_or_zero_dt_rejected(dt):
     # a NaN passes a range check written as `dt <= 0`, an infinite step
     # only failed later as a blow-up at sample index 1, and a bool (a JSON
     # true) is no step of 1, which a sidecar could not record
-    message = re.escape(f"dt must be positive and finite, got {dt}")
+    message = re.escape(f"dt must be a real number in (0, inf), got {dt}")
     with pytest.raises(ValueError, match=message):
         simulate(make_spec("hopf"), [2.0, 0.0], 10, dt, 0, burn_in=0)
     with pytest.raises(ValueError, match=message):
@@ -258,22 +268,25 @@ def test_non_finite_or_zero_dt_rejected(dt):
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, False, True])
 def test_non_finite_or_negative_noise_rejected(tmp_path, sigma):
     # a JSON false or true is a bool, and so an int, but no noise level
-    with pytest.raises(ValueError, match="sigma_noise must be nonnegative and finite"):
+    message = re.escape(f"sigma_noise must be a real number in [0, inf), got {sigma}")
+    with pytest.raises(ValueError, match=message):
         make_spec("hopf", sigma_noise=sigma)
-    with pytest.raises(ValueError, match="sigma_noise must be nonnegative and finite"):
+    with pytest.raises(ValueError, match=message):
         load_with_sidecar(tmp_path, sigma_noise=sigma)
 
 
 @pytest.mark.parametrize("name, overrides", [
     ("hopf", {"p": np.nan}), ("lorenz63", {"rho": np.inf}),
     ("lorenz96", {"F": -np.inf}), ("lorenz96", {"N": np.inf}),
-    # a JSON true is no constant of 1, and a string constant is not coerced
+    # a JSON true is no constant of 1, and a string constant is not coerced:
+    # a TypeError from the spec, a ValueError named by the sidecar's path
     ("hopf", {"p": True}), ("lorenz96", {"N": True}), ("hopf", {"p": "1.0"}),
 ])
 def test_non_finite_system_constant_rejected(tmp_path, name, overrides):
     (key, value), = overrides.items()
-    message = re.escape(f"{name} parameter {key} must be a finite number, got {value!r}")
-    with pytest.raises(ValueError, match=message):
+    message = re.escape(f"{name} parameter {key} must be a real number in (-inf, inf), "
+                        f"got {value!r}")
+    with pytest.raises(TypeError if isinstance(value, str) else ValueError, match=message):
         make_spec(name, **overrides)
     with pytest.raises(ValueError, match=message):
         load_with_sidecar(tmp_path, system=name, params={**DEFAULT_PARAMS[name], **overrides})
@@ -371,6 +384,8 @@ def test_bool_or_fractional_seed_rejected():
     spec = make_spec("hopf")
     with pytest.raises(ValueError, match="seed must be an integer, got True"):
         simulate(spec, [2.0, 0.0], 10, 0.01, True, burn_in=0)
+    with pytest.raises(ValueError, match="seed must be an integer, got True"):
+        simulate(spec, [2.0, 0.0], 10, 0.01, np.True_, burn_in=0)  # a numpy bool too
     with pytest.raises(TypeError, match=re.escape("seed must be an integer, got 3.0")):
         simulate(spec, [2.0, 0.0], 10, 0.01, 3.0, burn_in=0)
     # a path keeps its seed as an int from the start, so no bool is saved later
@@ -502,8 +517,8 @@ def test_long_saved_trajectory_loads(tmp_path):
      "system 'lorenz63' has dimension 3, but {csv} holds 2 coordinates"),
     ({"system": "lorenz96", "params": {"F": 8.0, "N": 4}},
      "system 'lorenz96' has dimension 4, but {csv} holds 2 coordinates"),
-    ({"d": True}, "metadata sidecar entry 'd' has the wrong type: True"),
-    ({"n_samples": 0}, "metadata sidecar entry 'n_samples' must be at least 1, got 0"),
+    ({"d": True}, "d must be an integer, got True"),
+    ({"n_samples": 0}, "n_samples must be at least 1, got 0"),
 ], ids=["d", "n_samples", "lorenz63", "lorenz96", "bool-d", "zero-n_samples"])
 def test_sidecar_disagreeing_with_csv_is_named_by_path(tmp_path, entries, message):
     # the 2-column, 10-row Hopf CSV is checked against its sidecar's d,
@@ -530,3 +545,80 @@ def test_default_initial_states():
     x96 = default_initial_state(make_spec("lorenz96", N=6))
     assert x96.shape == (6,)
     assert x96[0] == 8.01 and np.all(x96[1:] == 8.0)
+
+
+_HOPF = make_spec("hopf")
+_CENTERS = np.random.default_rng(0).normal(size=(10, 2))
+
+
+def _hopf_model():
+    """A zero field over ten centers: enough for the checks before any step."""
+    return DriftModel(kernel=KernelModel(0.5, _CENTERS), coefficients=np.zeros((2, 10)))
+
+
+def _load_model_with_epsilon(tmp_path, epsilon):
+    path = tmp_path / "model.json"
+    save_drift_model(_hopf_model(), path)
+    payload = json.loads(path.read_text())
+    payload["kernel"]["epsilon"] = epsilon
+    path.write_text(json.dumps(payload))
+    return load_drift_model(path)
+
+
+# every real-valued parameter: its name and interval, a finite value outside
+# it (or -inf where every finite value is in), the call that passes it on
+# and, for a sidecar or model file, the file that names the error
+_REAL_PARAMETERS = {
+    "Trajectory-dt": ("dt", "(0, inf)", -0.01, None,
+                      lambda v, tmp: Trajectory(dt=v, points=np.zeros((5, 2)))),
+    "simulate-dt": ("dt", "(0, inf)", 0.0, None,
+                    lambda v, tmp: simulate(_HOPF, [2.0, 0.0], 10, v, 0)),
+    "compare_orbits-dt": ("dt", "(0, inf)", -0.01, None,
+                          lambda v, tmp: compare_orbits(_HOPF, _hopf_model(), [1.0, 0.0],
+                                                        1.0, v)),
+    "compare_orbits-horizon": ("horizon", "(-inf, inf)", -np.inf, None,
+                               lambda v, tmp: compare_orbits(_HOPF, _hopf_model(), [1.0, 0.0],
+                                                             v, 0.01)),
+    "KernelModel-epsilon": ("epsilon", "(0, inf)", 0.0, None,
+                            lambda v, tmp: KernelModel(v, _CENTERS)),
+    "markov_apply-epsilon": ("epsilon", "(0, inf)", -1.0, None,
+                             lambda v, tmp: markov_apply(_CENTERS, _CENTERS, v,
+                                                         np.ones((10, 1)))),
+    "SystemSpec-sigma_noise": ("sigma_noise", "[0, inf)", -0.1, None,
+                               lambda v, tmp: make_spec("hopf", sigma_noise=v)),
+    "SystemSpec-constant": ("lorenz63 parameter rho", "(-inf, inf)", -np.inf, None,
+                            lambda v, tmp: make_spec("lorenz63", rho=v)),
+    "CondExpParams-eta1": ("eta1", "(0, 1)", 1.0, None, lambda v, tmp: CondExpParams(eta1=v)),
+    "CondExpParams-eta2": ("eta2", "(0, 1)", 0.0, None, lambda v, tmp: CondExpParams(eta2=v)),
+    "CondExpParams-delta": ("delta", "[0, inf)", -1.0, None,
+                            lambda v, tmp: CondExpParams(delta=v)),
+    "select_bandwidth-eta": ("eta", "(0, 1)", 1.5, None,
+                             lambda v, tmp: select_bandwidth(_CENTERS, v)),
+    "select_bandwidth-subsample_fraction": ("subsample_fraction", "(0, 1]", 1.5, None,
+                                            lambda v, tmp: select_bandwidth(_CENTERS, 0.5, v)),
+    "sidecar-dt": ("dt", "(0, inf)", 0.0, "traj.meta.json",
+                   lambda v, tmp: load_with_sidecar(tmp, dt=v)),
+    "model-file-epsilon": ("epsilon", "(0, inf)", -1.0, "model.json",
+                           lambda v, tmp: _load_model_with_epsilon(tmp, v)),
+}
+_NOT_REAL = {"True": True, "np.True_": np.True_, "str": "0.1", "None": None,
+             "nan": np.nan, "inf": np.inf}
+
+
+@pytest.mark.parametrize("kind", [*_NOT_REAL, "outside"])
+@pytest.mark.parametrize("case", _REAL_PARAMETERS)
+def test_real_parameter_rejected_by_name(tmp_path, case, kind):
+    # one rule for every real-valued parameter: a Python or numpy bool is no
+    # 1 and a NaN, an infinity or a value out of range no parameter, each a
+    # ValueError; a string or null is a TypeError, never coerced; from a
+    # sidecar or model file, any of them is a ValueError named by its path
+    name, interval, outside, file, call = _REAL_PARAMETERS[case]
+    value = outside if kind == "outside" else _NOT_REAL[kind]
+    message = re.escape(f"{name} must be a real number in {interval}, got ")
+    if file is None:
+        error = TypeError if kind in ("str", "None") else ValueError
+    else:  # a JSON file holds a numpy bool as true
+        error, message = ValueError, re.escape(f"{tmp_path / file}: ") + ".*" + message
+        value = value.item() if isinstance(value, np.generic) else value
+    with pytest.raises(error, match=message):
+        call(value, tmp_path)
