@@ -126,13 +126,11 @@ class KernelModel:
         return self.centers.shape[1]
 
 
-def select_bandwidth(data, eta: float | Sequence[float],
-                     subsample_fraction: float = 0.1) -> float | np.ndarray:
-    """Pick epsilon so that a fraction ``eta`` of pairwise kernel values
-    on a subsample exceeds the zero threshold ``THETA_ZERO``.
+def select_bandwidth(data, eta: float | Sequence[float]) -> float | np.ndarray:
+    """Pick epsilon so that a fraction ``eta`` of pairwise kernel values on
+    a strided tenth of the data (every step-th point, at least 2) exceeds
+    the zero threshold ``THETA_ZERO``; no option changes the subsample.
 
-    Squared distances are measured on a strided subsample of the data of
-    relative size ``subsample_fraction`` (every step-th point, at least 2).
     With ``theta = 1 / ln(1 / THETA_ZERO)`` the returned bandwidth is
     ``theta * q``, where ``q`` is the eta-quantile of the subsample's
     pairwise squared distances: ``exp(-s / epsilon) >= THETA_ZERO`` exactly
@@ -144,26 +142,24 @@ def select_bandwidth(data, eta: float | Sequence[float],
     Raises
     ------
     ValueError
-        If a parameter is out of range or a bool, a data point is not
-        finite, or ``q`` is not finite because squared distances overflow.
+        If an eta is out of range or a bool, a data point is not finite,
+        or ``q`` is not finite because squared distances overflow.
     TypeError
-        If a parameter is not a real number.
+        If an eta is not a real number.
     NumericalError
         If ``q`` is zero (coincident subsample points).
     """
     etas = list(eta) if np.ndim(eta) else [eta]
     for e in etas:
         _real("eta", e, 0, 1)
-    _real("subsample_fraction", subsample_fraction, 0, 1, "(]")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or len(data) < 2:
         raise ValueError("data must be a 2-d array with at least 2 points")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ValueError(f"data point {np.argmin(finite)} is not finite")
-    step = max(1, len(data) // max(2, int(round(len(data) * subsample_fraction))))
+    step = max(1, len(data) // max(2, int(round(len(data) * 0.1))))
     sq = pdist(data[::step], "sqeuclidean")
-    theta = 1.0 / np.log(1.0 / THETA_ZERO)
     with np.errstate(invalid="ignore"):  # inf - inf between overflowed distances
         # partitioned in place: the distances are held once, not copied
         quantiles = np.quantile(sq, eta, overwrite_input=True)
@@ -174,7 +170,7 @@ def select_bandwidth(data, eta: float | Sequence[float],
         if quantile <= 0.0:
             raise NumericalError(f"the {e}-quantile of pairwise squared distances is zero "
                                  "(coincident subsample points)")
-    return theta * quantiles
+    return (1.0 / np.log(1.0 / THETA_ZERO)) * quantiles  # theta * q
 
 
 def markov_apply(rows, cols, epsilon: float, values,

@@ -262,12 +262,15 @@ def _real(name: str, value, low: float, high: float, ends: str = "()") -> None:
     high``): a Python or numpy bool (a JSON true, never 1), NaN, an infinity
     or a value outside is a ValueError, any other non-real a TypeError."""
     rule = f"{name} must be a real number in {ends[0]}{low}, {high}{ends[1]}"
-    is_bool = isinstance(value, (bool, np.bool_))
-    if not (is_bool or isinstance(value, numbers.Real)):
+    if not isinstance(value, (numbers.Real, np.bool_)):
         raise TypeError(f"{rule}, got {value!r}")
-    above = low <= value if ends[0] == "[" else low < value
-    below = value <= high if ends[1] == "]" else value < high
-    if is_bool or not (above and below and abs(value) < math.inf):
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond float range: an infinity
+        real = math.inf
+    above = low <= real if ends[0] == "[" else low < real
+    below = real <= high if ends[1] == "]" else real < high
+    if isinstance(value, (bool, np.bool_)) or not (above and below and abs(real) < math.inf):
         raise ValueError(f"{rule}, got {value}")
 
 

@@ -42,3 +42,33 @@ def test_traced_cell_binds_every_hook(monkeypatch, tmp_path):
 
     assert {"eps1", "eps3", "train"} <= captured.keys()
     assert any(s.name == "kernels.markov_apply.eps3" for s in tracer.spans)
+
+
+def test_multi_block_fit_spans_nest(monkeypatch):
+    # a fit of more than two 512-row section blocks: the tracer keeps one
+    # span stack, so every wrapped call runs on the caller's thread and each
+    # span closes inside its parent, with one fit section span per row block
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+    from tracing import Tracer
+
+    hopf = make_spec("hopf", sigma_noise=0.2)
+    path = systems.simulate(hopf, [1.0, 0.0], n_samples=1200, dt=0.01, seed=3, burn_in=10)
+    records = len(drift.increment_targets(path)[0])
+    tracer = Tracer()
+    try:
+        bench.install(tracer, {})
+        with tracer.span("cell"):
+            drift.estimate_drift(path, CondExpParams(n_centers=40))
+    finally:
+        tracer.restore()
+
+    for span in tracer.spans:
+        parent = tracer.parent_of(span)
+        assert span.start <= span.end
+        if parent is not None:
+            assert parent.start <= span.start and span.end <= parent.end
+    sections = [s for s in tracer.spans if s.name == "kernels.section_matrix.fit"]
+    assert {tracer.parent_of(s).name for s in sections} == {"condexp.fit_targets"}
+    assert records > 2 * 512
+    assert [s.attrs["rows"] for s in sections] == [512, 512, records - 2 * 512]

@@ -26,6 +26,12 @@ def cloud(n=60, d=2, seed=0, scale=1.0):
     return scale * np.random.default_rng(seed).normal(size=(n, d))
 
 
+def all_pairs(data):
+    """Each point of ``data`` ten times over: the strided tenth that
+    select_bandwidth measures is ``data`` itself, every pair of it."""
+    return np.repeat(data, 10, axis=0)
+
+
 def dense_gaussian(xs, ys, eps):
     out = np.empty((len(xs), len(ys)))
     for i, x in enumerate(xs):
@@ -112,17 +118,17 @@ def expansion(model, coeffs, points):
 class TestSelectBandwidth:
     def test_two_points_unit_distance(self):
         data = np.array([[0.0, 0.0], [1.0, 0.0]])
-        eps = select_bandwidth(data, eta=0.999, subsample_fraction=1.0)
+        eps = select_bandwidth(all_pairs(data), eta=0.999)
         assert abs(eps - 1.0 / math.log(1e14)) < 1e-15
 
     def test_scaling_quadratic(self):
-        base = select_bandwidth(cloud(seed=4), eta=0.3, subsample_fraction=1.0)
-        scaled = select_bandwidth(3.0 * cloud(seed=4), eta=0.3, subsample_fraction=1.0)
+        base = select_bandwidth(all_pairs(cloud(seed=4)), eta=0.3)
+        scaled = select_bandwidth(all_pairs(3.0 * cloud(seed=4)), eta=0.3)
         assert abs(scaled - 9.0 * base) < 1e-12 * scaled
 
     def test_achieved_sparsity_fraction(self):
         data = cloud(n=200, seed=7)
-        eps = select_bandwidth(data, eta=0.25, subsample_fraction=1.0)
+        eps = select_bandwidth(all_pairs(data), eta=0.25)
         values = np.exp(-pdist(data, "sqeuclidean") / eps)
         frac = np.mean(values >= 1e-14)
         assert abs(frac - 0.25) <= 2.0 / len(values)
@@ -130,35 +136,39 @@ class TestSelectBandwidth:
     def test_monotone_in_eta(self):
         data = cloud(n=100, seed=2)
         etas = (0.05, 0.2, 0.5, 0.9)
-        epss = [select_bandwidth(data, eta=eta, subsample_fraction=1.0) for eta in etas]
+        epss = [select_bandwidth(all_pairs(data), eta=eta) for eta in etas]
         assert all(a <= b for a, b in zip(epss, epss[1:]))
         # the same four bandwidths from one sample
-        together = select_bandwidth(data, eta=etas, subsample_fraction=1.0)
+        together = select_bandwidth(all_pairs(data), eta=etas)
         assert together.tolist() == epss
 
-    @pytest.mark.parametrize("fraction", [0.1, 0.37, 1.0])
-    def test_sequence_equals_scalar_calls(self, fraction):
+    @pytest.mark.parametrize(("n", "step"), [(3, 1), (25, 12), (1237, 9)])
+    def test_sequence_equals_scalar_calls(self, n, step):
         # one subsample, pdist and partition for every eta, a repeated one
-        # included, each == its own scalar call
-        data = cloud(n=1200, d=3, seed=24)
+        # included, each == its own scalar call; the subsample is every
+        # step-th point, a tenth of them and at least 2
+        data = cloud(n=n, d=3, seed=24)
         etas = (0.003, 0.5, 0.01, 0.003, 1e-4, 0.999)
-        together = select_bandwidth(data, etas, subsample_fraction=fraction)
+        together = select_bandwidth(data, etas)
         assert isinstance(together, np.ndarray) and together.shape == (6,)
         for eta, eps in zip(etas, together):
-            assert eps == select_bandwidth(data, eta, subsample_fraction=fraction)
+            assert eps == select_bandwidth(data, eta)
         assert together[0] == together[3]
-        assert select_bandwidth(data, [0.01], subsample_fraction=fraction).shape == (1,)
+        assert select_bandwidth(data, [0.01]).shape == (1,)
+        theta = 1.0 / np.log(1.0 / THETA_ZERO)
+        reference = theta * np.quantile(pdist(data[::step], "sqeuclidean"), etas)
+        assert together.tolist() == reference.tolist()
 
     def test_coincident_points_degenerate(self):
         data = np.zeros((10, 2))
         with pytest.raises(NumericalError, match="quantile of pairwise squared distances "
                                                  r"is zero \(coincident subsample points\)"):
-            select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+            select_bandwidth(data, eta=0.5)
         # a sequence names its first eta, with the scalar call's message
         with pytest.raises(NumericalError, match=re.escape(
                 "the 0.2-quantile of pairwise squared distances is zero (coincident "
                 "subsample points)")):
-            select_bandwidth(data, eta=(0.2, 0.5), subsample_fraction=1.0)
+            select_bandwidth(data, eta=(0.2, 0.5))
 
     def test_policy_validation(self):
         data = cloud(n=10, seed=1)
@@ -170,44 +180,40 @@ class TestSelectBandwidth:
             with pytest.raises(ValueError, match=re.escape(
                     f"eta must be a real number in (0, 1), got {bad}")):
                 select_bandwidth(data, eta=etas)
-        with pytest.raises(ValueError, match="subsample_fraction"):
-            select_bandwidth(data, eta=0.5, subsample_fraction=0.0)
-        # a JSON true is no fraction of 1.0
-        with pytest.raises(ValueError, match=re.escape(
-                "subsample_fraction must be a real number in (0, 1], got True")):
-            select_bandwidth(data, eta=0.5, subsample_fraction=True)
 
     def test_overflowing_quantile_rejected(self):
         # the 0.99-quantile interpolates between two overflowed (inf)
         # squared distances; the 0.5-quantile is finite and keeps its bits
         data = np.vstack([cloud(n=50, seed=0), [[1e160, 1e160]]])
         with pytest.raises(ValueError, match="squared distances overflow"):
-            select_bandwidth(data, eta=0.99, subsample_fraction=1.0)
-        eps = select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+            select_bandwidth(all_pairs(data), eta=0.99)
+        eps = select_bandwidth(all_pairs(data), eta=0.5)
         assert eps == float.fromhex("0x1.6a223fab147d9p-4")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_data_rejected(self, bad):
+        # every point is checked, not only the subsample's (points 0 and 5)
         data = cloud(n=10, seed=1)
         data[4, 1] = bad
         with pytest.raises(ValueError, match="data point 4 is not finite"):
-            select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+            select_bandwidth(data, eta=0.5)
 
     def test_distances_held_once(self):
         # the quantile partitions the pdist temporary in place: the bits of
         # the quantile of a copy, at a peak near one pdist, not two
         data = cloud(n=2000, d=3, seed=72)
+        repeated = all_pairs(data)
         sq = pdist(data, "sqeuclidean")
         theta = 1.0 / np.log(1.0 / 1e-14)
         for eta in (0.003, 0.01, 0.5):
-            eps = select_bandwidth(data, eta, subsample_fraction=1.0)
+            eps = select_bandwidth(repeated, eta)
             assert eps == theta * float(np.quantile(sq.copy(), eta))
         # a scalar eta and a sequence of them alike
         for eta in (0.01, (0.003, 0.01, 0.5)):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                select_bandwidth(data, eta, subsample_fraction=1.0)
+                select_bandwidth(repeated, eta)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -305,7 +311,7 @@ class TestMarkovMatrix:
         # result bit for bit; both are the dense oracle's to rounding
         base = cloud(n=150, d=d, seed=50 + d, scale=2.0)
         data = np.vstack([base, base[:20], base[:5]])  # duplicate points
-        eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
+        eps = select_bandwidth(all_pairs(data), eta=0.05)
         rng = np.random.default_rng(d)
         dense = rng.normal(size=(len(data), 6)) * (rng.random((len(data), 6)) < 0.2)
         values = sp.csr_array(dense) if sparse else dense
@@ -327,7 +333,7 @@ class TestMarkovMatrix:
         # kernel is canonical CSR; a sparse result stores exactly the
         # nonzeros of the dense one, with their bits
         data = cloud(n=400, d=2, seed=60, scale=2.0)
-        eps = select_bandwidth(data, eta=0.05, subsample_fraction=1.0)
+        eps = select_bandwidth(all_pairs(data), eta=0.05)
         i, j, _ = _gaussian_pairs(data, eps)
         assert (np.diff(i * len(data) + j) > 0).all()
         rng = np.random.default_rng(61)
@@ -408,7 +414,7 @@ class TestMarkovMatrix:
 
     def test_rows_sum_to_one(self):
         data = cloud(n=150, seed=5)
-        eps = select_bandwidth(data, eta=0.3, subsample_fraction=1.0)
+        eps = select_bandwidth(all_pairs(data), eta=0.3)
         sums = markov_dense(data, eps).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
@@ -593,7 +599,7 @@ class TestDiffusionModel:
     def test_symmetrization_identity(self):
         # conjugating by rho = sqrt(deg_l/deg_r) reproduces the symmetric form
         data = cloud(n=200, seed=12)
-        eps = select_bandwidth(data, eta=0.5, subsample_fraction=1.0)
+        eps = select_bandwidth(all_pairs(data), eta=0.5)
         model = diffusion_model(data, eps)
         kdiff, _ = section_matrix(model, data)
         rho = np.sqrt(left_degrees(model) / model.deg_r)

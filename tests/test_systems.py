@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import warnings
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
@@ -594,22 +595,21 @@ _REAL_PARAMETERS = {
                             lambda v, tmp: CondExpParams(delta=v)),
     "select_bandwidth-eta": ("eta", "(0, 1)", 1.5, None,
                              lambda v, tmp: select_bandwidth(_CENTERS, v)),
-    "select_bandwidth-subsample_fraction": ("subsample_fraction", "(0, 1]", 1.5, None,
-                                            lambda v, tmp: select_bandwidth(_CENTERS, 0.5, v)),
     "sidecar-dt": ("dt", "(0, inf)", 0.0, "traj.meta.json",
                    lambda v, tmp: load_with_sidecar(tmp, dt=v)),
     "model-file-epsilon": ("epsilon", "(0, inf)", -1.0, "model.json",
                            lambda v, tmp: _load_model_with_epsilon(tmp, v)),
 }
 _NOT_REAL = {"True": True, "np.True_": np.True_, "str": "0.1", "None": None,
-             "nan": np.nan, "inf": np.inf}
+             "nan": np.nan, "inf": np.inf, "huge": 10**400, "-huge": -10**400}
 
 
 @pytest.mark.parametrize("kind", [*_NOT_REAL, "outside"])
 @pytest.mark.parametrize("case", _REAL_PARAMETERS)
 def test_real_parameter_rejected_by_name(tmp_path, case, kind):
     # one rule for every real-valued parameter: a Python or numpy bool is no
-    # 1 and a NaN, an infinity or a value out of range no parameter, each a
+    # 1 and a NaN, an infinity, an integer beyond float range (no
+    # OverflowError) or a value out of range no parameter, each a
     # ValueError; a string or null is a TypeError, never coerced; from a
     # sidecar or model file, any of them is a ValueError named by its path
     name, interval, outside, file, call = _REAL_PARAMETERS[case]
@@ -622,3 +622,12 @@ def test_real_parameter_rejected_by_name(tmp_path, case, kind):
         value = value.item() if isinstance(value, np.generic) else value
     with pytest.raises(error, match=message):
         call(value, tmp_path)
+
+
+def test_real_parameter_near_float_max_accepted_silently():
+    # a numpy float32 near its own maximum is in range, and is checked without
+    # a cast that overflows (which would warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert make_spec("hopf", sigma_noise=np.float32(3e38)).sigma_noise == np.float32(3e38)
+        assert Trajectory(dt=np.float32(3e38), points=np.zeros((5, 2))).dt == np.float32(3e38)
