@@ -31,6 +31,8 @@ from scipy.linalg.lapack import dpotri
 from .errors import NumericalError
 from .kernels import (
     KernelModel,
+    _gaussian_pairs,
+    _narrowed,
     _section_blocks,
     diffusion_model,
     markov_apply,
@@ -137,7 +139,11 @@ def fit_targets(inputs, targets, params: CondExpParams
     normal equations; one ``select_bandwidth`` call on one distance sample
     gives eps1, eps3 at ``_ETA3`` and eps2.  The sections, about 1% of them
     nonzero, come one row block of ``section_matrix`` at a time, and each
-    block's nonzeros, in row-major order, go straight into one CSR.  Returns
+    block's nonzeros, in row-major order, go straight into one CSR.  The
+    two Markov passes share one radius query: the inputs' neighbour pairs
+    are listed once, at the wider of the eps1 and eps3 cutoffs (12 bytes per
+    pair), the narrower pass takes a copy of the pairs within its own
+    cutoff, and each ``markov_apply`` call uses its list up.  Returns
     ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
     """
     inputs = np.asarray(inputs, dtype=float)
@@ -159,7 +165,7 @@ def fit_targets(inputs, targets, params: CondExpParams
     data, flat = [], []
     for rows in _section_blocks(kernel, inputs):
         block = section_matrix(kernel, inputs[rows])[0].ravel()
-        kept = block.nonzero()[0]
+        kept = (block != 0.0).nonzero()[0]  # a boolean scan is faster than a float one
         data.append(block.take(kept))
         flat.append(kept + rows.start * m)
         del block  # freed before the next block is made
@@ -169,12 +175,19 @@ def fit_targets(inputs, targets, params: CondExpParams
                              np.searchsorted(row, np.arange(n + 1)).astype(index)), shape=(n, m))
     del data, flat, row, col  # not held through the Markov passes
 
+    # the lists are popped, so each is freed with the pass that uses it up
+    wide = _gaussian_pairs(inputs, max(eps1, eps3))
+    lists = [_narrowed(wide, min(eps1, eps3)), wide]
+    if eps1 > eps3:
+        lists.reverse()
+    del wide
+    smoothed_y = markov_apply(inputs, inputs, eps1, y, pairs=lists.pop(0))
     # one eps3 pass applies the Markov matrix to the kernel sections and
     # the smoothed targets together, as a sparse product that stays CSR;
     # only the k target columns are densified
-    smoothed_y = markov_apply(inputs, inputs, eps1, y)
     stacked = markov_apply(inputs, inputs, eps3,
-                           sp.hstack([sections, sp.csr_array(smoothed_y)], format="csr"))
+                           sp.hstack([sections, sp.csr_array(smoothed_y)], format="csr"),
+                           pairs=lists.pop())
     b = stacked[:, : kernel.n_centers]
     g = stacked[:, kernel.n_centers :].toarray()
     coef, residuals, condition = solve_regularized(b, g, params.delta)

@@ -6,8 +6,11 @@ zero threshold ``THETA_ZERO``, the constant :func:`select_bandwidth`
 assumes, dropped before any normalization.  The raw values of a cloud
 with itself come from the radius neighbours a k-d tree lists
 (:func:`_gaussian_pairs`), since ``g >= THETA_ZERO`` exactly when
-``|x - y|^2 <= epsilon * ln(1 / THETA_ZERO)``; those against another point
-set from one ``cdist`` block of squared distances (:func:`_gaussian_block`).
+``|x - y|^2 <= epsilon * ln(1 / THETA_ZERO)``: a list of pairs and their
+squared gaps, 12 bytes per pair, at one bandwidth's cutoff, from which the
+pairs within a narrower cutoff are copied (:func:`_narrowed`), so one
+radius query serves several bandwidths; those against another point set
+from one ``cdist`` block of squared distances (:func:`_gaussian_block`).
 Either way the threshold test keeps exactly the entries a dense evaluation
 keeps:
 
@@ -174,7 +177,7 @@ def select_bandwidth(data, eta: float | Sequence[float]) -> float | np.ndarray:
 
 
 def markov_apply(rows, cols, epsilon: float, values,
-                 theta_zero: float = THETA_ZERO) -> np.ndarray | sp.csr_array:
+                 theta_zero: float = THETA_ZERO, *, pairs=None) -> np.ndarray | sp.csr_array:
     """Apply the row-stochastic Gaussian kernel matrix of one point cloud to
     the columns of ``values``.
 
@@ -182,25 +185,34 @@ def markov_apply(rows, cols, epsilon: float, values,
     same array or an equal one) and ``theta_zero`` must be ``THETA_ZERO``:
     both stay because ``perfbench``'s ``markov_pass`` hook binds them.
     Entry (i, j) is ``g(x_i, x_j) / sum_j' g(x_i, x_j')`` over the raw
-    values at or above ``THETA_ZERO`` (:func:`_gaussian_pairs`), each CSR
-    row in column order.  A row keeps its own point with ``g = 1``, so no
-    row sum is zero: a point beyond the cutoff from all others keeps its
-    own value.  Dense (N, k) ``values`` give a dense result; a 2-d
-    ``scipy.sparse`` array gives CSR, each stored entry of the sparse
-    product divided by its row sum, whose ``toarray()`` is the dense result.
+    values at or above ``THETA_ZERO``, each CSR row in column order.  A row
+    keeps its own point with ``g = 1``, so no row sum is zero: a point
+    beyond the cutoff from all others keeps its own value.  Dense (N, k)
+    ``values`` give a dense result; a 2-d ``scipy.sparse`` array gives CSR,
+    each stored entry of the sparse product divided by its row sum, whose
+    ``toarray()`` is the dense result.
 
-    The kernel's CSR holds the pairs' int32 columns and float64 values
-    uncopied, with an int32 ``indptr`` while fewer than 2**31 pairs are
-    kept, and the row indices are dropped once ``indptr`` is found: 12 bytes
-    per kept pair, after a peak of about 19 (:func:`_gaussian_pairs`).
+    The candidate pairs are ``pairs``, a list of ``rows`` at this
+    ``epsilon``'s cutoff from :func:`_gaussian_pairs` or :func:`_narrowed`,
+    or, without one, the list :func:`_gaussian_pairs` makes here.  ``g`` is
+    written over the list's squared gaps, so a list is used up by the call
+    that takes it, and the kernel's CSR holds the list's arrays uncopied:
+    12 bytes per pair.  A list narrowed from a wider one holds the pairs
+    whose squared gap is within the cutoff, and the cutoff's own list those
+    the tree finds within it; they can differ only in a pair within rounding
+    of the padded radius, whose ``g`` is 0.  Such a stored 0 leaves the
+    product as it is, but could move the last bit of its row's sum, which
+    numpy adds pairwise.
 
     Raises
     ------
     ValueError
         If ``epsilon`` is out of (0, inf) or a bool, ``theta_zero`` is not
         ``THETA_ZERO``, ``values`` is not a finite (N, k) array, ``cols``
-        holds other points, a point is not finite or so far out that squared
-        distances overflow, or N is 2**31 or more.
+        holds other points, ``pairs`` lists another number of points or was
+        listed at another cutoff, or, when no list is given, a point is not
+        finite or so far out that squared distances overflow, or N is 2**31
+        or more.
     TypeError
         If ``epsilon`` is not a real number.
     """
@@ -220,24 +232,17 @@ def markov_apply(rows, cols, epsilon: float, values,
     n = len(points)
     if not finite:
         raise ValueError("values must be finite")
-    # the tree's radius query fails if the box's diagonal overflows; only
-    # then are points checked one by one, against their median, to name one
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = np.square(np.ptp(points, axis=0)).sum() if n else 0.0
-    if not spread < np.inf:
-        median = np.median(points, axis=0)
-        _check_points(points, median, median, "row", "the other points")
-        raise ValueError("the points spread so far apart that squared distances overflow")
+    if pairs is None:
+        pairs = _gaussian_pairs(points, epsilon)  # names a bad point before cols compare
     if not (cols is rows or np.array_equal(cols, points)):
         raise ValueError("cols must hold the same points as rows")
-
-    i, j, g = _gaussian_pairs(points, epsilon)
-    # row r starts at the first pair whose i is at least r; an int32 indptr,
-    # while the pair count fits, lets the CSR keep the int32 j uncopied
-    indptr = np.empty(n + 1, dtype=np.int32 if len(i) < 2**31 else np.int64)
-    indptr[:n], indptr[n] = np.searchsorted(i, np.arange(n, dtype=i.dtype)), len(i)
-    del i
-    kernel = sp.csr_array((g, j, indptr), shape=(n, n))
+    indptr, j, sq, radius = pairs
+    if len(indptr) != n + 1 or radius != _cutoff(epsilon):
+        raise ValueError(f"pairs must list the {n} points of rows at epsilon's cutoff "
+                         f"{_cutoff(epsilon)}, got {len(indptr) - 1} points at {radius}")
+    for start in range(0, len(sq), _PAIR_CHUNK):
+        _gaussian(sq[start : start + _PAIR_CHUNK], epsilon)  # in place, a chunk at a time
+    kernel = sp.csr_array((sq, j, indptr), shape=(n, n))
     sums = kernel.sum(axis=1)
     out = kernel @ values
     if sp.issparse(out):
@@ -286,39 +291,51 @@ def _gaussian_block(model: KernelModel, points: np.ndarray) -> tuple[np.ndarray,
 
 
 def _gaussian_pairs(points: np.ndarray, epsilon: float
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate pairs ``(i, j, g)`` of a cloud of ``n < 2**31`` points with
-    itself, in canonical CSR order, with ``g = g(points[i], points[j])``
-    where it is at or above ``THETA_ZERO`` and 0 where it is not.
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The candidate pairs ``(indptr, j, sq, radius)`` of a cloud of
+    ``n < 2**31`` points with itself within :func:`_cutoff`'s ``radius``:
+    CSR row pointers over the int32 columns ``j``, each row in column order
+    and holding its own point, and the float64 squared gaps
+    ``sq = |points[i] - points[j]|^2``.
 
-    One ``query_pairs`` over a k-d tree of the points, at :func:`_cutoff`'s
-    radius, lists each unordered pair once; keyed in both orientations plus
-    the diagonal as the unique int64 ``i * n + j`` and sorted, those come in
-    canonical CSR order.  The threshold test decides on a squared distance
-    recomputed in the order ``cdist`` sums it, so the nonzero values are
-    exactly a dense evaluation's (a negated gap is exact: ``(j, i)`` gets the
-    bits of ``(i, j)``).  The radius's pad keeps rounding in the tree from
-    dropping a kept pair; the candidates it adds get a zero.
+    One ``query_pairs`` over a k-d tree of the points, at that radius,
+    lists each unordered pair once; keyed in both orientations plus the
+    diagonal as the unique ``i * n + j`` (int32 while ``n * n < 2**31``,
+    which sorts in half the time, else int64) and sorted, those come in
+    canonical CSR order.  Each squared gap is recomputed in the order
+    ``cdist`` sums it (a negated gap is exact: ``(j, i)`` gets the bits of
+    ``(i, j)``), so the threshold test on it keeps exactly the values a
+    dense evaluation keeps.  The radius's pad keeps rounding in the tree
+    from dropping a kept pair; the candidates it adds get a zero ``g``.
 
-    Memory per returned entry: the tree's pair list and the int64 keys (8
-    bytes each) coexist only while the keys are filled; the keys sort in
-    place, split into int32 ``i`` and ``j`` and are freed, and the float64
-    ``g`` is filled ``_PAIR_CHUNK`` entries at a time.  So the peak is 16
-    bytes plus fixed chunk buffers, and the result 16.  ``n < 2**31`` keeps
-    the keys below ``2**62`` and the indices in int32; a larger cloud is a
-    ValueError.
+    Memory per listed pair: the tree's pair list (8 bytes) and the keys (at
+    most 8) coexist only while the keys are filled; the keys sort in place,
+    split into int32 ``i`` and ``j`` and are freed, and ``sq`` is filled
+    ``_PAIR_CHUNK`` entries at a time.  ``indptr`` is then found from ``i``,
+    which is dropped.  So the peak is 16 bytes plus fixed chunk buffers, and
+    the list 12.  ``n < 2**31`` keeps the keys below ``2**62``
+    and the indices in int32; a larger cloud is a ValueError, and so is a
+    point that is not finite or so far out that squared distances overflow.
     """
     n, radius = len(points), _cutoff(epsilon)
     if n >= 2**31:
         raise ValueError(f"a cloud of {n} points has indices beyond int32 (n < 2**31)")
+    # the tree's radius query fails if the box's diagonal overflows; only
+    # then are points checked one by one, against their median, to name one
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = np.square(np.ptp(points, axis=0)).sum() if n else 0.0
+    if not spread < np.inf:
+        median = np.median(points, axis=0)
+        _check_points(points, median, median, "row", "the other points")
+        raise ValueError("the points spread so far apart that squared distances overflow")
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    m = len(pairs)
-    keys = np.empty(2 * m + n, dtype=np.int64)
+    m, key = len(pairs), np.int32 if n * n < 2**31 else np.int64
+    keys = np.empty(2 * m + n, dtype=key)
     for rows, lo, hi in ((slice(0, m), 0, 1), (slice(m, 2 * m), 1, 0)):
-        np.multiply(pairs[:, lo], n, out=keys[rows], dtype=np.int64)
+        np.multiply(pairs[:, lo], n, out=keys[rows], dtype=key)
         keys[rows] += pairs[:, hi]
     del pairs  # free the pair list before the keys sort
-    np.multiply(np.arange(n, dtype=np.int64), n + 1, out=keys[2 * m:])
+    np.multiply(np.arange(n, dtype=key), n + 1, out=keys[2 * m:])
     keys.sort()
     i, j = np.empty(len(keys), dtype=np.int32), np.empty(len(keys), dtype=np.int32)
     np.divmod(keys, n, out=(i, j))
@@ -326,17 +343,49 @@ def _gaussian_pairs(points: np.ndarray, epsilon: float
     # a chunk at a time and coordinate by coordinate, so the temporaries stay
     # the size of one chunk's column; adding the first square to zero is exact
     columns = np.ascontiguousarray(points.T)
-    g = np.zeros(len(i))
+    sq = np.zeros(len(i))
     for start in range(0, len(i), _PAIR_CHUNK):
         rows = slice(start, start + _PAIR_CHUNK)
-        left, right, sq = i[rows].astype(np.intp), j[rows].astype(np.intp), g[rows]
+        left, right, chunk = i[rows].astype(np.intp), j[rows].astype(np.intp), sq[rows]
         for column in columns:
             gap = column.take(left)
             gap -= column.take(right)
             gap *= gap
-            sq += gap
-        _gaussian(sq, epsilon)
-    return i, j, g
+            chunk += gap
+    # row r starts at the first pair whose i is at least r; an int32 indptr,
+    # while the pair count fits, lets a CSR keep the int32 j uncopied
+    indptr = np.empty(n + 1, dtype=np.int32 if len(i) < 2**31 else np.int64)
+    indptr[:n], indptr[n] = np.searchsorted(i, np.arange(n, dtype=i.dtype)), len(i)
+    return indptr, j, sq, radius
+
+
+def _narrowed(pairs: tuple, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """A copy of the pairs of a :func:`_gaussian_pairs` list whose squared
+    gap is within the cutoff of ``epsilon``, a bandwidth no larger than the
+    list's, as a list at that cutoff; ``pairs`` is left as it is.
+
+    Every pair whose ``g`` reaches ``THETA_ZERO`` at ``epsilon`` is kept, with
+    its squared gap's bits, and so is each row's own point; the list's
+    other candidates are dropped.  One boolean mask over the list (1 byte
+    per listed pair), its per-row counts and boolean compression of ``j``
+    and ``sq`` make the copy: 12 bytes per kept pair, O(n) for the counts,
+    and no index or count array as long as the list.
+    """
+    indptr, j, sq, radius = pairs
+    cutoff = _cutoff(epsilon)
+    if cutoff > radius:
+        raise ValueError(f"pairs listed at the cutoff {radius} cannot be narrowed to {cutoff}")
+    keep = sq <= cutoff * cutoff
+    narrow = np.zeros_like(indptr)
+    # reduceat casts all it sums to the counts' type, so it takes blocks of
+    # rows of about _PAIR_CHUNK pairs; no row is empty (each holds its own
+    # point), so each index starts one row's sum
+    ends = np.searchsorted(indptr, np.arange(_PAIR_CHUNK, len(sq), _PAIR_CHUNK))
+    for lo, hi in zip([0, *ends], [*ends, len(indptr) - 1]):
+        np.add.reduceat(keep[indptr[lo] : indptr[hi]], indptr[lo:hi] - indptr[lo],
+                        dtype=indptr.dtype, out=narrow[lo + 1 : hi + 1])
+    np.cumsum(narrow, out=narrow)
+    return narrow, j[keep], sq[keep], cutoff
 
 
 def _check_points(points: np.ndarray, lo: np.ndarray, hi: np.ndarray, name: str,

@@ -375,9 +375,9 @@ def test_blocked_sections_feed_eps3_pass(monkeypatch):
     passes = []
     markov_apply = condexp.markov_apply
 
-    def spy(rows, cols, epsilon, values):
+    def spy(rows, cols, epsilon, values, **kwargs):
         passes.append(values)
-        return markov_apply(rows, cols, epsilon, values)
+        return markov_apply(rows, cols, epsilon, values, **kwargs)
 
     monkeypatch.setattr(condexp, "markov_apply", spy)
     kernel, _, _ = fit_targets(x, y, CondExpParams(n_centers=40))
@@ -390,6 +390,28 @@ def test_blocked_sections_feed_eps3_pass(monkeypatch):
     np.testing.assert_array_equal(fed.indptr, expected.indptr)
     np.testing.assert_array_equal(fed.indices, expected.indices)
     np.testing.assert_array_equal(fed.data, expected.data)
+
+
+@pytest.mark.parametrize("eta1", [0.001, 0.003, 0.01, 0.05])
+def test_shared_pair_list_matches_two_passes(eta1):
+    # the fit lists pairs once, at the wider of the eps1 and eps3 cutoffs;
+    # its coefficients are those of two passes that each list their own,
+    # with eps1 narrower than, equal to (P's fixed 1%) and wider than eps3
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(900, 2))
+    y = np.stack([np.sin(x[:, 0]) * x[:, 1], x[:, 0] ** 2], axis=1)
+    params = CondExpParams(eta1=eta1, n_centers=45)
+    kernel, coef, diagnostics = fit_targets(x, y, params)
+    eps1, eps3, eps2 = select_bandwidth(x, (eta1, 0.01, params.eta2))
+    assert (eps1, eps3) == (diagnostics["eps1"], diagnostics["eps3"])
+    assert np.sign(eps1 - eps3) == np.sign(eta1 - 0.01)
+    sections = sp.csr_array(section_matrix(diffusion_model(kernel.centers, eps2), x)[0])
+    smoothed = kernels.markov_apply(x, x, eps1, y)
+    stacked = kernels.markov_apply(x, x, eps3,
+                                   sp.hstack([sections, sp.csr_array(smoothed)], format="csr"))
+    m = kernel.n_centers
+    expected = solve_regularized(stacked[:, :m], stacked[:, m:].toarray(), params.delta)[0]
+    np.testing.assert_array_equal(coef, expected.T)
 
 
 def test_far_input_past_first_block_named():

@@ -19,7 +19,7 @@ from kerneldrift import (
 )
 from kerneldrift import kernels
 from kerneldrift.drift import load_drift_model, save_drift_model
-from kerneldrift.kernels import THETA_ZERO, _cutoff, _gaussian_pairs, markov_apply
+from kerneldrift.kernels import THETA_ZERO, _cutoff, _gaussian_pairs, _narrowed, markov_apply
 
 
 def cloud(n=60, d=2, seed=0, scale=1.0):
@@ -58,9 +58,9 @@ def assert_markov_matches_oracle(points, eps):
     g bits exactly; the Markov matrix, assembled from them, is the oracle
     with each row divided by its sum, to rounding.  Returns the raw oracle."""
     raw = thresholded_oracle(points, points, eps)
-    i, j, g = _gaussian_pairs(points, eps)
+    indptr, j, sq, _ = _gaussian_pairs(points, eps)
     pairs = np.zeros_like(raw)
-    pairs[i, j] = g
+    pairs[row_indices(indptr), j] = kernels._gaussian(sq, eps)
     np.testing.assert_array_equal(pairs, raw)
     # the threshold as read now: markov_apply's default was bound at import
     matrix = markov_apply(points, points, eps, sp.eye_array(len(points), format="csr"),
@@ -71,6 +71,11 @@ def assert_markov_matches_oracle(points, eps):
     np.testing.assert_allclose(matrix.toarray(), raw / raw.sum(axis=1, keepdims=True),
                                rtol=1e-12, atol=1e-15)
     return raw
+
+
+def row_indices(indptr):
+    """The row of each entry of a CSR list."""
+    return np.arange(len(indptr) - 1).repeat(np.diff(indptr))
 
 
 def section_oracle(model, points):
@@ -334,8 +339,8 @@ class TestMarkovMatrix:
         # nonzeros of the dense one, with their bits
         data = cloud(n=400, d=2, seed=60, scale=2.0)
         eps = select_bandwidth(all_pairs(data), eta=0.05)
-        i, j, _ = _gaussian_pairs(data, eps)
-        assert (np.diff(i * len(data) + j) > 0).all()
+        indptr, j, _, _ = _gaussian_pairs(data, eps)
+        assert (np.diff(row_indices(indptr) * len(data) + j) > 0).all()
         rng = np.random.default_rng(61)
         dense = rng.normal(size=(400, 5)) * (rng.random((400, 5)) < 0.3)
         got = markov_apply(data, data, eps, sp.csr_array(dense))
@@ -465,33 +470,95 @@ class TestMarkovMatrix:
             markov_apply(data, data, eps, values[:, 0])
 
 
+class TestPairLists:
+    @pytest.mark.parametrize("chunk", [1, 7, kernels._PAIR_CHUNK])
+    def test_narrowed_list_gives_same_bits(self, chunk, monkeypatch):
+        # a list narrowed from a wider one, the narrower cutoff's own list and
+        # no list give the same dense result and the same CSR, bit for bit;
+        # a tiny chunk makes the row counts go in many blocks, some of them
+        # empty because one row holds more pairs than a chunk
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", chunk)
+        data = cloud(n=300, d=3, seed=62, scale=2.0)
+        narrow, wide = select_bandwidth(all_pairs(data), (0.02, 0.2))
+        rng = np.random.default_rng(63)
+        dense = rng.normal(size=(300, 4))
+        sparse = sp.csr_array(dense * (rng.random((300, 4)) < 0.3))
+        listed = _gaussian_pairs(data, wide)
+        kept = _narrowed(listed, narrow)
+        own = _gaussian_pairs(data, narrow)
+        assert kept[3] == own[3] == _cutoff(narrow) and len(kept[2]) < len(listed[2])
+        # the wide list is copied from, not changed
+        np.testing.assert_array_equal(listed[2], _gaussian_pairs(data, wide)[2])
+        for values in (dense, sparse):
+            expected = markov_apply(data, data, narrow, values)
+            for pairs in (_narrowed(listed, narrow), _gaussian_pairs(data, narrow)):
+                got = markov_apply(data, data, narrow, values, pairs=pairs)
+                if sp.issparse(values):
+                    for name in ("indptr", "indices", "data"):
+                        np.testing.assert_array_equal(getattr(got, name),
+                                                      getattr(expected, name))
+                else:
+                    np.testing.assert_array_equal(got, expected)
+
+    def test_list_at_other_cutoff_rejected(self):
+        # a list is only good at its own cutoff and for its own cloud; it
+        # cannot be narrowed to a wider cutoff
+        data = cloud(n=80, seed=64)
+        values = np.ones((80, 1))
+        for eps, points in ((0.5, data), (0.3, data), (0.4, data[:-1])):
+            with pytest.raises(ValueError, match="pairs must list the 80 points"):
+                markov_apply(data, data, 0.4, values, pairs=_gaussian_pairs(points, eps))
+        with pytest.raises(ValueError, match="cannot be narrowed"):
+            _narrowed(_gaussian_pairs(data, 0.4), 0.5)
+
+
 class TestPairMemory:
     def test_pairs_peak_and_result_per_entry(self):
-        # about 10^6 kept pairs: building them peaks at no more than 24 traced
-        # bytes per returned entry, and the entries take 16 (int32 i and j,
-        # float64 g); the default subsample keeps the bandwidth's own pdist
-        # small
+        # about 10^6 listed pairs: building them peaks at no more than 24
+        # traced bytes per listed entry, and the list takes 12 (int32 j,
+        # float64 squared gap) plus the row pointers; the default subsample
+        # keeps the bandwidth's own pdist small
         points = cloud(n=10_000, d=2, seed=70)
         eps = select_bandwidth(points, eta=0.01)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            i, j, g = _gaussian_pairs(points, eps)
+            indptr, j, sq, _ = _gaussian_pairs(points, eps)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(g) > 900_000
-        assert peak <= 24 * len(g)
-        assert i.nbytes + j.nbytes + g.nbytes <= 16 * len(g)
+        assert len(sq) > 900_000
+        assert peak <= 24 * len(sq)
+        assert j.nbytes + sq.nbytes <= 12 * len(sq)
+        assert indptr.nbytes <= 4 * (len(points) + 1)
+
+    def test_narrowing_peak_per_entry(self):
+        # the copy within a narrower cutoff takes at most 1 byte per listed
+        # entry (the mask) and 12 per kept entry, plus O(n) for the row
+        # counts and a fixed block of them: no index or count array as long
+        # as the list
+        points = cloud(n=10_000, d=2, seed=72)
+        narrow, wide = select_bandwidth(points, (0.003, 0.01))
+        listed = _gaussian_pairs(points, wide)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = _narrowed(listed, narrow)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(listed[2]) > 900_000 and len(kept[2]) < len(listed[2]) / 2
+        assert peak <= (len(listed[2]) + 12 * len(kept[2]) + 16 * len(points)
+                        + 4 * kernels._PAIR_CHUNK)
 
     def test_large_indices_match_reference(self):
         # n^2 > 2^31, so a key or index that overflowed its integer type
         # would move a pair; the pairs are a reference's, listed by another
-        # tree query plus the diagonal and ordered by lexsort, with g from
-        # the one squared gap that is cdist's squared distance in 1-D
+        # tree query plus the diagonal and ordered by lexsort, with the
+        # squared gaps cdist computes in 1-D
         points, eps = cloud(n=50_000, d=1, seed=71), 1e-8
         n = len(points)
-        i, j, g = _gaussian_pairs(points, eps)
+        indptr, j, sq, _ = _gaussian_pairs(points, eps)
         tree = cKDTree(points)
         near = tree.sparse_distance_matrix(tree, _cutoff(eps), output_type="ndarray")
         near = near[near["i"] != near["j"]]
@@ -500,11 +567,12 @@ class TestPairMemory:
         order = np.lexsort((cols, rows))
         rows, cols = rows[order], cols[order]
         assert n * n > 2**31 and len(rows) > 10 * n
-        np.testing.assert_array_equal(i, rows)
+        np.testing.assert_array_equal(row_indices(indptr), rows)
         np.testing.assert_array_equal(j, cols)
-        expected = np.exp(-np.square(points[rows, 0] - points[cols, 0]) / eps)
+        np.testing.assert_array_equal(sq, np.square(points[rows, 0] - points[cols, 0]))
+        expected = np.exp(-sq / eps)
         expected[expected < 1e-14] = 0.0
-        np.testing.assert_array_equal(g, expected)
+        np.testing.assert_array_equal(kernels._gaussian(sq, eps), expected)
         matrix = markov_apply(points, points, eps, sp.eye_array(n, format="csr"))
         np.testing.assert_allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
