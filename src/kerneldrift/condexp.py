@@ -144,7 +144,9 @@ def fit_targets(inputs, targets, params: CondExpParams
     are listed once, at the wider of the eps1 and eps3 cutoffs (12 bytes per
     pair), the narrower pass takes a copy of the pairs within its own
     cutoff, and each ``markov_apply`` call uses its list up.  Returns
-    ``(kernel_model, coefficients with shape (k, M), diagnostics)``.
+    ``(kernel_model, coefficients with shape (k, M), diagnostics)``, the
+    diagnostics being the bandwidths ``eps1``, ``eps2``, ``eps3``, each
+    column's ``residual_norms`` and the 1-norm ``normal_condition``.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -196,9 +198,6 @@ def fit_targets(inputs, targets, params: CondExpParams
         "eps1": eps1,
         "eps2": eps2,
         "eps3": eps3,
-        "delta": params.delta,
-        "n_train": n,
-        "n_centers": params.n_centers,
         "residual_norms": residuals.tolist(),
         "normal_condition": condition,
     }

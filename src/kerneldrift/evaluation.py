@@ -41,14 +41,14 @@ def system_field(spec: SystemSpec):
     return evaluate
 
 
-def relative_l2_error(predict, truth, test_points) -> ErrorReport:
-    """Relative L2 error of a fitted model ``predict`` against the true-field
-    callable ``truth`` over a test cloud.
+def relative_l2_error(model, truth, test_points) -> ErrorReport:
+    """Relative L2 error of a fitted ``DriftModel`` ``model`` against the
+    true-field callable ``truth`` over a test cloud.
 
     ``sqrt(sum |predicted - true|^2) / sqrt(sum |true|^2)`` over the points,
     plus per-coordinate RMSE and the fraction of extrapolated predictions.
     """
-    return _score(predict, truth, test_points)[0]
+    return _score(model, truth, test_points)[0]
 
 
 def _score(model, truth, test_points) -> tuple[ErrorReport, np.ndarray]:
@@ -75,9 +75,9 @@ def _score(model, truth, test_points) -> tuple[ErrorReport, np.ndarray]:
     return report, diff
 
 
-def pointwise_errors(predict, truth, test_points) -> np.ndarray:
-    """Absolute per-point, per-coordinate errors of a fitted model, shape (n, d)."""
-    return np.abs(_score(predict, truth, test_points)[1])
+def pointwise_errors(model, truth, test_points) -> np.ndarray:
+    """Absolute (n, d) errors of a fitted ``DriftModel`` ``model`` against ``truth``."""
+    return np.abs(_score(model, truth, test_points)[1])
 
 
 @dataclass

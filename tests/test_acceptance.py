@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 The reproduction criteria (1-3) run the full benchmark cells at production
-scale and compare the held-out relative L2 error against fixed thresholds;
-the remaining criteria pin exactness, kernel identities, oracle agreement
-and reproducibility contracts.  Run with ``pytest tests/test_acceptance.py
--v -s`` to see the verdict lines.
+scale and compare the held-out relative L2 error against fixed thresholds
+and print it beside an affine yardstick's, the least-squares affine field
+fitted to the same increment targets; on Lorenz 63 and 96 the estimator's
+error must also be within a fixed fraction of the yardstick's.  The
+remaining criteria pin exactness, kernel identities, oracle agreement and
+reproducibility contracts.  Run with ``pytest tests/test_acceptance.py -v
+-s`` to see the verdict lines.
 """
 
 import math
@@ -43,7 +46,19 @@ def _expand(kernel, coef, points):
     return (sections * coef).sum(axis=1), flags
 
 
+def _affine_rel_l2(traj, held, spec):
+    """Held-out relative L2 error of the yardstick: the least-squares affine
+    field fitted to the cell's increment targets on ``[x, 1]``."""
+    inputs, targets = kd.increment_targets(traj)
+    coef, *_ = np.linalg.lstsq(np.column_stack([inputs, np.ones(len(inputs))]), targets,
+                               rcond=None)
+    predicted = np.column_stack([held.points, np.ones(len(held.points))]) @ coef
+    true = kd.system_field(spec)(held.points)
+    return float(np.linalg.norm(predicted - true) / np.linalg.norm(true))
+
+
 def _run_cell(system, sigma, n_samples, estimator="dense"):
+    """The estimator's held-out relative L2 error, and the affine yardstick's."""
     spec = kd.make_spec(system, sigma_noise=sigma)
     x0 = kd.default_initial_state(spec)
     traj = kd.simulate(spec, x0, n_samples=n_samples, dt=DT, seed=0,
@@ -57,36 +72,41 @@ def _run_cell(system, sigma, n_samples, estimator="dense"):
     else:
         model = kd.estimate_drift(traj, params)
     report = kd.relative_l2_error(model, kd.system_field(spec), held.points)
-    return report.relative_l2
+    return report.relative_l2, _affine_rel_l2(traj, held, spec)
 
 
-def _reproduction(number, name, system, thresholds, n_samples, estimator="dense"):
-    results = {}
-    ok = True
+def _reproduction(number, name, system, thresholds, n_samples, estimator="dense",
+                  max_ratio=None):
+    """Each cell's error must be within its threshold and, given
+    ``max_ratio``, within that fraction of the affine yardstick's."""
+    ok, details = True, []
     for sigma, threshold in thresholds.items():
-        rel = _run_cell(system, sigma, n_samples, estimator)
-        results[sigma] = rel
-        ok = ok and rel <= threshold
-    detail = ", ".join(
-        f"sigma={s}: rel={r:.4f} (<= {thresholds[s]})" for s, r in results.items()
-    )
-    _verdict(number, name, ok, detail)
+        rel, affine = _run_cell(system, sigma, n_samples, estimator)
+        ratio = rel / affine
+        ok = ok and rel <= threshold and (max_ratio is None or ratio <= max_ratio)
+        bound = "" if max_ratio is None else f" (<= {max_ratio})"
+        details.append(f"sigma={sigma}: rel={rel:.4f} (<= {threshold}), affine={affine:.4f}, "
+                       f"ratio={ratio:.3f}{bound}")
+    _verdict(number, name, ok, ", ".join(details))
 
 
 def test_criterion_1_hopf_reproduction():
+    """The affine yardstick beats the estimator on Hopf: its held-out error
+    is 0.0060 / 0.0069 / 0.0112 at sigma = 0.1 / 0.2 / 0.5 against the
+    estimator's 0.0162 / 0.0384 / 0.0722, so no ratio is bounded here."""
     _reproduction(1, "hopf reproduction", "hopf",
                   {0.1: 0.06, 0.2: 0.09, 0.5: 0.18}, n_samples=10_000)
 
 
 def test_criterion_2_lorenz63_reproduction():
     _reproduction(2, "lorenz63 reproduction", "lorenz63",
-                  {0.1: 0.20, 0.2: 0.25, 0.5: 0.35}, n_samples=10_000)
+                  {0.1: 0.20, 0.2: 0.25, 0.5: 0.35}, n_samples=10_000, max_ratio=0.20)
 
 
 def test_criterion_3_lorenz96_sparse_reproduction():
     _reproduction(3, "lorenz96 sparse reproduction", "lorenz96",
                   {0.1: 0.47, 0.2: 0.47, 0.5: 0.47}, n_samples=2_000,
-                  estimator="sparse")
+                  estimator="sparse", max_ratio=0.50)
 
 
 def test_criterion_4_stencil_exactness():

@@ -15,6 +15,35 @@ def run(*argv):
     return main(list(argv))
 
 
+def _rejected(capsys, out, *argv):
+    """Run a command line that must be rejected, with ``--out out`` (the
+    empty command line stays empty), and return its stderr: exit code 1, a
+    ``usage error:`` without a traceback, and no output directory."""
+    assert run(*argv, *(("--out", str(out)) if argv else ())) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+def _json(edit):
+    """A file edit that maps the file's JSON value through ``edit``."""
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
+def _copy_run(run_dir, into, edits):
+    """Copy a run's trajectory, sidecar and model into ``into``, each file
+    through its edit in ``edits`` (one mapped to None is left out), and
+    return their paths by the names the rows' messages use."""
+    paths = {"traj": into / "trajectory.csv", "meta": into / "trajectory.meta.json",
+             "model": into / "model.json"}
+    for path in paths.values():
+        edit = edits.get(path.name, lambda text: text)
+        if edit is not None:
+            path.write_text(edit((run_dir / path.name).read_text()))
+    return paths
+
+
 def test_simulate_writes_csv_and_meta(tmp_path):
     out = tmp_path / "run"
     code = run("simulate", "--system", "hopf", "--noise", "0.1", "--n", "300",
@@ -46,10 +75,18 @@ def test_simulate_zero_noise_deterministic_orbit(tmp_path):
     assert np.isfinite(traj.points).all()
 
 
-def test_usage_errors_exit_one(tmp_path, capsys):
-    assert run("simulate", "--system", "unknown", "--out", str(tmp_path)) == 1
-    assert run("nonsense") == 1
-    assert run() == 1
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("simulate", "--system", "unknown"),
+                 "argument --system: invalid choice: 'unknown' "
+                 "(choose from 'lorenz63', 'hopf', 'lorenz96')", id="unknown-system"),
+    pytest.param(("nonsense",), "argument command: invalid choice: 'nonsense' "
+                 "(choose from 'simulate', 'estimate', 'compare', 'sweep')", id="unknown-command"),
+    pytest.param((), "the following arguments are required: command", id="no-command"),
+    # an empty system list is rejected before any cell runs
+    pytest.param(("sweep", "--systems", ","), "--systems names no system: ','", id="no-systems"),
+])
+def test_rejected_simulate_or_sweep(tmp_path, capsys, argv, message):
+    assert _rejected(capsys, tmp_path / "out", *argv) == f"usage error: {message}\n"
 
 
 @pytest.mark.parametrize("option, message", [
@@ -63,11 +100,9 @@ def test_simulate_non_finite_step_or_noise_is_usage_error(tmp_path, capsys, opti
     # rejected up front instead of failing as a blow-up at sample index 1
     # (or, for a negative seed, with numpy's bare text), and before the
     # output directory is made
-    out = tmp_path / "out"
-    code = run("simulate", "--system", "hopf", "--n", "50", *option, "--out", str(out))
-    assert code == 1
-    assert f"usage error: {message}" in capsys.readouterr().err
-    assert not out.exists()
+    err = _rejected(capsys, tmp_path / "out", "simulate", "--system", "hopf", "--n", "50",
+                    *option)
+    assert f"usage error: {message}" in err
 
 
 @pytest.fixture(scope="module")
@@ -102,68 +137,68 @@ def test_report_roundtrips_with_model(hopf_run):
     assert abs(again.relative_l2 - report["relative_l2"]) < 1e-12
 
 
-def test_estimate_one_center_is_usage_error(hopf_run, tmp_path, capsys):
-    # named as the fit's n_centers, not as a bandwidth check on one point
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(hopf_run / "trajectory.csv"), "--centers", "1",
-               "--out", str(out)) == 1
-    assert "usage error: n_centers must be at least 2, got 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_estimate_eta3_is_usage_error(hopf_run, tmp_path, capsys):
-    # the Markov operator keeps a fixed 1% of pairs: no option sets it
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(hopf_run / "trajectory.csv"), "--eta3", "0.01",
-               "--out", str(out)) == 1
-    assert "usage error: unrecognized arguments: --eta3 0.01" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_estimate_missing_file_is_usage_error(tmp_path):
-    assert run("estimate", "--traj", str(tmp_path / "nope.csv"),
-               "--out", str(tmp_path)) == 1
-
-
-def test_compare_empty_model_file_is_usage_error(tmp_path):
-    model = tmp_path / "empty.json"
-    model.write_text("{}")
-    assert run("compare", "--model", str(model), "--system", "hopf",
-               "--out", str(tmp_path)) == 1
-
-
-def test_compare_model_without_coefficients_is_usage_error(hopf_run, tmp_path):
-    data = json.loads((hopf_run / "model.json").read_text())
-    del data["coefficients"]
-    model = tmp_path / "nocoef.json"
-    model.write_text(json.dumps(data))
-    assert run("compare", "--model", str(model), "--system", "hopf",
-               "--out", str(tmp_path)) == 1
-
-
 @pytest.fixture
 def no_fit(monkeypatch):
-    """Fail the test if ``estimate`` reaches the fit."""
+    """Fail the test if ``estimate`` reaches either fit."""
     def fit(*args):
-        raise AssertionError("estimate_drift was called")
-    monkeypatch.setattr(drift, "estimate_drift", fit)
+        raise AssertionError("the fit was called")
+    for name in ("estimate_drift", "estimate_drift_sparse"):
+        monkeypatch.setattr(drift, name, fit)
 
 
-def test_estimate_sidecar_without_params_is_usage_error(hopf_run, tmp_path, capsys, no_fit):
-    # a sidecar without params, or with a null noise level (float(None)
-    # raises TypeError), is a usage error and leaves no output directory
-    traj = tmp_path / "trajectory.csv"
-    traj.write_text((hopf_run / "trajectory.csv").read_text())
-    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
-    without_params = {k: v for k, v in meta.items() if k != "params"}
-    for key, sidecar in (("params", without_params), ("sigma_noise", {**meta, "sigma_noise": None})):
-        (tmp_path / "trajectory.meta.json").write_text(json.dumps(sidecar))
-        out = tmp_path / f"out_{key}"
-        assert run("estimate", "--traj", str(traj), "--centers", "150",
-                   "--out", str(out)) == 1
-        sidecar = tmp_path / "trajectory.meta.json"
-        assert f"usage error: {sidecar}: metadata sidecar" in capsys.readouterr().err
-        assert not out.exists()
+_META = "trajectory.meta.json"
+
+
+def _doubled_t(text):
+    """The trajectory CSV with its t column stepping by twice the sidecar's dt."""
+    header, *rows = text.splitlines()
+    doubled = [",".join([repr(2 * float(t)), x]) for t, x in (row.split(",", 1) for row in rows)]
+    return "\n".join([header, *doubled]) + "\n"
+
+
+@pytest.mark.parametrize("source, options, edits, message", [
+    # named as the fit's n_centers, not as a bandwidth check on one point
+    pytest.param("hopf", ("--centers", "1"), {}, "n_centers must be at least 2, got 1",
+                 id="one-center"),
+    # an infinite ridge is no ridge
+    pytest.param("hopf", ("--delta", "inf"), {},
+                 "delta must be a real number in [0, inf), got inf", id="infinite-ridge"),
+    pytest.param("hopf", ("--eta2", "0"), {},
+                 "eta2 must be a real number in (0, 1), got 0.0", id="zero-eta2"),
+    # the Markov operator keeps a fixed 1% of pairs: no option sets it
+    pytest.param("hopf", ("--eta3", "0.01"), {}, "unrecognized arguments: --eta3 0.01",
+                 id="eta3"),
+    # offsets 0 and 6 name one and the same cell of the 6-cell lattice, with
+    # "=" or with a space
+    pytest.param("l96", ("--stencil-offsets=0,6",), {},
+                 "Left(0) must hold exactly 2 distinct indices", id="duplicate-offsets"),
+    pytest.param("l96", ("--stencil-offsets", "0,6"), {},
+                 "Left(0) must hold exactly 2 distinct indices", id="duplicate-offsets-spaced"),
+    pytest.param("hopf", (), {"trajectory.csv": None}, "{traj} not found.",
+                 id="missing-file"),
+    # a sidecar without params is named by the sidecar's path and the entry
+    pytest.param("hopf", (),
+                 {_META: _json(lambda meta: {k: v for k, v in meta.items() if k != "params"})},
+                 "{meta}: metadata sidecar lacks the 'params' entry", id="sidecar-without-params"),
+    # a t column stepping by twice the sidecar's dt is named by both paths
+    pytest.param("hopf", (), {"trajectory.csv": _doubled_t},
+                 "{traj}: t steps by 0.02 between samples 0 and 1, not by dt = 0.01 from {meta}",
+                 id="t-off-dt"),
+    # a 2-column Hopf CSV whose sidecar names Lorenz 63 is named by the
+    # sidecar's path, not after the fit by the scorer
+    pytest.param("hopf", (),
+                 {_META: _json(lambda meta: {**meta, "system": "lorenz63", "params": {
+                     "sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}})},
+                 "{meta}: system 'lorenz63' has dimension 3, but {traj} holds 2 coordinates",
+                 id="another-system"),
+])
+def test_rejected_estimate(hopf_run, l96_run, tmp_path, capsys, no_fit, source, options, edits,
+                           message):
+    # each row runs `estimate` on a copy of a run's files, edited, and is
+    # rejected before the fit
+    paths = _copy_run({"hopf": hopf_run, "l96": l96_run}[source], tmp_path, edits)
+    err = _rejected(capsys, tmp_path / "out", "estimate", "--traj", str(paths["traj"]), *options)
+    assert err == f"usage error: {message.format(**paths)}\n"
 
 
 _WRONG_TYPE = "metadata sidecar has an entry of the wrong type: "
@@ -181,41 +216,24 @@ _WRONG_TYPE = "metadata sidecar has an entry of the wrong type: "
     ("seed", -5, "seed must be nonnegative, got -5"),
     ("burn_in", -1, "burn_in must be nonnegative, got -1"),
     ("substeps", 0, "substeps must be at least 1, got 0"),
+    # float(None) raises TypeError
+    ("sigma_noise", None, _WRONG_TYPE + "sigma_noise must be a real number in [0, inf), got None"),
+    ("sigma_noise", "x", _WRONG_TYPE + "sigma_noise must be a real number in [0, inf), got 'x'"),
+    # an integral step beyond float range is out of range, not an OverflowError
+    ("dt", 10**400, f"dt must be a real number in (0, inf), got {10**400}"),
 ], ids=["dt", "burn_in", "substeps", "seed", "not-an-object", "str-param", "inf-dt",
-        "negative-seed", "negative-burn_in", "zero-substeps"])
+        "negative-seed", "negative-burn_in", "zero-substeps", "null-sigma_noise",
+        "string-sigma_noise", "huge-dt"])
 def test_estimate_sidecar_wrong_type_is_usage_error(hopf_run, tmp_path, capsys, no_fit, key,
                                                     value, message):
     # a wrong-typed or out-of-range sidecar entry or system constant (by its
     # key), or a sidecar that is no JSON object, is a usage error that names
-    # the sidecar's path, raised before the fit, with no traceback and no
-    # output directory
-    traj = tmp_path / "trajectory.csv"
-    traj.write_text((hopf_run / "trajectory.csv").read_text())
-    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
-    sidecar = value if key is None else {**meta, key: value}
-    (tmp_path / "trajectory.meta.json").write_text(json.dumps(sidecar))
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    meta_path = tmp_path / "trajectory.meta.json"
-    assert f"usage error: {meta_path}: {message}\n" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_estimate_t_column_off_dt_is_usage_error(hopf_run, tmp_path, capsys, no_fit):
-    # a t column stepping by twice the sidecar's dt is rejected before the
-    # fit, named by both paths, and leaves no output directory
-    traj = tmp_path / "trajectory.csv"
-    header, *rows = (hopf_run / "trajectory.csv").read_text().splitlines()
-    doubled = [",".join([repr(2 * float(row.split(",", 1)[0])), row.split(",", 1)[1]])
-               for row in rows]
-    traj.write_text("\n".join([header, *doubled]) + "\n")
-    meta_path = tmp_path / "trajectory.meta.json"
-    meta_path.write_text((hopf_run / "trajectory.meta.json").read_text())
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage error: {traj}: t steps by ") and f"from {meta_path}\n" in err
-    assert not out.exists()
+    # the sidecar's path, raised before the fit
+    edit = _json(lambda meta: value if key is None else {**meta, key: value})
+    paths = _copy_run(hopf_run, tmp_path, {_META: edit})
+    err = _rejected(capsys, tmp_path / "out", "estimate", "--traj", str(paths["traj"]),
+                    "--centers", "150")
+    assert err == f"usage error: {paths['meta']}: {message}\n"
 
 
 @pytest.mark.parametrize("key, edit", [
@@ -230,33 +248,13 @@ def test_estimate_sidecar_without_held_out_setting_is_usage_error(hopf_run, tmp_
     # the held-out path repeats the recorded run with the next seed; a
     # sidecar that does not record it is rejected before the fit, named by
     # the trajectory's path, instead of scoring against a guessed run
-    traj = tmp_path / "trajectory.csv"
-    traj.write_text((hopf_run / "trajectory.csv").read_text())
-    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
-    edit(meta)
-    (tmp_path / "trajectory.meta.json").write_text(json.dumps(meta))
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err == f"usage error: {traj}: its metadata sidecar records no {key!r}\n"
-    assert not out.exists()
-
-
-def test_estimate_sidecar_naming_another_system_is_usage_error(hopf_run, tmp_path, capsys,
-                                                                no_fit):
-    # a 2-column Hopf CSV whose sidecar names Lorenz 63 is rejected before
-    # the fit, named by the sidecar's path, not after it by the scorer
-    traj = tmp_path / "trajectory.csv"
-    traj.write_text((hopf_run / "trajectory.csv").read_text())
-    meta = json.loads((hopf_run / "trajectory.meta.json").read_text())
-    meta.update(system="lorenz63", params={"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0})
-    sidecar = tmp_path / "trajectory.meta.json"
-    sidecar.write_text(json.dumps(meta))
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    assert capsys.readouterr().err == (f"usage error: {sidecar}: system 'lorenz63' has "
-                                       f"dimension 3, but {traj} holds 2 coordinates\n")
-    assert not out.exists()
+    def edited(meta):
+        edit(meta)
+        return meta
+    paths = _copy_run(hopf_run, tmp_path, {_META: _json(edited)})
+    err = _rejected(capsys, tmp_path / "out", "estimate", "--traj", str(paths["traj"]),
+                    "--centers", "150")
+    assert err == f"usage error: {paths['traj']}: its metadata sidecar records no {key!r}\n"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -270,20 +268,16 @@ def test_estimate_sidecar_naming_another_system_is_usage_error(hopf_run, tmp_pat
 ], ids=["non-numeric", "ragged", "nan", "three-rows", "header-only"])
 def test_estimate_bad_trajectory_csv_is_usage_error(hopf_run, tmp_path, capsys, edit, message):
     # a CSV that does not parse or holds no valid trajectory is a usage error
-    # that names the CSV's path, with no traceback, no warning (numpy warns
-    # on a file with no data rows) and no output directory
-    traj = tmp_path / "trajectory.csv"
-    traj.write_text("\n".join(edit((hopf_run / "trajectory.csv").read_text().splitlines())))
-    (tmp_path / "trajectory.meta.json").write_text(
-        (hopf_run / "trajectory.meta.json").read_text())
-    out = tmp_path / "out"
+    # that names the CSV's path, with no warning (numpy warns on a file with
+    # no data rows)
+    paths = _copy_run(hopf_run, tmp_path,
+                      {"trajectory.csv": lambda text: "\n".join(edit(text.splitlines()))})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run("estimate", "--traj", str(traj), "--centers", "150", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert f"usage error: {traj}: {message}" in err
+        err = _rejected(capsys, tmp_path / "out", "estimate", "--traj", str(paths["traj"]),
+                        "--centers", "150")
+    assert f"usage error: {paths['traj']}: {message}" in err
     assert "Warning" not in err
-    assert not out.exists()
 
 
 def test_compare_outputs(hopf_run, tmp_path):
@@ -299,49 +293,75 @@ def test_compare_outputs(hopf_run, tmp_path):
     assert flags.count("0") > 150  # mostly in-distribution
 
 
-def test_compare_non_finite_start_is_usage_error(hopf_run, tmp_path):
-    code = run("compare", "--model", str(hopf_run / "model.json"),
-               "--system", "hopf", "--x0", "nan,0", "--out", str(tmp_path))
-    assert code == 1
+def _kernel_entry(key, value):
+    """A model-file edit that sets one entry of the kernel."""
+    return {"model.json": _json(lambda model: {**model,
+                                               "kernel": {**model["kernel"], key: value}})}
 
 
-def test_compare_overflowing_start_is_usage_error(hopf_run, tmp_path):
+def _string_coefficient(model):
+    model["coefficients"][0][0] = "0.5"
+    return model
+
+
+_WRONG_MODEL = "{model}: drift model file has an entry of the wrong type: "
+
+
+@pytest.mark.parametrize("options, edits, message", [
+    pytest.param(("--system", "hopf"), {"model.json": lambda text: "{}"},
+                 "{model}: drift model file lacks the 'kernel' entry", id="empty-object"),
+    pytest.param(("--system", "hopf"), {"model.json": lambda text: "[]"},
+                 _WRONG_MODEL + "list indices must be integers or slices, not str",
+                 id="list-file"),
+    pytest.param(("--system", "hopf"), {"model.json": lambda text: text[:100]},
+                 "{model}: Expecting ',' delimiter: line 1 column 101 (char 100)",
+                 id="truncated"),
+    pytest.param(("--system", "hopf"), {"model.json": _json(
+                     lambda model: {k: v for k, v in model.items() if k != "coefficients"})},
+                 "{model}: drift model file lacks the 'coefficients' entry",
+                 id="no-coefficients"),
+    # a coefficient written as a string is not coerced
+    pytest.param(("--system", "hopf"), {"model.json": _json(_string_coefficient)},
+                 _WRONG_MODEL + "the coefficients hold '0.5', which is no number",
+                 id="string-coefficient"),
+    pytest.param(("--system", "hopf"), _kernel_entry("epsilon", None),
+                 _WRONG_MODEL + "epsilon must be a real number in (0, inf), got None",
+                 id="null-epsilon"),
+    pytest.param(("--system", "hopf"), _kernel_entry("epsilon", "x"),
+                 _WRONG_MODEL + "epsilon must be a real number in (0, inf), got 'x'",
+                 id="string-epsilon"),
+    # every kernel thresholds at 1e-14: a file that records another threshold
+    pytest.param(("--system", "hopf"), _kernel_entry("theta_zero", 1e-10),
+                 "{model}: theta_zero must be THETA_ZERO = 1e-14, got 1e-10", id="theta_zero"),
+    pytest.param(("--system", "hopf", "--x0", "nan,0"), {},
+                 "x0 must be finite, got [nan, 0.0]", id="nan-start"),
     # every squared distance to the centers overflows: no nearest center
-    code = run("compare", "--model", str(hopf_run / "model.json"),
-               "--system", "hopf", "--x0", "1e160,0", "--out", str(tmp_path))
-    assert code == 1
+    pytest.param(("--system", "hopf", "--x0", "1e160,0"), {},
+                 "query point 0 is too far from every center (squared distances overflow): "
+                 "[1e+160, 0.0]", id="overflowing-start"),
+    # both values are finite, but their ratio overflows
+    pytest.param(("--system", "hopf", "--horizon", "1e300", "--dt", "1e-300"), {},
+                 "horizon / dt must be a finite step count, got horizon=1e+300, dt=1e-300",
+                 id="overflowing-step-count"),
+    # compare_orbits' own check
+    pytest.param(("--system", "lorenz63"), {}, "model dimension 2 != system dimension 3",
+                 id="dimension-mismatch"),
+])
+def test_rejected_compare(hopf_run, tmp_path, capsys, options, edits, message):
+    # each row runs `compare` on a copy of the Hopf run's model file, edited;
+    # a file's error is named by its path
+    paths = _copy_run(hopf_run, tmp_path, edits)
+    err = _rejected(capsys, tmp_path / "out", "compare", "--model", str(paths["model"]), *options)
+    assert err == f"usage error: {message.format(**paths)}\n"
 
 
 @pytest.mark.parametrize("option", [("--dt", "0"), ("--horizon", "inf")])
 def test_compare_bad_step_or_horizon_is_usage_error(hopf_run, tmp_path, capsys, option):
-    code = run("compare", "--model", str(hopf_run / "model.json"),
-               "--system", "hopf", *option, "--out", str(tmp_path))
-    assert code == 1
+    err = _rejected(capsys, tmp_path / "out", "compare", "--model", str(hopf_run / "model.json"),
+                    "--system", "hopf", *option)
     message = ("dt must be a real number in (0, inf), got 0.0" if option[0] == "--dt"
                else "horizon must be a real number in (-inf, inf), got inf")
-    assert f"usage error: {message}" in capsys.readouterr().err
-
-
-def test_compare_overflowing_step_count_is_usage_error(hopf_run, tmp_path, capsys):
-    # both values are finite, but their ratio overflows: no traceback
-    out = tmp_path / "out"
-    code = run("compare", "--model", str(hopf_run / "model.json"), "--system", "hopf",
-               "--horizon", "1e300", "--dt", "1e-300", "--out", str(out))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == ("usage error: horizon / dt must be a finite step count, "
-                   "got horizon=1e+300, dt=1e-300\n")
-    assert not out.exists()
-
-
-def test_compare_dimension_mismatch(hopf_run, tmp_path, capsys):
-    # compare_orbits' own check, before --out is made
-    out = tmp_path / "out"
-    code = run("compare", "--model", str(hopf_run / "model.json"),
-               "--system", "lorenz63", "--out", str(out))
-    assert code == 1
-    assert capsys.readouterr().err == "usage error: model dimension 2 != system dimension 3\n"
-    assert not out.exists()
+    assert f"usage error: {message}" in err
 
 
 def test_numerical_failure_exit_two(tmp_path):
@@ -378,17 +398,14 @@ def test_compare_takes_lorenz96_cells_from_model(l96_run, tmp_path):
     assert [c for c in header if c.startswith("true_x")] == [f"true_x{i}" for i in range(6)]
 
 
-def test_stencil_offsets_take_a_spaced_value(l96_run, tmp_path, capsys):
+def test_stencil_offsets_take_a_spaced_value(l96_run, tmp_path):
     # "--stencil-offsets -2,-1,0,1" fits what "--stencil-offsets=-2,-1,0,1"
-    # does, though its value starts with "-"; 0,6 is still rejected
+    # does, though its value starts with "-" (test_rejected_estimate rejects
+    # a spaced 0,6)
     out = tmp_path / "out"
     assert run("estimate", "--traj", str(l96_run / "trajectory.csv"),
                "--stencil-offsets", "-2,-1,0,1", "--centers", "100", "--out", str(out)) == 0
     assert (out / "model.json").read_bytes() == (l96_run / "model.json").read_bytes()
-    assert run("estimate", "--traj", str(l96_run / "trajectory.csv"),
-               "--stencil-offsets", "0,6", "--out", str(tmp_path / "bad")) == 1
-    assert "usage error: Left(0) must hold exactly 2 distinct indices" in capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
 
 
 @pytest.mark.parametrize("option", [("--stencil", "-2,-1,0,1"), ("--stencil=-2,-1,0,1",),
@@ -396,20 +413,9 @@ def test_stencil_offsets_take_a_spaced_value(l96_run, tmp_path, capsys):
 def test_abbreviated_options_are_usage_error(l96_run, tmp_path, capsys, option):
     # an option is spelled in full: the prefix --stencil would not take a
     # spaced value that starts with "-", so no prefix is accepted
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(l96_run / "trajectory.csv"), *option,
-               "--out", str(out)) == 1
-    assert "usage error: unrecognized arguments: --" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_duplicate_stencil_offsets_are_usage_error(l96_run, tmp_path, capsys):
-    # offsets 0 and 6 name one and the same cell of the 6-cell lattice
-    out = tmp_path / "out"
-    assert run("estimate", "--traj", str(l96_run / "trajectory.csv"),
-               "--stencil-offsets=0,6", "--out", str(out)) == 1
-    assert "usage error: Left(0) must hold exactly 2 distinct indices" in capsys.readouterr().err
-    assert not out.exists()
+    err = _rejected(capsys, tmp_path / "out", "estimate", "--traj",
+                    str(l96_run / "trajectory.csv"), *option)
+    assert "usage error: unrecognized arguments: --" in err
 
 
 def test_sweep_small_grid(tmp_path):
@@ -434,14 +440,6 @@ def test_sweep_small_grid(tmp_path):
     }
 
 
-def test_sweep_without_systems_is_usage_error(tmp_path, capsys):
-    # an empty system list is rejected before any cell runs or --out is made
-    out = tmp_path / "sweep"
-    assert run("sweep", "--systems", ",", "--out", str(out)) == 1
-    assert "usage error: --systems names no system" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("args, message", [
     (["--systems", "hopf", "--n", "100", "--centers", "500"],
      "n_centers=500 exceeds the number of inputs 97"),
@@ -454,7 +452,5 @@ def test_sweep_without_systems_is_usage_error(tmp_path, capsys):
 def test_rejected_sweep_runs_no_cell(tmp_path, capsys, args, message):
     # the systems and every cell's fit are checked before the first cell runs
     # or --out is made
-    out = tmp_path / "sweep"
-    assert run("sweep", *args, "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith(f"usage error: {message}")
-    assert not out.exists()
+    assert _rejected(capsys, tmp_path / "sweep", "sweep", *args).startswith(
+        f"usage error: {message}")
